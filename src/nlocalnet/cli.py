@@ -41,9 +41,12 @@ def parse_angle(token: str) -> float:
         if text in ("+", "-"):
             text += "1"
     try:
-        return float(text) * factor
+        value = float(text) * factor
     except ValueError:
         raise InvalidParameterError(f"cannot parse angle {token!r}") from None
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"angle {token!r} is not finite")
+    return value
 
 
 def parse_angle_list(text: str) -> list[float]:

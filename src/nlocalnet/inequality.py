@@ -6,6 +6,23 @@ intermediate inputs 0, and I1 signed by the parity of the extremal inputs,
 with all intermediate inputs 1.  The witness S = |I0|^(1/p) + |I1|^(1/p)
 stays at or below 1 for every source-factorized classical model, while
 entangled sources with tuned settings push it up to sqrt(2).
+
+evaluate_I and evaluate_S never enumerate the 2^p inputs.  They rely on an
+invariant of valid layouts (connected, acyclic, n >= 2): every extremal node
+touches exactly one source, and no source touches two extremal nodes.  The
+quantum correlator is a product of per-source pair expectations E_r, and the
+sign (-1)^(k sum y) splits into one factor per extremal node, so the average
+is a product over sources:
+
+    I_k(x) = prod_{r between two intermediate nodes} E_r(x)
+             * prod_{r with an extremal end} 1/2 sum_y (-1)^(k y) E_r(x, y).
+
+S then costs about 4n pair expectations, with the layout validated and the
+plan checked once, where the enumeration costs n 2^(p+1).  signed_y_average
+is the enumeration oracle: it serves any correlator, classical models
+included (lhv_evaluate_S), and the tests compare both routes with it.  The
+two agree to rounding (within 1e-12), not bit for bit, because the
+arithmetic is done in a different order.
 """
 
 from __future__ import annotations
@@ -15,12 +32,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .correlators import SettingAssignment, correlator_factorized
-from .errors import InvalidParameterError
-from .quantum import MeasurementPlan
-from .topology import NetworkConfig
+from .correlators import SettingAssignment
+from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
+from .quantum import (BlochObservable, MeasurementPlan, check_finite,
+                      check_plan, extremal_observable, pair_expectation)
+from .topology import (INTERMEDIATE, NetworkConfig, NodeId, attachments,
+                       intermediate_nodes)
 
 VIOLATION_TOLERANCE = 1e-9
+# The enumeration oracle visits 2^p extremal inputs; refuse layouts beyond this.
+ENUMERATION_MAX_EXTREMAL = 20
 
 Correlator = Callable[[SettingAssignment], float]
 
@@ -42,11 +63,17 @@ def signed_y_average(correlator: Correlator, config: NetworkConfig, k: int,
                      x_bits: Sequence[int]) -> float:
     """Average correlators over all extremal inputs with sign (-1)^(k sum y).
 
-    Terms are accumulated in lexicographic input order so repeated runs are
-    bit-identical.
+    The enumeration oracle: it calls the correlator 2^p times, so layouts
+    with more than ENUMERATION_MAX_EXTREMAL extremal nodes raise
+    ResourceLimitError before any call.  Terms are accumulated in
+    lexicographic input order so repeated runs are bit-identical.
     """
     if k not in (0, 1):
         raise InvalidParameterError(f"sign exponent k must be 0 or 1, got {k}")
+    if config.p > ENUMERATION_MAX_EXTREMAL:
+        raise ResourceLimitError(
+            f"enumerating the 2^{config.p} extremal inputs exceeds the cap of "
+            f"2^{ENUMERATION_MAX_EXTREMAL}")
     x_bits = tuple(x_bits)
     total = 0.0
     for y_bits in itertools.product((0, 1), repeat=config.p):
@@ -56,33 +83,102 @@ def signed_y_average(correlator: Correlator, config: NetworkConfig, k: int,
     return total / 2.0 ** config.p
 
 
-def evaluate_I(config: NetworkConfig, thetas: Sequence[float],
-               plan: MeasurementPlan, k: int, x_bits: Sequence[int]) -> float:
-    """Signed extremal-input average for fixed intermediate inputs x_bits."""
-    def corr(assignment: SettingAssignment) -> float:
-        return correlator_factorized(config, thetas, plan, assignment)
-    return signed_y_average(corr, config, k, x_bits)
+def _witness(config: NetworkConfig, i0: float, i1: float) -> EvaluationResult:
+    root = 1.0 / config.p
+    s = abs(i0) ** root + abs(i1) ** root
+    return EvaluationResult(i0=i0, i1=i1, s=s,
+                            violated=s > 1.0 + VIOLATION_TOLERANCE,
+                            x0=(0,) * config.l, x1=(1,) * config.l)
 
 
 def evaluate_S_from_correlator(correlator: Correlator,
                                config: NetworkConfig) -> EvaluationResult:
-    """Witness from any correlator source (quantum engine, classical model, ...)."""
-    x0 = (0,) * config.l
-    x1 = (1,) * config.l
-    i0 = signed_y_average(correlator, config, 0, x0)
-    i1 = signed_y_average(correlator, config, 1, x1)
-    root = 1.0 / config.p
-    s = abs(i0) ** root + abs(i1) ** root
-    return EvaluationResult(i0=i0, i1=i1, s=s,
-                            violated=s > 1.0 + VIOLATION_TOLERANCE, x0=x0, x1=x1)
+    """Witness from any correlator source (quantum engine, classical model, ...).
+
+    Enumerates the extremal inputs through signed_y_average.
+    """
+    i0 = signed_y_average(correlator, config, 0, (0,) * config.l)
+    i1 = signed_y_average(correlator, config, 1, (1,) * config.l)
+    return _witness(config, i0, i1)
+
+
+_Slots = dict[tuple[NodeId, int], int]
+
+
+def _checked_slots(config: NetworkConfig, thetas: Sequence[float],
+                   plan: MeasurementPlan) -> _Slots:
+    """Check layout, angles and plan; map (intermediate node, source) to the
+    position of that source's factor in the node's product observable."""
+    attach = attachments(config)  # validates the layout
+    if len(thetas) != config.n:
+        raise ConfigurationError(f"need {config.n} source angles, got {len(thetas)}")
+    check_finite("source", thetas)
+    check_plan(config, plan)
+    check_finite("extremal", plan.alphas.values())
+    return {(node, r): slot for node, sources in attach.intermediate.items()
+            for slot, r in enumerate(sources)}
+
+
+def _end_observables(plan: MeasurementPlan, slots: _Slots,
+                     x: dict[NodeId, int], node: NodeId,
+                     r: int) -> tuple[BlochObservable, ...]:
+    """Settings at node's end of source r: the one fixed by the input x at
+    an intermediate node, the pair for inputs y = 0, 1 at an extremal node."""
+    if node.kind == INTERMEDIATE:
+        return (plan.intermediate[node][x[node]][slots[node, r]],)
+    alpha = plan.alphas[node]
+    return extremal_observable(alpha, 0), extremal_observable(alpha, 1)
+
+
+def _contract(config: NetworkConfig, thetas: Sequence[float],
+              plan: MeasurementPlan, slots: _Slots, k: int,
+              x_bits: Sequence[int]) -> float:
+    """I_k(x) as the product of one factor per source."""
+    x = dict(zip(intermediate_nodes(config), x_bits))
+    value = 1.0
+    for r in range(1, config.n + 1):
+        u, v = config.edges[r]
+        terms = [pair_expectation(thetas[r - 1], first, second)
+                 for first in _end_observables(plan, slots, x, u, r)
+                 for second in _end_observables(plan, slots, x, v, r)]
+        # Two terms (y = 0, 1) when one end is extremal; a valid layout has
+        # no source with two extremal ends.
+        if len(terms) == 2:
+            value *= 0.5 * (terms[0] - terms[1] if k else terms[0] + terms[1])
+        else:
+            value *= terms[0]
+    return value
+
+
+def evaluate_I(config: NetworkConfig, thetas: Sequence[float],
+               plan: MeasurementPlan, k: int, x_bits: Sequence[int]) -> float:
+    """Signed extremal-input average for fixed intermediate inputs x_bits.
+
+    Computed as the per-source product of the module docstring, without
+    enumerating extremal inputs; matches signed_y_average over
+    correlator_factorized to rounding.
+    """
+    if k not in (0, 1):
+        raise InvalidParameterError(f"sign exponent k must be 0 or 1, got {k}")
+    slots = _checked_slots(config, thetas, plan)
+    if len(x_bits) != config.l or any(b not in (0, 1) for b in x_bits):
+        raise ConfigurationError(
+            f"need {config.l} intermediate input bits of 0 or 1, got {tuple(x_bits)}")
+    return _contract(config, thetas, plan, slots, k, [int(b) for b in x_bits])
 
 
 def evaluate_S(config: NetworkConfig, thetas: Sequence[float],
                plan: MeasurementPlan) -> EvaluationResult:
-    """Witness with all-zero intermediate inputs in I0 and all-one in I1."""
-    def corr(assignment: SettingAssignment) -> float:
-        return correlator_factorized(config, thetas, plan, assignment)
-    return evaluate_S_from_correlator(corr, config)
+    """Witness with all-zero intermediate inputs in I0 and all-one in I1.
+
+    Validates the layout and checks the plan once, then contracts I0 and I1
+    per source (see the module docstring): linear in the number of sources.  Agrees with evaluate_S_from_correlator over
+    correlator_factorized to rounding.
+    """
+    slots = _checked_slots(config, thetas, plan)
+    i0 = _contract(config, thetas, plan, slots, 0, (0,) * config.l)
+    i1 = _contract(config, thetas, plan, slots, 1, (1,) * config.l)
+    return _witness(config, i0, i1)
 
 
 def closed_form_S(thetas: Sequence[float], alphas: Sequence[float],

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class BlochObservable:
 
     def __post_init__(self):
         norm_sq = self.vx * self.vx + self.vy * self.vy + self.vz * self.vz
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:  # also rejects a NaN component
             raise InvalidParameterError(
                 f"Bloch vector must have unit length, got |v|^2 = {norm_sq!r}")
 
@@ -92,11 +92,19 @@ class MeasurementPlan:
     alphas: Mapping[NodeId, float]
 
 
+def check_finite(label: str, values: Iterable[float]) -> None:
+    """Raise InvalidParameterError if any of the angles is infinite or NaN."""
+    for value in values:
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{label} angles must be finite, got {value!r}")
+
+
 def canonical_plan(config: NetworkConfig, alphas: Sequence[float]) -> MeasurementPlan:
     """The standard plan: all-sigma_z products for input 0, all-sigma_x for input 1."""
     if len(alphas) != config.p:
         raise InvalidParameterError(
             f"need one extremal angle per extremal node ({config.p}), got {len(alphas)}")
+    check_finite("extremal", alphas)
     zs = (PAULI_Z,) * config.m
     xs = (PAULI_X,) * config.m
     inter = {node: (zs, xs) for node in intermediate_nodes(config)}

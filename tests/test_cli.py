@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from nlocalnet import parse_config
+from nlocalnet import closed_form_S, parse_config
 from nlocalnet.cli import main, parse_angle, parse_angle_list
 
 
@@ -18,6 +18,9 @@ def test_parse_angle_forms():
         parse_angle("two")
     with pytest.raises(InvalidParameterError):
         parse_angle("")
+    for token in ("inf", "-inf", "nan", "infpi", "1e400"):
+        with pytest.raises(InvalidParameterError):
+            parse_angle(token)
 
 
 def test_generate_chain(tmp_path, capsys):
@@ -186,3 +189,31 @@ def test_evaluate_output_file_matches_stdout(tmp_path, capsys):
     assert main(["evaluate", "--topology", str(topo), "--theta", "0.3,0.4",
                  "--alpha", "0.5,0.6", "--output", str(report)]) == 0
     assert report.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, angles", [
+    ("evaluate", ["--theta", "0.25pi,0.25pi", "--alpha", "0.25pi,inf"]),
+    ("evaluate", ["--theta", "0.25pi,0.25pi", "--alpha", "0.25pi,nan"]),
+    ("maximize", ["--theta", "nan,0.4"]),
+])
+def test_non_finite_angles_exit_2(tmp_path, capsys, command, angles):
+    topo = tmp_path / "chain2.json"
+    main(["generate", "chain", "--n", "2", "--output", str(topo)])
+    assert main([command, "--topology", str(topo), *angles]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "not finite" in captured.err
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+
+
+def test_evaluate_command_on_a_large_star(tmp_path, capsys):
+    topo = tmp_path / "star200.json"
+    main(["generate", "star", "--n", "200", "--output", str(topo)])
+    thetas = ",".join(f"{0.2 + 0.005 * r:.6f}" for r in range(200))
+    alphas = ",".join(f"{0.3 + 0.004 * j:.6f}" for j in range(200))
+    assert main(["evaluate", "--topology", str(topo),
+                 "--theta", thetas, "--alpha", alphas]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["S"] == pytest.approx(closed_form_S(
+        [float(t) for t in thetas.split(",")],
+        [float(a) for a in alphas.split(",")], 200), abs=1e-10)

@@ -1,13 +1,18 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance
-from nlocalnet import (build_chain, build_star, build_tree, canonical_plan,
-                       closed_form_S, closed_form_smax, evaluate_I, evaluate_S)
+from helpers import random_instance, random_plan
+from nlocalnet import (InvalidParameterError, MeasurementPlan,
+                       ResourceLimitError, build_chain, build_star, build_tree,
+                       canonical_plan, closed_form_S, closed_form_smax,
+                       correlator_factorized, evaluate_I, evaluate_S,
+                       evaluate_S_from_correlator)
+from nlocalnet.inequality import ENUMERATION_MAX_EXTREMAL, signed_y_average
 
 PI = math.pi
 angles = st.floats(min_value=0.0, max_value=2 * PI,
@@ -155,3 +160,78 @@ def test_smax_iff_entangled_and_monotone():
     # monotone in each |sin 2 theta| with the other fixed
     values = [closed_form_smax([t, 0.6], 2)[0] for t in (0.1, 0.2, 0.3, PI / 4)]
     assert values == sorted(values)
+
+
+def test_factorized_route_matches_enumeration_oracle():
+    # Random intermediate Bloch directions break every canonical-plan
+    # cancellation, so each per-source factor is exercised.
+    rng = np.random.default_rng(2016)
+    layouts = ([build_chain(n) for n in range(2, 8)]
+               + [build_star(n) for n in range(2, 8)]
+               + [build_tree(n, m) for n, m in
+                  ((4, 2), (5, 3), (4, 4), (6, 2), (7, 3), (7, 4))])
+    for _ in range(100):
+        config = layouts[int(rng.integers(0, len(layouts)))]
+        thetas = rng.uniform(0.0, 2.0 * PI, size=config.n).tolist()
+        plan = random_plan(rng, config)
+
+        def corr(assignment):
+            return correlator_factorized(config, thetas, plan, assignment)
+
+        x_bits = [int(b) for b in rng.integers(0, 2, size=config.l)]
+        for k in (0, 1):
+            assert abs(evaluate_I(config, thetas, plan, k, x_bits)
+                       - signed_y_average(corr, config, k, x_bits)) <= 1e-12
+        fast = evaluate_S(config, thetas, plan)
+        slow = evaluate_S_from_correlator(corr, config)
+        assert abs(fast.i0 - slow.i0) <= 1e-12
+        assert abs(fast.i1 - slow.i1) <= 1e-12
+        assert abs(fast.s - slow.s) <= 1e-12
+        assert (fast.x0, fast.x1, fast.violated) == (slow.x0, slow.x1, slow.violated)
+
+
+def test_enumeration_oracle_is_capped():
+    config = build_star(25)
+    assert config.p > ENUMERATION_MAX_EXTREMAL
+
+    def never(assignment):
+        raise AssertionError("the oracle enumerated past its cap")
+
+    for k in (0, 1):
+        with pytest.raises(ResourceLimitError):
+            signed_y_average(never, config, k, (k,))
+    with pytest.raises(ResourceLimitError):
+        evaluate_S_from_correlator(never, config)
+
+
+@pytest.mark.parametrize("config", [build_star(200), build_chain(1000),
+                                    build_tree(199, 3)],
+                         ids=["star200", "chain1000", "tree199_3"])
+def test_evaluate_S_scales_to_large_layouts(config):
+    rng = np.random.default_rng(config.n)
+    thetas = rng.uniform(0.1, PI / 2 - 0.1, size=config.n).tolist()
+    alphas = rng.uniform(0.1, PI / 2 - 0.1, size=config.p).tolist()
+    plan = canonical_plan(config, alphas)
+    start = time.perf_counter()
+    result = evaluate_S(config, thetas, plan)
+    elapsed = time.perf_counter() - start
+    assert result.s == pytest.approx(closed_form_S(thetas, alphas, config.p),
+                                     abs=1e-10)
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_evaluate_rejects_non_finite_angles(bad):
+    config = build_chain(2)
+    plan = canonical_plan(config, [0.3, 0.4])
+    with pytest.raises(InvalidParameterError):
+        evaluate_S(config, [0.5, bad], plan)
+    with pytest.raises(InvalidParameterError):
+        evaluate_I(config, [bad, 0.5], plan, 0, (0,))
+    # a plan built by hand bypasses canonical_plan's check
+    bad_plan = MeasurementPlan(intermediate=plan.intermediate,
+                               alphas={**plan.alphas, next(iter(plan.alphas)): bad})
+    with pytest.raises(InvalidParameterError):
+        evaluate_S(config, [0.5, 0.6], bad_plan)
+    with pytest.raises(InvalidParameterError):
+        evaluate_I(config, [0.5, 0.6], bad_plan, 1, (1,))

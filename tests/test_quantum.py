@@ -42,6 +42,9 @@ def test_extremal_observable_examples():
 def test_bloch_observable_rejects_non_unit_vector():
     with pytest.raises(InvalidParameterError):
         BlochObservable(1.0, 1.0, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            BlochObservable(bad, 0.0, 0.0)
 
 
 @given(angles)
@@ -114,6 +117,9 @@ def test_canonical_plan_shape_and_arity_check():
         assert one_obs == (PAULI_X,) * config.m
     with pytest.raises(InvalidParameterError):
         canonical_plan(config, [0.1])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParameterError):
+            canonical_plan(config, [0.1, bad])
     bad = canonical_plan(build_chain(2), [0.1, 0.2])
     with pytest.raises(ConfigurationError):
         check_plan(config, bad)
