@@ -17,8 +17,7 @@ from .inequality import (VIOLATION_TOLERANCE, EvaluationResult, closed_form_S,
                          evaluate_S_from_correlator)
 from .lhv import (LHVModel, lhv_best_S, lhv_distribution, lhv_evaluate_S,
                   model_to_jsonable, validate_model)
-from .optimize import (FreeOptimum, golden_section_max, optimize_alpha_equal,
-                       optimize_alpha_free, sweep)
+from .optimize import optimize_alpha_equal, sweep
 from .quantum import (PAULI_X, PAULI_Y, PAULI_Z, BlochObservable,
                       MeasurementPlan, canonical_plan, check_plan, concurrence,
                       extremal_observable, normalize_angle, pair_expectation,
@@ -35,7 +34,6 @@ __all__ = [
     "BlochObservable",
     "ConfigurationError",
     "EvaluationResult",
-    "FreeOptimum",
     "InvalidParameterError",
     "LHVModel",
     "MeasurementPlan",
@@ -65,7 +63,6 @@ __all__ = [
     "evaluate_S_from_correlator",
     "extremal_nodes",
     "extremal_observable",
-    "golden_section_max",
     "intermediate_nodes",
     "joint_distribution",
     "lhv_best_S",
@@ -74,7 +71,6 @@ __all__ = [
     "model_to_jsonable",
     "normalize_angle",
     "optimize_alpha_equal",
-    "optimize_alpha_free",
     "pair_expectation",
     "parse_config",
     "serialize_config",

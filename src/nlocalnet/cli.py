@@ -18,7 +18,7 @@ from typing import Sequence
 from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
 from .inequality import VIOLATION_TOLERANCE, closed_form_smax, evaluate_S
 from .lhv import DEFAULT_MAX_WORK, lhv_best_S, model_to_jsonable
-from .optimize import optimize_alpha_equal, optimize_alpha_free, sweep
+from .optimize import optimize_alpha_equal, sweep
 from .quantum import canonical_plan
 from .topology import (NetworkConfig, build_chain, build_star, build_tree,
                        parse_config, serialize_config, validate)
@@ -57,16 +57,27 @@ def _nine_digits(value: float) -> float:
     return float(f"{value:.9g}")
 
 
-def _load_topology(path: str) -> NetworkConfig:
+def _json_line(report: dict) -> str:
+    return json.dumps(report, allow_nan=False) + "\n"
+
+
+def _read_config(path: str) -> NetworkConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read topology file: {exc}") from None
-    config = parse_config(text)
+    return parse_config(text)
+
+
+def _checked(config: NetworkConfig) -> NetworkConfig:
     issues = validate(config)
     if issues:
         raise InvalidParameterError("invalid topology: " + "; ".join(issues))
     return config
+
+
+def _load_topology(path: str) -> NetworkConfig:
+    return _checked(_read_config(path))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -89,13 +100,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         _require_params(args, "n", "m", "p", "edges")
         try:
             edges_doc = json.loads(args.edges)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidParameterError(f"--edges is not valid JSON: {exc}") from None
-        config = parse_config(json.dumps(
-            {"n": args.n, "m": args.m, "p": args.p, "edges": edges_doc}))
-        issues = validate(config)
-        if issues:
-            raise InvalidParameterError("invalid topology: " + "; ".join(issues))
+        config = _checked(parse_config(json.dumps(
+            {"n": args.n, "m": args.m, "p": args.p, "edges": edges_doc})))
     text = serialize_config(config)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -112,41 +120,25 @@ def _require_params(args: argparse.Namespace, *names: str) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.topology).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InvalidParameterError(f"cannot read topology file: {exc}") from None
-    issues = validate(parse_config(text))
+    issues = validate(_read_config(args.topology))
     if issues:
-        for issue in issues:
-            print(issue)
-        return EXIT_INPUT
+        print("\n".join(issues))
+        raise InvalidParameterError(f"invalid topology: {len(issues)} issue(s)")
     print("ok")
     return EXIT_OK
 
 
-def _parsed_angles(config: NetworkConfig, args: argparse.Namespace,
-                   want_alpha: bool) -> tuple[list[float], list[float]]:
-    if args.theta is None:
-        raise InvalidParameterError("--theta is required")
-    thetas = parse_angle_list(args.theta)
-    if len(thetas) != config.n:
-        raise InvalidParameterError(
-            f"need {config.n} theta values, got {len(thetas)}")
-    alphas: list[float] = []
-    if want_alpha:
-        if args.alpha is None:
-            raise InvalidParameterError("--alpha is required")
-        alphas = parse_angle_list(args.alpha)
-        if len(alphas) != config.p:
-            raise InvalidParameterError(
-                f"need {config.p} alpha values, got {len(alphas)}")
-    return thetas, alphas
+def _angles(text: str, count: int, name: str) -> list[float]:
+    values = parse_angle_list(text)
+    if len(values) != count:
+        raise InvalidParameterError(f"need {count} {name} values, got {len(values)}")
+    return values
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_topology(args.topology)
-    thetas, alphas = _parsed_angles(config, args, want_alpha=True)
+    thetas = _angles(args.theta, config.n, "theta")
+    alphas = _angles(args.alpha, config.p, "alpha")
     result = evaluate_S(config, thetas, canonical_plan(config, alphas))
     _, alpha_hint = closed_form_smax(thetas, config.p)
     report = {
@@ -157,7 +149,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "violated": result.violated,
         "alpha_star_hint": _nine_digits(alpha_hint),
     }
-    _emit(json.dumps(report) + "\n", args.output)
+    _emit(_json_line(report), args.output)
     if args.expect_violation and not result.violated:
         return EXIT_EXPECTATION
     return EXIT_OK
@@ -165,26 +157,19 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_maximize(args: argparse.Namespace) -> int:
     config = _load_topology(args.topology)
-    thetas, _ = _parsed_angles(config, args, want_alpha=False)
+    thetas = _angles(args.theta, config.n, "theta")
     alpha_star, smax = optimize_alpha_equal(thetas, config.p)
     report = {
         "alpha_star": _nine_digits(alpha_star),
         "smax": smax,
         "violated": smax > 1.0 + VIOLATION_TOLERANCE,
     }
-    if args.free:
-        free = optimize_alpha_free(config, thetas)
-        report["free_alphas"] = [_nine_digits(a) for a in free.alphas]
-        report["free_smax"] = free.smax
-        report["free_converged"] = free.converged
-    _emit(json.dumps(report) + "\n", args.output)
+    _emit(_json_line(report), args.output)
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_topology(args.topology)
-    if args.grid is None:
-        raise InvalidParameterError("--grid is required")
     grid = parse_angle_list(args.grid)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as sink:
@@ -198,7 +183,6 @@ def _cmd_lhv(args: argparse.Namespace) -> int:
     config = _load_topology(args.topology)
     best, model = lhv_best_S(config, alphabet_size=args.alphabet_size,
                              weight_grid_steps=args.grid_steps,
-                             refine=not args.no_refine,
                              max_work=args.max_work)
     report = {
         "best_s": best,
@@ -206,18 +190,23 @@ def _cmd_lhv(args: argparse.Namespace) -> int:
         "alphabet_size": args.alphabet_size,
         "weight_grid_steps": args.grid_steps,
     }
-    if args.seed is not None:
-        report["seed"] = args.seed
-    sys.stdout.write(json.dumps(report) + "\n")
+    sys.stdout.write(_json_line(report))
     if args.output:
         Path(args.output).write_text(
-            json.dumps(model_to_jsonable(model), indent=2) + "\n",
+            json.dumps(model_to_jsonable(model), indent=2, allow_nan=False) + "\n",
             encoding="utf-8")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line and exit 2; subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlocalnet",
         description="Acyclic quantum network layouts and their n-local "
                     "correlation inequalities.")
@@ -238,8 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("evaluate", help="evaluate the witness for given angles")
     ev.add_argument("--topology", required=True)
-    ev.add_argument("--theta", help="comma-separated source angles")
-    ev.add_argument("--alpha", help="comma-separated extremal angles")
+    ev.add_argument("--theta", required=True, help="comma-separated source angles")
+    ev.add_argument("--alpha", required=True, help="comma-separated extremal angles")
     ev.add_argument("--expect-violation", action="store_true",
                     help="exit 3 unless the bound is violated")
     ev.add_argument("--output", help="also write the report to this file")
@@ -247,15 +236,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mx = sub.add_parser("maximize", help="best extremal angles for given sources")
     mx.add_argument("--topology", required=True)
-    mx.add_argument("--theta", help="comma-separated source angles")
-    mx.add_argument("--free", action="store_true",
-                    help="also run the per-node coordinate ascent")
+    mx.add_argument("--theta", required=True, help="comma-separated source angles")
     mx.add_argument("--output", help="also write the report to this file")
     mx.set_defaults(run=_cmd_maximize)
 
     sw = sub.add_parser("sweep", help="tabulate the witness over a theta grid")
     sw.add_argument("--topology", required=True)
-    sw.add_argument("--grid", help="comma-separated grid of source angles")
+    sw.add_argument("--grid", required=True,
+                    help="comma-separated grid of source angles")
     sw.add_argument("--output", help="CSV file to write (stdout if omitted)")
     sw.set_defaults(run=_cmd_sweep)
 
@@ -266,10 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="weight grid levels per source")
     lh.add_argument("--max-work", type=int, default=DEFAULT_MAX_WORK,
                     help="cap on enumeration work")
-    lh.add_argument("--no-refine", action="store_true",
-                    help="skip the weight refinement pass")
-    lh.add_argument("--seed", type=int,
-                    help="recorded in the report; the search is deterministic")
     lh.add_argument("--output", help="dump the best model as JSON to this file")
     lh.set_defaults(run=_cmd_lhv)
 
@@ -280,7 +264,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (InvalidParameterError, ConfigurationError) as exc:
+    except (InvalidParameterError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimitError as exc:

@@ -191,6 +191,8 @@ def closed_form_S(thetas: Sequence[float], alphas: Sequence[float],
     if p < 1 or len(alphas) != p:
         raise InvalidParameterError(
             f"need exactly p = {p} extremal angles, got {len(alphas)}")
+    check_finite("source", thetas)
+    check_finite("extremal", alphas)
     cos_term = math.prod(math.cos(a) for a in alphas)
     sin_term = (math.prod(math.sin(a) for a in alphas)
                 * math.prod(math.sin(2.0 * t) for t in thetas))
@@ -207,6 +209,7 @@ def closed_form_smax(thetas: Sequence[float], p: int) -> tuple[float, float]:
     """
     if p < 1:
         raise InvalidParameterError(f"extremal node count p must be positive, got {p}")
+    check_finite("source", thetas)
     product = math.prod(math.sin(2.0 * t) for t in thetas)
     k_value = abs(product) ** (1.0 / p)
     return math.sqrt(1.0 + k_value * k_value), math.atan(k_value)

@@ -162,7 +162,7 @@ def _simplex_points(c: int, steps: int) -> list[tuple[float, ...]]:
 
 
 def lhv_best_S(config: NetworkConfig, alphabet_size: int = 2,
-               weight_grid_steps: int = 11, *, refine: bool = True,
+               weight_grid_steps: int = 11, *,
                max_work: int = DEFAULT_MAX_WORK) -> tuple[float, LHVModel]:
     """Best witness over all deterministic response tables and gridded weights.
 
@@ -270,21 +270,18 @@ def lhv_best_S(config: NetworkConfig, alphabet_size: int = 2,
     grid_model = _assemble_model(config, inter, extr, c, table_widths,
                                  branch_sizes, extremal_options, combo,
                                  t0_joint, t1_joint, grid_weights)
-    final_model = grid_model
-    final_s = lhv_evaluate_S(config, grid_model).s
+    grid_s = lhv_evaluate_S(config, grid_model).s
 
-    if refine:
-        base0 = sign_matrix[t0_joint] * g0_best
-        base1 = sign_matrix[t1_joint] * g1_best
-        refined = _refine_weights(lam_grid, grid_weights, base0, base1, inv_p)
-        candidate = _assemble_model(config, inter, extr, c, table_widths,
-                                    branch_sizes, extremal_options, combo,
-                                    t0_joint, t1_joint, refined)
-        candidate_s = lhv_evaluate_S(config, candidate).s
-        if candidate_s > final_s:
-            final_model, final_s = candidate, candidate_s
-
-    return final_s, final_model
+    base0 = sign_matrix[t0_joint] * g0_best
+    base1 = sign_matrix[t1_joint] * g1_best
+    refined = _refine_weights(lam_grid, grid_weights, base0, base1, inv_p)
+    candidate = _assemble_model(config, inter, extr, c, table_widths,
+                                branch_sizes, extremal_options, combo,
+                                t0_joint, t1_joint, refined)
+    candidate_s = lhv_evaluate_S(config, candidate).s
+    if candidate_s > grid_s:
+        return candidate_s, candidate
+    return grid_s, grid_model
 
 
 def _decode_weights(v_joint: int, points: list[tuple[float, ...]],

@@ -1,120 +1,28 @@
-"""Maximization of the witness over extremal measurement angles."""
+"""Maximization of the witness over extremal measurement angles.
+
+The equal-angle closed form is the optimum over per-node angles as well: with
+K = |prod sin(2 theta_r)|^(1/p), Hoelder's inequality gives
+(prod |cos a_j|)^(1/p) + (prod K |sin a_j|)^(1/p)
+<= prod (|cos a_j| + K |sin a_j|)^(1/p) <= sqrt(1 + K^2), attained at a_j = atan(K).
+"""
 
 from __future__ import annotations
 
 import csv
 import itertools
-import math
-from dataclasses import dataclass
 from typing import Sequence, TextIO
 
-from .errors import InvalidParameterError
-from .inequality import VIOLATION_TOLERANCE, closed_form_smax, evaluate_S
-from .quantum import canonical_plan
+from .errors import InvalidParameterError, ResourceLimitError
+from .inequality import VIOLATION_TOLERANCE, closed_form_smax
 from .topology import NetworkConfig
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+MAX_SWEEP_ROWS = 1_000_000
 
 
 def optimize_alpha_equal(thetas: Sequence[float], p: int) -> tuple[float, float]:
     """Best common extremal angle and the witness value it attains."""
     smax, alpha_star = closed_form_smax(thetas, p)
     return alpha_star, smax
-
-
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12,
-                       max_iter: int = 200) -> tuple[float, float]:
-    """Locate a maximum of a function assumed unimodal on [lo, hi]."""
-    a, b = lo, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
-@dataclass(frozen=True)
-class FreeOptimum:
-    """Result of the coordinate ascent over per-node extremal angles."""
-
-    alphas: tuple[float, ...]
-    smax: float
-    converged: bool
-
-
-def optimize_alpha_free(config: NetworkConfig, thetas: Sequence[float],
-                        start: Sequence[float] | None = None, *,
-                        tol: float = 1e-10, max_rounds: int = 64,
-                        scan_points: int = 24) -> FreeOptimum:
-    """Coordinate ascent of the witness over individual extremal angles.
-
-    Each pass sweeps the angles one at a time with a coarse scan followed by
-    golden-section refinement; the p-th-root kinks of the objective rule out
-    gradient steps.  The equal-angle optimum is always tried as a second
-    starting point, so a poor start cannot trap the result below it.
-    """
-    p = config.p
-    alpha_star, _ = optimize_alpha_equal(thetas, p)
-    if start is None:
-        start = [alpha_star] * p
-    first = tuple(float(a) for a in start)
-    if len(first) != p:
-        raise InvalidParameterError(
-            f"need one starting angle per extremal node ({p}), got {len(first)}")
-
-    def objective(alphas: Sequence[float]) -> float:
-        return evaluate_S(config, thetas, canonical_plan(config, alphas)).s
-
-    candidates = [first]
-    equal_start = (alpha_star,) * p
-    if equal_start != first:
-        candidates.append(equal_start)
-    best: FreeOptimum | None = None
-    for point in candidates:
-        result = _ascend(objective, point, p, tol, max_rounds, scan_points)
-        if best is None or result.smax > best.smax:
-            best = result
-    return best
-
-
-def _ascend(objective, start: tuple[float, ...], p: int, tol: float,
-            max_rounds: int, scan_points: int) -> FreeOptimum:
-    alphas = list(start)
-    value = objective(alphas)
-    converged = False
-    for _ in range(max_rounds):
-        round_gain = 0.0
-        for j in range(p):
-            def profile(a: float, _j: int = j) -> float:
-                trial = list(alphas)
-                trial[_j] = a
-                return objective(trial)
-
-            # The single-angle profile has period pi.
-            step = math.pi / scan_points
-            grid = [i * step for i in range(scan_points)] + [alphas[j] % math.pi]
-            values = [profile(a) for a in grid]
-            center = grid[max(range(len(grid)), key=lambda i: values[i])]
-            refined_a, refined_v = golden_section_max(
-                profile, center - step, center + step)
-            if refined_v > value:
-                round_gain = max(round_gain, refined_v - value)
-                alphas[j] = refined_a
-                value = refined_v
-        if round_gain < tol:
-            converged = True
-            break
-    return FreeOptimum(alphas=tuple(alphas), smax=value, converged=converged)
 
 
 def sweep(config: NetworkConfig, theta_grid: Sequence[float],
@@ -125,10 +33,17 @@ def sweep(config: NetworkConfig, theta_grid: Sequence[float],
     Rows come in grid order; each holds the source-angle tuple, the optimal
     common extremal angle, the witness value, and whether it clears the bound.
     When a sink is given the table is also written as CSV with the header
-    theta_1,...,theta_n,alpha_star,smax,violated.
+    theta_1,...,theta_n,alpha_star,smax,violated.  A grid of more than
+    MAX_SWEEP_ROWS combinations raises ResourceLimitError before any row is built.
     """
     if not theta_grid:
         raise InvalidParameterError("theta grid must not be empty")
+    row_count = len(theta_grid) ** config.n
+    if row_count > MAX_SWEEP_ROWS:
+        raise ResourceLimitError(
+            f"sweep of {len(theta_grid)} grid points over {config.n} sources "
+            f"needs {len(theta_grid)}^{config.n} rows, above the cap "
+            f"{MAX_SWEEP_ROWS}", size=row_count)
     rows = []
     for combo in itertools.product(theta_grid, repeat=config.n):
         alpha_star, smax = optimize_alpha_equal(combo, config.p)

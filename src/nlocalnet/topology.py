@@ -21,12 +21,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ConfigurationError, InvalidParameterError
+from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
 
 INTERMEDIATE = "intermediate"
 EXTREMAL = "extremal"
 
 _NODE_NAME = re.compile(r"([AB])([1-9][0-9]*)")
+
+# Largest source count accepted from a file or a constructor, checked before
+# anything of size n is allocated.
+MAX_SOURCES = 100_000
 
 
 @dataclass(frozen=True)
@@ -98,10 +102,17 @@ def extremal_nodes(config: NetworkConfig) -> list[NodeId]:
     return [NodeId.extremal(j) for j in range(1, config.p + 1)]
 
 
+def _check_source_count(n: int) -> None:
+    if n > MAX_SOURCES:
+        raise ResourceLimitError(
+            f"layout has {n} sources, above the cap {MAX_SOURCES}", size=n)
+
+
 def build_chain(n: int) -> NetworkConfig:
     """Chain layout (n, 2, 2): B1 - A1 - ... - A(n-1) - B2, one source per link."""
     if n < 2:
         raise InvalidParameterError(f"chain needs at least 2 sources, got {n}")
+    _check_source_count(n)
     edges: dict[int, tuple[NodeId, NodeId]] = {}
     left = NodeId.extremal(1)
     for r in range(1, n):
@@ -116,6 +127,7 @@ def build_star(n: int) -> NetworkConfig:
     """Star layout (n, n, n): one hub holding a qubit of every source."""
     if n < 2:
         raise InvalidParameterError(f"star needs at least 2 sources, got {n}")
+    _check_source_count(n)
     hub = NodeId.intermediate(1)
     edges = {r: (NodeId.extremal(r), hub) for r in range(1, n + 1)}
     return NetworkConfig(n=n, m=n, p=n, edges=edges)
@@ -136,6 +148,7 @@ def build_tree(n: int, m: int) -> NetworkConfig:
     if (n - m) % (m - 1) != 0:
         raise InvalidParameterError(
             f"tree needs (n - m) divisible by (m - 1); got n={n}, m={m}")
+    _check_source_count(n)
     p = n - (n - m) // (m - 1)
     l = (2 * n - p) // m
     lower_end = {r: NodeId.extremal(r) for r in range(1, p + 1)}
@@ -178,7 +191,9 @@ def validate(config: NetworkConfig) -> list[str]:
                 f"2n - p = {2 * n - p} is not divisible by m = {m}; "
                 "the intermediate node count is not an integer")
 
-    if set(config.edges) != set(range(1, n + 1)):
+    # Each range below is built only when its size matches a count of
+    # objects already in memory, never from a size read from a file.
+    if len(config.edges) != n or set(config.edges) != set(range(1, n + 1)):
         issues.append("edge map must assign exactly the sources 1..n")
 
     degrees: dict[NodeId, int] = {}
@@ -191,11 +206,12 @@ def validate(config: NetworkConfig) -> list[str]:
 
     seen_inter = sorted(nd.index for nd in degrees if nd.kind == INTERMEDIATE)
     seen_extr = sorted(nd.index for nd in degrees if nd.kind == EXTREMAL)
-    if l is not None and seen_inter != list(range(1, l + 1)):
+    if l is not None and (len(seen_inter) != max(l, 0)
+                          or seen_inter != list(range(1, l + 1))):
         issues.append(
             f"intermediate nodes must be exactly A1..A{l}, found "
             f"{[f'A{i}' for i in seen_inter]}")
-    if seen_extr != list(range(1, p + 1)):
+    if len(seen_extr) != max(p, 0) or seen_extr != list(range(1, p + 1)):
         issues.append(
             f"extremal nodes must be exactly B1..B{p}, found "
             f"{[f'B{j}' for j in seen_extr]}")
@@ -280,7 +296,7 @@ def parse_config(text: str) -> NetworkConfig:
     """Inverse of serialize_config; structural problems raise InvalidParameterError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidParameterError(f"topology document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidParameterError("topology document must be a JSON object")
@@ -290,6 +306,7 @@ def parse_config(text: str) -> NetworkConfig:
     for key in ("n", "m", "p"):
         if not isinstance(doc[key], int) or isinstance(doc[key], bool):
             raise InvalidParameterError(f"topology key {key!r} must be an integer")
+    _check_source_count(doc["n"])
     if not isinstance(doc["edges"], list):
         raise InvalidParameterError("topology key 'edges' must be a list")
     edges: dict[int, tuple[NodeId, NodeId]] = {}

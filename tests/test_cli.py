@@ -133,10 +133,9 @@ def test_lhv_command(tmp_path, capsys):
     main(["generate", "chain", "--n", "2", "--output", str(topo)])
     model_path = tmp_path / "model.json"
     assert main(["lhv", "--topology", str(topo), "--grid-steps", "5",
-                 "--seed", "3", "--output", str(model_path)]) == 0
+                 "--output", str(model_path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["best_s"] <= 1.0 + 1e-6
-    assert report["seed"] == 3
     model_doc = json.loads(model_path.read_text())
     assert set(model_doc) == {"alphabet_size", "weights", "intermediate",
                               "extremal"}
@@ -174,9 +173,9 @@ def test_outputs_are_byte_stable(tmp_path, capsys):
 
     model_a = tmp_path / "ma.json"
     model_b = tmp_path / "mb.json"
-    main(["lhv", "--topology", str(chain), "--grid-steps", "5", "--seed", "1",
+    main(["lhv", "--topology", str(chain), "--grid-steps", "5",
           "--output", str(model_a)])
-    main(["lhv", "--topology", str(chain), "--grid-steps", "5", "--seed", "1",
+    main(["lhv", "--topology", str(chain), "--grid-steps", "5",
           "--output", str(model_b)])
     capsys.readouterr()
     assert model_a.read_bytes() == model_b.read_bytes()
@@ -217,3 +216,35 @@ def test_evaluate_command_on_a_large_star(tmp_path, capsys):
     assert report["S"] == pytest.approx(closed_form_S(
         [float(t) for t in thetas.split(",")],
         [float(a) for a in alphas.split(",")], 200), abs=1e-10)
+
+
+@pytest.mark.parametrize("argv", [
+    ["maximize", "--topology", "TOPO", "--theta", "0.1,0.2", "--free"],
+    ["lhv", "--topology", "TOPO", "--seed", "1"],
+    ["lhv", "--topology", "TOPO", "--no-refine"],
+    ["lhv"],
+])
+def test_usage_errors_are_one_line(tmp_path, capsys, argv):
+    topo = tmp_path / "chain2.json"
+    main(["generate", "chain", "--n", "2", "--output", str(topo)])
+    with pytest.raises(SystemExit) as info:
+        main([str(topo) if arg == "TOPO" else arg for arg in argv])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_size_caps_exit_4(tmp_path, capsys):
+    star = tmp_path / "star10.json"
+    main(["generate", "star", "--n", "10", "--output", str(star)])
+    grid = ",".join(str(0.1 * k) for k in range(10))
+    assert main(["sweep", "--topology", str(star), "--grid", grid]) == 4
+    assert capsys.readouterr().out == ""
+
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 10 ** 12, "m": 2, "p": 2, "edges": []}))
+    assert main(["validate", "--topology", str(huge)]) == 4
+    assert main(["maximize", "--topology", str(huge), "--theta", "0.1,0.2"]) == 4
+    assert main(["generate", "chain", "--n", "1000000000"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("resource limit: ") for line in err)

@@ -1,0 +1,159 @@
+"""Property test of the command line over random, often malformed, argv.
+
+Every run must end with a documented exit code (0, 2, 3 or 4) and no other
+exception.  Stdout must be strict JSON (no NaN or Infinity), a CSV table of
+finite numbers, or the validate report; a failure (2 or 4) writes exactly one
+line to stderr.  Inputs stay small: layouts have at most four sources and the
+classical search runs with at most 3 grid steps under a work cap of 1e7.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nlocalnet import build_chain, build_star, build_tree, serialize_config
+from nlocalnet.cli import main
+
+LAYOUTS = [build_chain(2), build_chain(3), build_chain(4), build_star(3),
+           build_star(4), build_tree(3, 3), build_tree(4, 2)]
+GOOD_ANGLES = st.one_of(st.floats(-7.0, 7.0, allow_nan=False).map(repr),
+                        st.sampled_from(["0", "pi", "-pi", "+pi", "0.25pi", " 0.5 pi "]))
+BAD_ANGLES = st.sampled_from(["inf", "-inf", "nan", "infpi", "nanpi", "1e400",
+                              "1e400pi", "", "two", "0x1p3", "pipi"])
+SIZES = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["1000000000000", "x", "1.5"]))
+SUBCOMMANDS = ["generate", "validate", "evaluate", "maximize", "sweep", "lhv"]
+
+
+def often(draw) -> bool:
+    """True about nine times in ten: keeps most runs on the paths that succeed."""
+    return draw(st.sampled_from([True] * 9 + [False]))
+
+
+def flag(draw, name, values) -> list[str]:
+    return [name, draw(values)] if often(draw) else []
+
+
+def angle_list(draw, count: int, longest: int = 5) -> str:
+    """Mostly `count` well-formed angles; sometimes a wrong count or a bad token."""
+    if not often(draw):
+        count = draw(st.integers(1, longest))
+    tokens = [draw(GOOD_ANGLES) for _ in range(count)]
+    if not often(draw):
+        tokens[draw(st.integers(0, count - 1))] = draw(BAD_ANGLES)
+    return ",".join(tokens)
+
+
+def topology_bytes(draw, config) -> bytes:
+    """The layout as a topology file, sometimes damaged."""
+    doc = json.loads(serialize_config(config))
+    if often(draw):
+        return json.dumps(doc).encode()
+    damage = draw(st.sampled_from(["field", "edge", "text", "bytes"]))
+    if damage == "field":
+        doc[draw(st.sampled_from(["n", "m", "p", "edges"]))] = draw(st.one_of(
+            st.integers(-2, 6), st.sampled_from([10 ** 12, "3", None, 2.5, []])))
+    elif damage == "edge":
+        edges = doc["edges"]
+        index = draw(st.integers(0, len(edges) - 1))
+        action = draw(st.sampled_from(["drop", "copy", "end", "source"]))
+        if action == "drop":
+            del edges[index]
+        elif action == "copy":
+            edges.append(edges[index])
+        elif action == "end":
+            edges[index]["ends"][draw(st.integers(0, 1))] = draw(st.sampled_from(
+                ["A1", "A2", "B1", "B9", "A0", "X1", "B99999999999", 3, None]))
+        else:
+            edges[index]["source"] = draw(st.sampled_from([0, -1, 7, "1", None, True]))
+    elif damage == "text":
+        return draw(st.sampled_from(
+            ["", "{", "[]", "null", '{"n": 2}', "NaN", "[" * 5000,
+             '{"n": NaN, "m": 2, "p": 2, "edges": []}'])).encode()
+    else:
+        return b"\xff\xfe" + json.dumps(doc).encode()
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def command_lines(draw, work: Path) -> list[str]:
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    config = draw(st.sampled_from(LAYOUTS))
+    topology = work / "topology.json"
+    topology.write_bytes(topology_bytes(draw, config))
+    if command == "generate":
+        argv = [command, draw(st.sampled_from(["chain", "star", "tree", "custom", "ring"]))]
+        for name in ("--n", "--m", "--p"):
+            argv += flag(draw, name, SIZES)
+        argv += flag(draw, "--edges", st.sampled_from(
+            ['[{"source": 1, "ends": ["B1", "A1"]}, {"source": 2, "ends": ["A1", "B2"]}]',
+             "[]", "{", '[{"source": 1}]', "[NaN]", "[" * 5000]))
+    else:
+        where = str(topology) if often(draw) else draw(st.sampled_from(
+            [str(work / "missing.json"), str(work)]))
+        argv = [command, *flag(draw, "--topology", st.just(where))]
+    if command in ("evaluate", "maximize"):
+        argv += [f"--theta={angle_list(draw, config.n)}"] if often(draw) else []
+    if command == "evaluate":
+        argv += [f"--alpha={angle_list(draw, config.p)}"] if often(draw) else []
+        argv += ["--expect-violation"] if draw(st.booleans()) else []
+    if command == "sweep":
+        grid = angle_list(draw, draw(st.integers(1, 3)), 3)
+        argv += [f"--grid={grid}"] if often(draw) else []
+    if command == "lhv":
+        argv += flag(draw, "--alphabet-size", st.sampled_from(["2", "3", "1", "0", "-1", "x"]))
+        argv += ["--grid-steps", draw(st.sampled_from(["3", "2", "1", "-1"])),
+                 "--max-work", str(draw(st.integers(-1, 10 ** 7)))]
+    if not often(draw):
+        argv += {"maximize": ["--free"], "lhv": ["--seed", "1"]}.get(command, ["--no-refine"])
+    if command != "validate" and draw(st.booleans()):
+        argv += ["--output", draw(st.sampled_from(
+            [str(work / "out.txt"), str(work / "no" / "out.txt"), str(work)]))]
+    return argv
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def check_stdout(command, code, out):
+    if not out:
+        return
+    if command == "validate":
+        assert out == "ok\n" if code == 0 else out.strip()
+    elif command == "sweep":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header[0] == "theta_1" and header[-3:] == ["alpha_star", "smax", "violated"]
+        for row in rows:
+            assert len(row) == len(header) and row[-1] in ("true", "false")
+            assert all(math.isfinite(float(value)) for value in row[:-1])
+    else:
+        json.loads(out, parse_constant=reject_constant)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(data=st.data())
+def test_cli_never_escapes_the_documented_exit_codes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(command_lines(Path(tmp)))
+        code, out, err = run(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    check_stdout(argv[0], code, out)
+    if code in (2, 4):
+        assert len(err.splitlines()) == 1, (argv, err)

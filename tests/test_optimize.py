@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlocalnet import (build_chain, build_star, canonical_plan,
-                       closed_form_smax, evaluate_S, golden_section_max,
-                       optimize_alpha_equal, optimize_alpha_free, sweep)
+from nlocalnet import (InvalidParameterError, ResourceLimitError, build_chain,
+                       build_star, build_tree, canonical_plan, closed_form_S,
+                       closed_form_smax, evaluate_S, optimize_alpha_equal,
+                       sweep)
+from nlocalnet.optimize import MAX_SWEEP_ROWS
 
 PI = math.pi
 
@@ -54,38 +58,41 @@ def test_stationarity_at_equal_angle_optimum():
     assert abs(derivative) < 1e-4
 
 
-def test_golden_section_finds_parabola_peak():
-    x, fx = golden_section_max(lambda x: -(x - 1.3) ** 2 + 2.0, 0.0, 3.0)
-    assert x == pytest.approx(1.3, abs=1e-6)
-    assert fx == pytest.approx(2.0, abs=1e-12)
+angles = st.floats(-10.0, 10.0, allow_nan=False)
 
 
-def test_free_optimizer_matches_equal_for_symmetric_sources():
-    config = build_chain(2)
-    thetas = [PI / 4, PI / 4]
-    result = optimize_alpha_free(config, thetas)
-    assert result.converged
-    assert result.smax == pytest.approx(math.sqrt(2), abs=1e-8)
-    alpha_star, _ = optimize_alpha_equal(thetas, config.p)
-    for alpha in result.alphas:
-        assert min(abs(alpha - alpha_star), abs(alpha - alpha_star - PI),
-                   abs(alpha - alpha_star + PI)) < 1e-6
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(layout=st.sampled_from([build_chain(2), build_chain(5), build_chain(8),
+                               build_star(3), build_star(6), build_tree(5, 3),
+                               build_tree(7, 4)]),
+       data=st.data())
+def test_equal_angle_optimum_bounds_every_per_node_choice(layout, data):
+    # Hoelder: no choice of per-node extremal angles beats the common angle.
+    thetas = data.draw(st.lists(angles, min_size=layout.n, max_size=layout.n))
+    alphas = data.draw(st.lists(angles, min_size=layout.p, max_size=layout.p))
+    alpha_star, smax = optimize_alpha_equal(thetas, layout.p)
+    assert closed_form_S(thetas, alphas, layout.p) <= smax + 1e-12
+    assert evaluate_S(layout, thetas, canonical_plan(layout, alphas)).s <= smax + 1e-12
+    at_star = canonical_plan(layout, [alpha_star] * layout.p)
+    assert evaluate_S(layout, thetas, at_star).s == pytest.approx(smax, abs=1e-12)
 
 
-def test_free_optimizer_mixed_thetas_matches_closed_form():
-    config = build_chain(2)
-    thetas = [PI / 4, PI / 8]
-    expected = math.sqrt(1.0 + abs(math.sin(PI / 2) * math.sin(PI / 4)))
-    result = optimize_alpha_free(config, thetas)
-    assert result.smax == pytest.approx(expected, abs=1e-6)
+@pytest.mark.parametrize("call", [
+    lambda: closed_form_smax([math.nan, 0.3], 2),
+    lambda: closed_form_S([0.3, 0.4], [math.inf, 0.2], 2),
+    lambda: sweep(build_chain(2), [math.nan]),
+], ids=["closed_form_smax", "closed_form_S", "sweep"])
+def test_library_entry_points_reject_non_finite_angles(call):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        call()
 
 
-def test_free_optimizer_never_below_equal_even_from_bad_start():
-    config = build_star(3)
-    thetas = [0.6, 1.1, 0.8]
-    _, equal_smax = optimize_alpha_equal(thetas, config.p)
-    result = optimize_alpha_free(config, thetas, start=[0.0, 0.0, 0.0])
-    assert result.smax >= equal_smax - 1e-8
+def test_sweep_row_cap_accepts_the_benchmark_size_and_rejects_more():
+    grid = [0.1 * k for k in range(10)]
+    with pytest.raises(ResourceLimitError) as info:
+        sweep(build_star(10), grid)
+    assert info.value.size == 10 ** 10 > MAX_SWEEP_ROWS
+    assert len(sweep(build_star(5), grid[:9])) == 9 ** 5
 
 
 def test_sweep_rows_and_csv():

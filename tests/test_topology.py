@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlocalnet import (ConfigurationError, InvalidParameterError, NetworkConfig,
-                       NodeId, attachments, build_chain, build_star, build_tree,
-                       parse_config, serialize_config, validate)
+                       NodeId, ResourceLimitError, attachments, build_chain,
+                       build_star, build_tree, parse_config, serialize_config,
+                       validate)
+from nlocalnet.topology import MAX_SOURCES
 
 
 def incidence_graph(config):
@@ -207,3 +213,33 @@ def test_node_id_parse_and_name():
         NodeId.parse("A0")
     with pytest.raises(InvalidParameterError):
         NodeId.parse("C2")
+
+
+@pytest.mark.parametrize("build", [
+    build_chain, build_star, lambda n: build_tree(n, n),
+], ids=["chain", "star", "tree"])
+def test_constructors_cap_the_source_count(build):
+    assert build(MAX_SOURCES).n == MAX_SOURCES
+    with pytest.raises(ResourceLimitError):
+        build(10 ** 9)
+
+
+def test_parse_config_caps_the_source_count():
+    with pytest.raises(ResourceLimitError):
+        parse_config('{"n": 1000000000000, "m": 2, "p": 2, "edges": []}')
+
+
+def test_validate_allocates_nothing_of_a_size_read_from_the_layout():
+    # n, p and l far above the edge map would need terabytes as ranges; the
+    # child's address space is capped at 1 GiB so a regression fails fast.
+    code = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from nlocalnet import NetworkConfig, build_chain, validate\n"
+        "edges = build_chain(2).edges\n"
+        "for n, p in ((10**12, 2), (2, 10**12), (10**12, 10**12)):\n"
+        "    assert validate(NetworkConfig(n=n, m=2, p=p, edges=edges))\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
