@@ -205,6 +205,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
+def _list_help(what: str) -> str:
+    # argparse reads a separate value that starts with "-" as an option.
+    return (f"comma-separated {what}; a list that starts with a minus sign "
+            "needs '=', as in --%(dest)s=-0.3,0.2")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="nlocalnet",
@@ -227,8 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("evaluate", help="evaluate the witness for given angles")
     ev.add_argument("--topology", required=True)
-    ev.add_argument("--theta", required=True, help="comma-separated source angles")
-    ev.add_argument("--alpha", required=True, help="comma-separated extremal angles")
+    ev.add_argument("--theta", required=True, help=_list_help("source angles"))
+    ev.add_argument("--alpha", required=True, help=_list_help("extremal angles"))
     ev.add_argument("--expect-violation", action="store_true",
                     help="exit 3 unless the bound is violated")
     ev.add_argument("--output", help="also write the report to this file")
@@ -236,14 +242,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mx = sub.add_parser("maximize", help="best extremal angles for given sources")
     mx.add_argument("--topology", required=True)
-    mx.add_argument("--theta", required=True, help="comma-separated source angles")
+    mx.add_argument("--theta", required=True, help=_list_help("source angles"))
     mx.add_argument("--output", help="also write the report to this file")
     mx.set_defaults(run=_cmd_maximize)
 
     sw = sub.add_parser("sweep", help="tabulate the witness over a theta grid")
     sw.add_argument("--topology", required=True)
-    sw.add_argument("--grid", required=True,
-                    help="comma-separated grid of source angles")
+    sw.add_argument("--grid", required=True, help=_list_help("grid of source angles"))
     sw.add_argument("--output", help="CSV file to write (stdout if omitted)")
     sw.set_defaults(run=_cmd_sweep)
 

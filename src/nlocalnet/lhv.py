@@ -5,10 +5,10 @@ and each node a deterministic binary response table.  The joint outcome
 distribution factorizes over sources, so correlators and the witness follow
 by enumerating symbol tuples.
 
-lhv_best_S maximizes the witness over every deterministic response-table
-combination and a simplex grid of source weights, then refines the winning
-weights.  The enumeration is reorganized, without losing any table, around
-two exact observations:
+lhv_best_S maximizes the witness exhaustively over every deterministic
+response-table combination and a simplex grid of source weights, with no
+search off the grid.  The enumeration is reorganized, without losing any
+table, around two exact observations:
 
 * I0 sees only the input-0 rows of intermediate tables and I1 only the
   input-1 rows, so for fixed weights and extremal tables the two row sets
@@ -17,19 +17,24 @@ two exact observations:
   |I1| unchanged, so tables are enumerated in a canonical output polarity
   (first entry of each row set fixed to 0, first extremal sign positive).
 
-The certified fact is empirical: no enumerated model exceeds the bound 1
-beyond numerical noise.  No tightness claim is made per layout.
+The grid always holds a model on the bound: a vertex weight (one symbol with
+mass 1) and all-zero tables give I0 = 1, I1 = 0, S = 1.  The bound S <= 1 is
+proved by Branciard, Rosset, Gisin, Pironio, PRA 85, 032119 (2012) for the
+bilocal chain, Tavakoli, Skrzypczyk, Cavalcanti, Acin, PRA 90, 062109 (2014)
+for the star and Rosset et al., PRL 116, 010403 (2016) for acyclic networks.
+The search is numerical evidence consistent with these proofs, over the
+enumerated tables and weight grid only; it does not replace them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .correlators import SettingAssignment, distribution_correlator
 from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
@@ -38,13 +43,13 @@ from .topology import (AttachmentMap, NetworkConfig, NodeId, attachments,
                        extremal_nodes, intermediate_nodes)
 
 DEFAULT_MAX_WORK = int(2e10)
-_MAX_ARRAY_CELLS = int(2e7)
+_MAX_ARRAY_CELL_BITS = math.log2(2e7)
 
 # Per-symbol extremal choice o = 2*b(y=0) + b(y=1).  The plain and signed
 # input averages it induces are g0 = ((-1)^b0 + (-1)^b1) / 2 and
 # g1 = ((-1)^b0 - (-1)^b1) / 2; exactly one of them is nonzero.
-_OPTION_G0 = (1, 0, 0, -1)
-_OPTION_G1 = (0, 1, -1, 0)
+_OPTION_G0 = np.array((1.0, 0.0, 0.0, -1.0))
+_OPTION_G1 = np.array((0.0, 1.0, -1.0, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,11 +172,15 @@ def lhv_best_S(config: NetworkConfig, alphabet_size: int = 2,
     """Best witness over all deterministic response tables and gridded weights.
 
     Exhausts the canonical response tables described in the module docstring
-    against every weight-grid combination, then runs a Nelder-Mead pass on
-    the winning weights (tables held fixed).  Returns the achieved witness,
-    recomputed from the returned model so the pair is self-consistent, and
-    the model itself.  Ties are broken toward the lexicographically smallest
-    table encoding by enumeration order.
+    against every weight-grid combination, so each returned weight is
+    k / (weight_grid_steps - 1) for an integer k.  The grid's vertex models
+    reach S = 1.  Returns the achieved witness, recomputed from the returned
+    model so the pair is self-consistent, and the model itself.  Ties are
+    broken toward the lexicographically smallest table encoding by
+    enumeration order.
+
+    Raises ResourceLimitError before building anything when the work would
+    exceed max_work or an array 2e7 cells; its size is log2 of the work.
     """
     c = alphabet_size
     if c < 1:
@@ -184,25 +193,34 @@ def lhv_best_S(config: NetworkConfig, alphabet_size: int = 2,
     inter = intermediate_nodes(config)
     extr = extremal_nodes(config)
 
+    # Base-2 exponents: the exact counts, 2**(c**m - 1) tables for a node and
+    # comb(steps + c - 2, c - 1) grid points, can be too large to compute.
+    # When c and steps both exceed 65 the grid count is taken at its lower
+    # bound comb(steps + c - 2, 64) > 2**120, far above any cap.
+    width_bits = [len(attach.intermediate[node]) * math.log2(c) for node in inter]
+    widths = [2.0 ** bits if bits < 1024 else math.inf for bits in width_bits]
+    lam_bits = n * math.log2(c)
+    branch_bits = sum(width - 1 for width in widths)
+    side = min(c, weight_grid_steps, 65) - 1
+    point_count = math.comb(weight_grid_steps + c - 2, side) if c > 1 else 1
+    weight_bits = n * math.log2(point_count)
+    work_bits = p * (2 * c - 1) + 1 + branch_bits + lam_bits + weight_bits
+    cell_bits = max(branch_bits + lam_bits, weight_bits + lam_bits,
+                    branch_bits + weight_bits)
+    cap_bits = math.log2(max(max_work, 1))
+    if work_bits > cap_bits or cell_bits > _MAX_ARRAY_CELL_BITS:
+        raise ResourceLimitError(
+            f"classical search needs 2^{2 * sum(widths) + 2 * c * p:.4g} "
+            f"response-table combinations, about 2^{work_bits:.4g} grid "
+            f"operations (cap 2^{cap_bits:.4g}) and 2^{cell_bits:.4g} array "
+            f"cells (cap 2^{_MAX_ARRAY_CELL_BITS:.4g})",
+            size=math.ceil(work_bits) if math.isfinite(work_bits) else sys.maxsize)
+
     lam_count = c ** n
     table_widths = [c ** len(attach.intermediate[node]) for node in inter]
     branch_sizes = [2 ** (width - 1) for width in table_widths]
-    branch_total = math.prod(branch_sizes)
-    option_count = 2 * 4 ** (c - 1)
-    extremal_total = option_count ** p
     points = _simplex_points(c, weight_grid_steps)
     weight_total = len(points) ** n
-
-    raw_tables = (math.prod(2 ** (2 * width) for width in table_widths)
-                  * (2 ** (2 * c)) ** p)
-    work = extremal_total * 2 * branch_total * lam_count * weight_total
-    cells = max(branch_total * lam_count, weight_total * lam_count,
-                branch_total * weight_total)
-    if work > max_work or cells > _MAX_ARRAY_CELLS:
-        raise ResourceLimitError(
-            f"classical search needs {raw_tables} response-table combinations "
-            f"and roughly {work:.3g} grid operations, above the cap "
-            f"{max_work:.3g}", size=raw_tables)
 
     lam_grid = np.array(list(itertools.product(range(c), repeat=n)),
                         dtype=np.int64).reshape(lam_count, n)
@@ -222,19 +240,11 @@ def lhv_best_S(config: NetworkConfig, alphabet_size: int = 2,
 
     # Per-node extremal choices, first symbol's sign fixed positive.
     extremal_options = list(itertools.product(range(2), *[range(4)] * (c - 1)))
-    node_g0: list[np.ndarray] = []
-    node_g1: list[np.ndarray] = []
-    for node in extr:
-        column = lam_grid[:, attach.extremal[node] - 1]
-        g0_rows = np.empty((len(extremal_options), lam_count))
-        g1_rows = np.empty((len(extremal_options), lam_count))
-        for idx, options in enumerate(extremal_options):
-            g0_rows[idx] = np.array([_OPTION_G0[o] for o in options],
-                                    dtype=np.float64)[column]
-            g1_rows[idx] = np.array([_OPTION_G1[o] for o in options],
-                                    dtype=np.float64)[column]
-        node_g0.append(g0_rows)
-        node_g1.append(g1_rows)
+    option_codes = np.array(extremal_options)
+    extremal_codes = [option_codes[:, lam_grid[:, attach.extremal[node] - 1]]
+                      for node in extr]
+    node_g0 = [_OPTION_G0[codes] for codes in extremal_codes]
+    node_g1 = [_OPTION_G1[codes] for codes in extremal_codes]
 
     point_table = np.array(points, dtype=np.float64)
     weight_matrix = np.ones((1, lam_count))
@@ -263,25 +273,13 @@ def lhv_best_S(config: NetworkConfig, alphabet_size: int = 2,
         s = float(s_values[v])
         if s > best_s:
             best_s = s
-            best = (combo, int(t0[v]), int(t1[v]), v, g0.copy(), g1.copy())
+            best = (combo, int(t0[v]), int(t1[v]), v)
 
-    combo, t0_joint, t1_joint, v_joint, g0_best, g1_best = best
-    grid_weights = _decode_weights(v_joint, points, n)
-    grid_model = _assemble_model(config, inter, extr, c, table_widths,
-                                 branch_sizes, extremal_options, combo,
-                                 t0_joint, t1_joint, grid_weights)
-    grid_s = lhv_evaluate_S(config, grid_model).s
-
-    base0 = sign_matrix[t0_joint] * g0_best
-    base1 = sign_matrix[t1_joint] * g1_best
-    refined = _refine_weights(lam_grid, grid_weights, base0, base1, inv_p)
-    candidate = _assemble_model(config, inter, extr, c, table_widths,
-                                branch_sizes, extremal_options, combo,
-                                t0_joint, t1_joint, refined)
-    candidate_s = lhv_evaluate_S(config, candidate).s
-    if candidate_s > grid_s:
-        return candidate_s, candidate
-    return grid_s, grid_model
+    combo, t0_joint, t1_joint, v_joint = best
+    model = _assemble_model(config, inter, extr, c, table_widths, branch_sizes,
+                            extremal_options, combo, t0_joint, t1_joint,
+                            _decode_weights(v_joint, points, n))
+    return lhv_evaluate_S(config, model).s, model
 
 
 def _decode_weights(v_joint: int, points: list[tuple[float, ...]],
@@ -318,39 +316,6 @@ def _assemble_model(config: NetworkConfig, inter: list[NodeId],
                     weights={r: tuple(float(w) for w in weights[r])
                              for r in sorted(weights)},
                     intermediate=inter_tables, extremal=extr_tables)
-
-
-def _refine_weights(lam_grid: np.ndarray,
-                    start: Mapping[int, tuple[float, ...]],
-                    base0: np.ndarray, base1: np.ndarray,
-                    inv_p: float) -> dict[int, tuple[float, ...]]:
-    """Nelder-Mead on square-normalized weight parameters, tables fixed."""
-    n = lam_grid.shape[1]
-    c = len(start[1])
-    source_axis = np.arange(n)[None, :]
-
-    def unpack(q: np.ndarray) -> np.ndarray:
-        squared = q.reshape(n, c) ** 2
-        totals = squared.sum(axis=1, keepdims=True)
-        safe = np.where(totals > 0.0, totals, 1.0)
-        weights = squared / safe
-        weights[totals[:, 0] == 0.0] = 1.0 / c
-        return weights
-
-    def negative_s(q: np.ndarray) -> float:
-        weights = unpack(q)
-        per_lam = weights[source_axis, lam_grid].prod(axis=1)
-        i0 = float(per_lam @ base0)
-        i1 = float(per_lam @ base1)
-        return -(abs(i0) ** inv_p + abs(i1) ** inv_p)
-
-    q0 = np.sqrt(np.array([start[r] for r in range(1, n + 1)],
-                          dtype=np.float64)).ravel()
-    result = minimize(negative_s, q0, method="Nelder-Mead",
-                      options={"maxiter": 400 * n * c,
-                               "xatol": 1e-10, "fatol": 1e-12})
-    weights = unpack(result.x)
-    return {r: tuple(float(w) for w in weights[r - 1]) for r in range(1, n + 1)}
 
 
 def model_to_jsonable(model: LHVModel) -> dict:

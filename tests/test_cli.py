@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -100,6 +103,13 @@ def test_evaluate_command(tmp_path, capsys):
                  "--theta", "0,0.25pi", "--alpha", "0.25pi,0.25pi",
                  "--expect-violation"]) == 3
     capsys.readouterr()
+
+    # a list that starts with a minus sign is passed with "="
+    assert main(["evaluate", "--topology", str(topo),
+                 "--theta=-0.3,0.2", "--alpha", "0.5,0.6"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["S"] == pytest.approx(
+        closed_form_S([-0.3, 0.2], [0.5, 0.6], 2), abs=1e-12)
 
     # wrong alpha count
     assert main(["evaluate", "--topology", str(topo),
@@ -248,3 +258,27 @@ def test_size_caps_exit_4(tmp_path, capsys):
     assert main(["generate", "chain", "--n", "1000000000"]) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3 and all(line.startswith("resource limit: ") for line in err)
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_lhv_cap_on_large_stars_is_one_short_line(tmp_path, capsys, n):
+    # the exact table counts have hundreds of digits at n = 9 and overflow a
+    # float from n = 10 on
+    topo = tmp_path / "star.json"
+    main(["generate", "star", "--n", str(n), "--output", str(topo)])
+    assert main(["lhv", "--topology", str(topo)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("resource limit: ")
+    assert len(err[0]) < 200
+
+
+def test_import_pulls_in_no_scipy():
+    code = ("import sys, nlocalnet, nlocalnet.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

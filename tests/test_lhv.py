@@ -117,12 +117,19 @@ def test_best_S_chain2_reaches_the_bound():
 
 
 def test_best_S_never_exceeds_bound_on_small_layouts():
-    for config, steps in ((build_chain(2), 7), (build_chain(3), 3),
-                          (build_star(3), 3), (build_tree(3, 3), 5)):
-        best, model = lhv_best_S(config, alphabet_size=2,
+    # chain(3) at 2, 3 and 5 steps: any move off the grid there only lifts S
+    # by one rounding step above the bound
+    for config, c, steps in ((build_chain(2), 2, 7), (build_chain(2), 3, 4),
+                             (build_chain(3), 2, 2), (build_chain(3), 2, 3),
+                             (build_chain(3), 2, 5), (build_star(3), 2, 3),
+                             (build_tree(3, 3), 2, 5), (build_tree(3, 3), 1, 2)):
+        best, model = lhv_best_S(config, alphabet_size=c,
                                  weight_grid_steps=steps)
-        assert best <= 1.0 + 1e-6
+        assert best <= 1.0 + 1e-12
         assert abs(lhv_evaluate_S(config, model).s - best) <= 1e-12
+        for weights in model.weights.values():
+            for w in weights:
+                assert w == round(w * (steps - 1)) / (steps - 1)
 
 
 def test_best_S_single_symbol_alphabet():
@@ -139,6 +146,20 @@ def test_best_S_resource_cap():
     assert excinfo.value.size is not None and excinfo.value.size > 0
     with pytest.raises(ResourceLimitError):
         lhv_best_S(build_chain(3), max_work=10)
+
+
+def test_best_S_cap_fires_before_the_grid_is_built(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("weight grid built before the cap check")
+
+    monkeypatch.setattr("nlocalnet.lhv._simplex_points", unexpected)
+    with pytest.raises(ResourceLimitError):
+        lhv_best_S(build_chain(2), weight_grid_steps=200_000, max_work=10)
+    # star(12): 2^4095 canonical hub tables, far beyond a float
+    with pytest.raises(ResourceLimitError) as excinfo:
+        lhv_best_S(build_star(12))
+    assert isinstance(excinfo.value.size, int) and excinfo.value.size > 0
+    assert "2^" in str(excinfo.value)
 
 
 def test_best_S_deterministic_across_runs():
