@@ -3,8 +3,8 @@
 Build chain, star, tree, or custom layouts of two-particle sources, evaluate
 the nonlinear witness S = |I0|^(1/p) + |I1|^(1/p) for entangled two-qubit
 sources under Pauli-plane measurements, maximize it over measurement angles,
-and certify the classical bound S <= 1 by brute-force search over
-hidden-variable models.
+and evaluate classical hidden-variable models, including the vertex model
+that reaches the proved classical bound S <= 1.
 """
 
 from .correlators import (SettingAssignment, correlator_factorized,

@@ -1,5 +1,5 @@
 """Command-line surface: build layouts, evaluate and maximize the witness,
-run grid sweeps, and search classical models.
+run grid sweeps, and build the classical model on the bound.
 
 Exit codes: 0 success, 2 bad input, 3 expected violation absent, 4 resource
 cap hit.  Angles are radians, or multiples of pi with a "pi" suffix
@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
 from .inequality import VIOLATION_TOLERANCE, closed_form_smax, evaluate_S
-from .lhv import DEFAULT_MAX_WORK, lhv_best_S, model_to_jsonable
+from .lhv import lhv_best_S, model_to_jsonable
 from .optimize import optimize_alpha_equal, sweep
 from .quantum import canonical_plan
 from .topology import (NetworkConfig, build_chain, build_star, build_tree,
@@ -181,9 +181,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_lhv(args: argparse.Namespace) -> int:
     config = _load_topology(args.topology)
-    best, model = lhv_best_S(config, alphabet_size=args.alphabet_size,
-                             weight_grid_steps=args.grid_steps,
-                             max_work=args.max_work)
+    best, model = lhv_best_S(config, alphabet_size=args.alphabet_size)
     report = {
         "best_s": best,
         "bound": 1,
@@ -252,14 +250,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--output", help="CSV file to write (stdout if omitted)")
     sw.set_defaults(run=_cmd_sweep)
 
-    lh = sub.add_parser("lhv", help="search classical models for the best witness")
+    lh = sub.add_parser("lhv", help="best classical witness (the closed-form "
+                                    "bound 1) and the vertex model reaching it")
     lh.add_argument("--topology", required=True)
     lh.add_argument("--alphabet-size", type=int, default=2)
     lh.add_argument("--grid-steps", type=int, default=11,
-                    help="weight grid levels per source")
-    lh.add_argument("--max-work", type=int, default=DEFAULT_MAX_WORK,
-                    help="cap on enumeration work")
-    lh.add_argument("--output", help="dump the best model as JSON to this file")
+                    help="ignored: only echoed in the report; to be removed")
+    lh.add_argument("--output", help="dump the model as JSON to this file")
     lh.set_defaults(run=_cmd_lhv)
 
     return parser

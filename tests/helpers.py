@@ -1,10 +1,13 @@
 """Shared builders for randomized test instances."""
 
+import itertools
+
 import numpy as np
 
-from nlocalnet import (BlochObservable, MeasurementPlan, SettingAssignment,
-                       build_chain, build_star, build_tree, canonical_plan,
-                       extremal_nodes, intermediate_nodes)
+from nlocalnet import (BlochObservable, LHVModel, MeasurementPlan,
+                       SettingAssignment, attachments, build_chain, build_star,
+                       build_tree, canonical_plan, extremal_nodes,
+                       intermediate_nodes, lhv_evaluate_S)
 
 # Valid (n, m) tree parameters with n <= 5.
 TREE_CHOICES = [(4, 2), (5, 2), (5, 3), (3, 3), (4, 4)]
@@ -45,3 +48,45 @@ def random_plan(rng: np.random.Generator, config) -> MeasurementPlan:
     alphas = {node: float(a) for node, a in
               zip(extremal_nodes(config), rng.uniform(0.0, 2.0 * np.pi, size=config.p))}
     return MeasurementPlan(intermediate=inter, alphas=alphas)
+
+
+def random_lhv_model(rng: np.random.Generator, config, c: int,
+                     partial: bool = False) -> LHVModel:
+    """Dirichlet source weights (some set to 0 if partial) and random tables."""
+    weights = {}
+    for r in range(1, config.n + 1):
+        w = rng.dirichlet(np.ones(c))
+        if partial:
+            w[rng.permutation(c)[:int(rng.integers(0, c))]] = 0.0
+            w /= w.sum()
+        weights[r] = tuple(float(v) for v in w)
+    attach = attachments(config)
+    inter = {node: rng.integers(0, 2, size=(2, c ** len(attach.intermediate[node])),
+                                dtype=np.uint8)
+             for node in intermediate_nodes(config)}
+    extr = {node: rng.integers(0, 2, size=(2, c), dtype=np.uint8)
+            for node in extremal_nodes(config)}
+    return LHVModel(alphabet_size=c, weights=weights, intermediate=inter,
+                    extremal=extr)
+
+
+def brute_force_best_I(config, model: LHVModel) -> tuple[float, float]:
+    """Largest |I0| and |I1| of the model over every intermediate table.
+
+    The weights and extremal tables stay fixed.  Each candidate puts the same
+    bit pattern in both rows of a table; the input-0 rows enter only I0 and
+    the input-1 rows only I1, so the two maxima are taken independently.
+    """
+    inter = intermediate_nodes(config)
+    patterns = [list(itertools.product((0, 1), repeat=model.intermediate[node].shape[1]))
+                for node in inter]
+    best0 = best1 = 0.0
+    for combo in itertools.product(*patterns):
+        tables = {node: np.array([row, row], dtype=np.uint8)
+                  for node, row in zip(inter, combo)}
+        result = lhv_evaluate_S(config, LHVModel(
+            alphabet_size=model.alphabet_size, weights=model.weights,
+            intermediate=tables, extremal=model.extremal))
+        best0 = max(best0, abs(result.i0))
+        best1 = max(best1, abs(result.i1))
+    return best0, best1

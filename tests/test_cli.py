@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -145,15 +146,15 @@ def test_lhv_command(tmp_path, capsys):
     assert main(["lhv", "--topology", str(topo), "--grid-steps", "5",
                  "--output", str(model_path)]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["best_s"] <= 1.0 + 1e-6
+    assert report["best_s"] == 1.0
     model_doc = json.loads(model_path.read_text())
     assert set(model_doc) == {"alphabet_size", "weights", "intermediate",
                               "extremal"}
 
     big = tmp_path / "tree.json"
     main(["generate", "tree", "--n", "15", "--m", "3", "--output", str(big)])
-    assert main(["lhv", "--topology", str(big)]) == 4
-    assert "resource limit" in capsys.readouterr().err
+    assert main(["lhv", "--topology", str(big)]) == 0
+    assert json.loads(capsys.readouterr().out)["best_s"] == 1.0
 
 
 def test_outputs_are_byte_stable(tmp_path, capsys):
@@ -233,6 +234,7 @@ def test_evaluate_command_on_a_large_star(tmp_path, capsys):
     ["lhv", "--topology", "TOPO", "--seed", "1"],
     ["lhv", "--topology", "TOPO", "--no-refine"],
     ["lhv"],
+    ["lhv", "--topology", "TOPO", "--max-work", "10"],
 ])
 def test_usage_errors_are_one_line(tmp_path, capsys, argv):
     topo = tmp_path / "chain2.json"
@@ -260,18 +262,30 @@ def test_size_caps_exit_4(tmp_path, capsys):
     assert len(err) == 3 and all(line.startswith("resource limit: ") for line in err)
 
 
-@pytest.mark.parametrize("n", [9, 10, 12])
-def test_lhv_cap_on_large_stars_is_one_short_line(tmp_path, capsys, n):
-    # the exact table counts have hundreds of digits at n = 9 and overflow a
-    # float from n = 10 on
+@pytest.mark.parametrize("n, alphabet", [(24, "2"), (200, "2"), (2, "1" + "0" * 400)],
+                         ids=["star24", "star200", "alphabet1e400"])
+def test_lhv_cap_on_large_stars_is_one_short_line(tmp_path, capsys, n, alphabet):
+    # the model's hub table has 2 * c^n cells: 2^25 for star(24), 2^201 for
+    # star(200) and about 2^2659 for 10^400 symbols
     topo = tmp_path / "star.json"
     main(["generate", "star", "--n", str(n), "--output", str(topo)])
-    assert main(["lhv", "--topology", str(topo)]) == 4
+    start = time.perf_counter()
+    assert main(["lhv", "--topology", str(topo), "--alphabet-size", alphabet]) == 4
+    assert time.perf_counter() - start < 0.1
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("resource limit: ")
     assert len(err[0]) < 200
+    assert "inf" not in err[0] and "nan" not in err[0]
+
+
+@pytest.mark.parametrize("n", [12, 23])
+def test_lhv_on_large_stars_is_exactly_one(tmp_path, capsys, n):
+    topo = tmp_path / "star.json"
+    main(["generate", "star", "--n", str(n), "--output", str(topo)])
+    assert main(["lhv", "--topology", str(topo)]) == 0
+    assert json.loads(capsys.readouterr().out)["best_s"] == 1.0
 
 
 def test_import_pulls_in_no_scipy():

@@ -3,8 +3,8 @@
 Every run must end with a documented exit code (0, 2, 3 or 4) and no other
 exception.  Stdout must be strict JSON (no NaN or Infinity), a CSV table of
 finite numbers, or the validate report; a failure (2 or 4) writes exactly one
-line to stderr.  Inputs stay small: layouts have at most four sources and the
-classical search runs with at most 3 grid steps under a work cap of 1e7.
+line to stderr.  Inputs stay small: layouts have at most four sources, and
+`lhv` builds the vertex model, whose size cap only a huge alphabet reaches.
 """
 
 import contextlib
@@ -107,9 +107,9 @@ def command_lines(draw, work: Path) -> list[str]:
         grid = angle_list(draw, draw(st.integers(1, 3)), 3)
         argv += [f"--grid={grid}"] if often(draw) else []
     if command == "lhv":
-        argv += flag(draw, "--alphabet-size", st.sampled_from(["2", "3", "1", "0", "-1", "x"]))
-        argv += ["--grid-steps", draw(st.sampled_from(["3", "2", "1", "-1"])),
-                 "--max-work", str(draw(st.integers(-1, 10 ** 7)))]
+        argv += flag(draw, "--alphabet-size", st.sampled_from(
+            ["2", "3", "1", "0", "-1", "x", "1" + "0" * 400]))
+        argv += ["--grid-steps", draw(st.sampled_from(["3", "2", "1", "-1"]))]
     if not often(draw):
         argv += {"maximize": ["--free"], "lhv": ["--seed", "1"]}.get(command, ["--no-refine"])
     if command != "validate" and draw(st.booleans()):

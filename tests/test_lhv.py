@@ -1,13 +1,18 @@
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
 
+from helpers import brute_force_best_I, random_lhv_model
 from nlocalnet import (ConfigurationError, LHVModel, NodeId,
-                       ResourceLimitError, SettingAssignment, build_chain,
-                       build_star, build_tree, distribution_correlator,
-                       lhv_best_S, lhv_distribution, lhv_evaluate_S,
-                       model_to_jsonable, validate_model)
+                       ResourceLimitError, SettingAssignment, attachments,
+                       build_chain, build_star, build_tree,
+                       distribution_correlator, evaluate_S_from_correlator,
+                       extremal_nodes, lhv_best_S, lhv_distribution,
+                       lhv_evaluate_S, model_to_jsonable, validate_model)
+from nlocalnet.lhv import MAX_SUPPORT_TUPLES
 
 
 def point_mass_model(config, symbol=0, c=2):
@@ -100,6 +105,15 @@ def test_validate_model_rejects_bad_shapes_and_weights():
                            extremal=model.extremal)
     with pytest.raises(ConfigurationError):
         validate_model(config, bad_weights)
+    nan, inf = math.nan, math.inf
+    for weights in ((nan, nan), (1.0, nan), (nan, 1.0), (inf, 0.0),
+                    (inf, -inf), (-inf, 1.0)):
+        non_finite = LHVModel(alphabet_size=2,
+                              weights={1: weights, 2: (0.5, 0.5)},
+                              intermediate=model.intermediate,
+                              extremal=model.extremal)
+        with pytest.raises(ConfigurationError):
+            validate_model(config, non_finite)
     bad_table = LHVModel(alphabet_size=2, weights=model.weights,
                          intermediate={NodeId.intermediate(1):
                                        np.zeros((2, 3), dtype=np.uint8)},
@@ -109,68 +123,72 @@ def test_validate_model_rejects_bad_shapes_and_weights():
 
 
 def test_best_S_chain2_reaches_the_bound():
-    best, model = lhv_best_S(build_chain(2), alphabet_size=2,
-                             weight_grid_steps=5)
-    assert 1.0 - 1e-6 <= best <= 1.0 + 1e-6
+    best, model = lhv_best_S(build_chain(2), alphabet_size=2)
+    assert best == 1.0
     # self-consistency: the returned model reproduces the returned value
-    assert abs(lhv_evaluate_S(build_chain(2), model).s - best) <= 1e-12
+    assert lhv_evaluate_S(build_chain(2), model).s == best
 
 
 def test_best_S_never_exceeds_bound_on_small_layouts():
-    # chain(3) at 2, 3 and 5 steps: any move off the grid there only lifts S
-    # by one rounding step above the bound
-    for config, c, steps in ((build_chain(2), 2, 7), (build_chain(2), 3, 4),
-                             (build_chain(3), 2, 2), (build_chain(3), 2, 3),
-                             (build_chain(3), 2, 5), (build_star(3), 2, 3),
-                             (build_tree(3, 3), 2, 5), (build_tree(3, 3), 1, 2)):
-        best, model = lhv_best_S(config, alphabet_size=c,
-                                 weight_grid_steps=steps)
+    for config, c in ((build_chain(2), 2), (build_chain(2), 3),
+                      (build_chain(3), 2), (build_star(3), 2),
+                      (build_tree(3, 3), 2), (build_tree(3, 3), 1)):
+        best, model = lhv_best_S(config, alphabet_size=c)
         assert best <= 1.0 + 1e-12
         assert abs(lhv_evaluate_S(config, model).s - best) <= 1e-12
         for weights in model.weights.values():
             for w in weights:
-                assert w == round(w * (steps - 1)) / (steps - 1)
+                assert w in (0.0, 1.0)
 
 
 def test_best_S_single_symbol_alphabet():
-    best, model = lhv_best_S(build_chain(2), alphabet_size=1,
-                             weight_grid_steps=3)
+    best, model = lhv_best_S(build_chain(2), alphabet_size=1)
     assert best == pytest.approx(1.0, abs=1e-9)
     result = lhv_evaluate_S(build_chain(2), model)
     assert abs(result.i0) in (0.0, 1.0) and abs(result.i1) in (0.0, 1.0)
 
 
 def test_best_S_resource_cap():
-    with pytest.raises(ResourceLimitError) as excinfo:
-        lhv_best_S(build_tree(15, 3))
-    assert excinfo.value.size is not None and excinfo.value.size > 0
-    with pytest.raises(ResourceLimitError):
-        lhv_best_S(build_chain(3), max_work=10)
+    # star(24): one hub table of 2 * 2^24 cells, just above the cap
+    for config, c in ((build_star(24), 2), (build_star(200), 2),
+                      (build_chain(2), 10 ** 400)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as excinfo:
+            lhv_best_S(config, alphabet_size=c)
+        assert time.perf_counter() - start < 0.1
+        assert isinstance(excinfo.value.size, int) and excinfo.value.size > 0
+        message = str(excinfo.value)
+        assert "2^" in message and "inf" not in message and "nan" not in message
 
 
-def test_best_S_cap_fires_before_the_grid_is_built(monkeypatch):
-    def unexpected(*args):
-        raise AssertionError("weight grid built before the cap check")
+def test_best_S_cap_fires_before_the_model_is_built(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("table allocated before the cap check")
 
-    monkeypatch.setattr("nlocalnet.lhv._simplex_points", unexpected)
-    with pytest.raises(ResourceLimitError):
-        lhv_best_S(build_chain(2), weight_grid_steps=200_000, max_work=10)
-    # star(12): 2^4095 canonical hub tables, far beyond a float
-    with pytest.raises(ResourceLimitError) as excinfo:
-        lhv_best_S(build_star(12))
-    assert isinstance(excinfo.value.size, int) and excinfo.value.size > 0
-    assert "2^" in str(excinfo.value)
+    monkeypatch.setattr(np, "zeros", unexpected)
+    for config, c in ((build_star(24), 2), (build_chain(2), 10 ** 400)):
+        with pytest.raises(ResourceLimitError):
+            lhv_best_S(config, alphabet_size=c)
+
+
+def test_best_S_is_exactly_one_on_larger_layouts():
+    for config in (build_star(12), build_star(23), build_tree(15, 3),
+                   build_chain(1000)):
+        best, model = lhv_best_S(config)
+        assert best == 1.0
+        result = lhv_evaluate_S(config, model)
+        assert (result.i0, result.i1) == (1.0, 0.0)
 
 
 def test_best_S_deterministic_across_runs():
-    first = lhv_best_S(build_chain(2), weight_grid_steps=5)
-    second = lhv_best_S(build_chain(2), weight_grid_steps=5)
+    first = lhv_best_S(build_chain(2))
+    second = lhv_best_S(build_chain(2))
     assert first[0] == second[0]
     assert model_to_jsonable(first[1]) == model_to_jsonable(second[1])
 
 
 def test_model_json_round_shape():
-    _, model = lhv_best_S(build_chain(2), weight_grid_steps=3)
+    _, model = lhv_best_S(build_chain(2))
     doc = model_to_jsonable(model)
     assert set(doc) == {"alphabet_size", "weights", "intermediate", "extremal"}
     assert set(doc["weights"]) == {"1", "2"}
@@ -180,9 +198,9 @@ def test_model_json_round_shape():
 
 def test_best_S_equals_naive_enumeration_single_symbol():
     # c=1 keeps the raw model space tiny (4 tables per node, fixed weights),
-    # so the reorganized search can be checked against plain enumeration
+    # so the closed form can be checked against plain enumeration
     config = build_chain(2)
-    best, _ = lhv_best_S(config, alphabet_size=1, weight_grid_steps=2)
+    best, _ = lhv_best_S(config, alphabet_size=1)
     naive_best = -1.0
     tables = [np.array([[b0], [b1]], dtype=np.uint8)
               for b0 in (0, 1) for b1 in (0, 1)]
@@ -200,10 +218,10 @@ def test_best_S_equals_naive_enumeration_single_symbol():
 
 
 def test_best_S_dominates_random_raw_models():
-    # raw models with grid weights can never beat the exhaustive search
+    # raw models with grid weights can never beat the closed-form bound
     rng = np.random.default_rng(1234)
     for config in (build_chain(2), build_star(3)):
-        best, _ = lhv_best_S(config, alphabet_size=2, weight_grid_steps=11)
+        best, _ = lhv_best_S(config, alphabet_size=2)
         hub_width = 2 ** config.m
         for _ in range(250):
             levels = rng.integers(0, 11, size=config.n)
@@ -229,3 +247,61 @@ def test_lhv_evaluate_S_point_mass():
     assert result.i1 == pytest.approx(0.0, abs=1e-12)
     assert result.s == pytest.approx(1.0, abs=1e-12)
     assert not result.violated
+
+
+def test_closed_form_is_the_brute_force_maximum():
+    # Dirichlet weights lie off any grid; for fixed weights and extremal
+    # tables the best |I_k| over all intermediate tables is the product of
+    # P_j(g_kj != 0), and the witness never passes 1
+    rng = np.random.default_rng(2012)
+    for config in (build_chain(2), build_chain(3), build_star(3)):
+        attach = attachments(config)
+        root = 1.0 / config.p
+        for _ in range(12):
+            model = random_lhv_model(rng, config, 2)
+            # P_j(g_0j != 0) = 1 - q_j and P_j(g_1j != 0) = q_j, summed
+            # directly so that no rounding makes 1 - q_j negative
+            mass = [[0.0, 0.0] for _ in extremal_nodes(config)]
+            for j, node in enumerate(extremal_nodes(config)):
+                table = model.extremal[node]
+                for s, w in enumerate(model.weights[attach.extremal[node]]):
+                    mass[j][int(table[0, s] != table[1, s])] += w
+            prod0 = math.prod(m[0] for m in mass)
+            prod1 = math.prod(m[1] for m in mass)
+            best0, best1 = brute_force_best_I(config, model)
+            assert best0 == pytest.approx(prod0, abs=1e-12)
+            assert best1 == pytest.approx(prod1, abs=1e-12)
+            best_s = best0 ** root + best1 ** root
+            assert best_s == pytest.approx(prod0 ** root + prod1 ** root, abs=1e-12)
+            assert best_s <= 1.0 + 1e-12
+
+
+def test_lhv_evaluate_S_matches_the_enumeration_oracle():
+    # I0 and I1, not S: the 1/p root magnifies rounding near 0
+    rng = np.random.default_rng(2016)
+    layouts = (build_chain(2), build_chain(3), build_chain(4), build_star(3),
+               build_tree(3, 3), build_tree(5, 3))
+    for config in layouts:
+        for c in (1, 2, 3):
+            for partial in (False, True):
+                model = random_lhv_model(rng, config, c, partial)
+                fast = lhv_evaluate_S(config, model)
+                oracle = evaluate_S_from_correlator(
+                    lambda a: distribution_correlator(
+                        lhv_distribution(config, model, a)), config)
+                assert fast.i0 == pytest.approx(oracle.i0, abs=1e-12)
+                assert fast.i1 == pytest.approx(oracle.i1, abs=1e-12)
+
+
+def test_lhv_evaluate_S_support_cap():
+    # 21 binary sources with full support: 2^21 symbol tuples
+    config = build_star(21)
+    model = LHVModel(
+        alphabet_size=2, weights={r: (0.5, 0.5) for r in range(1, 22)},
+        intermediate={NodeId.intermediate(1):
+                      np.zeros((2, 2 ** 21), dtype=np.uint8)},
+        extremal={node: np.zeros((2, 2), dtype=np.uint8)
+                  for node in extremal_nodes(config)})
+    assert 2 ** 21 > MAX_SUPPORT_TUPLES
+    with pytest.raises(ResourceLimitError):
+        lhv_evaluate_S(config, model)
