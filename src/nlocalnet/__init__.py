@@ -5,11 +5,11 @@ the nonlinear witness S = |I0|^(1/p) + |I1|^(1/p) for entangled two-qubit
 sources under Pauli-plane measurements, maximize it over measurement angles,
 and evaluate classical hidden-variable models, including the vertex model
 that reaches the proved classical bound S <= 1.
+
+The statevector and Born-rule oracles live in nlocalnet.correlators, which
+neither this package nor its command line imports.
 """
 
-from .correlators import (SettingAssignment, correlator_factorized,
-                          correlator_statevector, distribution_correlator,
-                          joint_distribution)
 from .errors import (ConfigurationError, InvalidParameterError, NlocalError,
                      ResourceLimitError)
 from .inequality import (VIOLATION_TOLERANCE, EvaluationResult, closed_form_S,
@@ -19,9 +19,9 @@ from .lhv import (LHVModel, lhv_best_S, lhv_distribution, lhv_evaluate_S,
                   model_to_jsonable, validate_model)
 from .optimize import optimize_alpha_equal, sweep
 from .quantum import (PAULI_X, PAULI_Y, PAULI_Z, BlochObservable,
-                      MeasurementPlan, canonical_plan, check_plan, concurrence,
-                      extremal_observable, normalize_angle, pair_expectation,
-                      source_state)
+                      MeasurementPlan, SettingAssignment, canonical_plan,
+                      check_plan, concurrence, extremal_observable,
+                      normalize_angle, pair_expectation)
 from .topology import (AttachmentMap, NetworkConfig, NodeId, attachments,
                        build_chain, build_star, build_tree, extremal_nodes,
                        intermediate_nodes, parse_config, serialize_config,
@@ -55,16 +55,12 @@ __all__ = [
     "closed_form_S",
     "closed_form_smax",
     "concurrence",
-    "correlator_factorized",
-    "correlator_statevector",
-    "distribution_correlator",
     "evaluate_I",
     "evaluate_S",
     "evaluate_S_from_correlator",
     "extremal_nodes",
     "extremal_observable",
     "intermediate_nodes",
-    "joint_distribution",
     "lhv_best_S",
     "lhv_distribution",
     "lhv_evaluate_S",
@@ -74,7 +70,6 @@ __all__ = [
     "pair_expectation",
     "parse_config",
     "serialize_config",
-    "source_state",
     "sweep",
     "validate",
     "validate_model",

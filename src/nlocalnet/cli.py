@@ -81,9 +81,10 @@ def _load_topology(path: str) -> NetworkConfig:
 
 
 def _emit(text: str, output: str | None) -> None:
-    sys.stdout.write(text)
+    # The file first: an unwritable path fails before anything is printed.
     if output:
         Path(output).write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -188,11 +189,11 @@ def _cmd_lhv(args: argparse.Namespace) -> int:
         "alphabet_size": args.alphabet_size,
         "weight_grid_steps": args.grid_steps,
     }
-    sys.stdout.write(_json_line(report))
     if args.output:
         Path(args.output).write_text(
             json.dumps(model_to_jsonable(model), indent=2, allow_nan=False) + "\n",
             encoding="utf-8")
+    sys.stdout.write(_json_line(report))
     return EXIT_OK
 
 

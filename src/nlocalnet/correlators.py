@@ -1,49 +1,42 @@
-"""Correlators of the product of all node outcomes.
+"""Correlators of the product of all node outcomes: the numpy oracle module.
 
 Three routes to the same number: a per-source factorized product (fast, any
 size), a full statevector expectation (oracle, capped at 6 sources), and a
 Born-rule outcome distribution whose signed sum recovers the correlator.
 The global qubit convention is fixed by the layout: source r owns qubits
 2(r-1) and 2(r-1)+1, assigned to its first and second edge endpoint.
+
+Only this module imports numpy, for the two oracles and their matrices
+(bloch_matrix, source_state); `import nlocalnet` and the CLI never load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ResourceLimitError
-from .quantum import (BlochObservable, MeasurementPlan, check_plan,
-                      extremal_observable, pair_expectation, source_state)
+from .quantum import (BlochObservable, MeasurementPlan, SettingAssignment,
+                      check_plan, extremal_observable, pair_expectation)
 from .topology import (INTERMEDIATE, AttachmentMap, NetworkConfig, NodeId,
                        attachments, extremal_nodes, intermediate_nodes)
 
 STATEVECTOR_MAX_SOURCES = 6
 
 
-@dataclass(frozen=True)
-class SettingAssignment:
-    """Chosen input bit for every node."""
+def bloch_matrix(obs: BlochObservable) -> np.ndarray:
+    """2x2 Hermitian matrix of v . sigma in the computational basis."""
+    return np.array(
+        [[obs.vz, obs.vx - 1j * obs.vy],
+         [obs.vx + 1j * obs.vy, -obs.vz]],
+        dtype=complex)
 
-    x: Mapping[NodeId, int]
-    y: Mapping[NodeId, int]
 
-    @classmethod
-    def from_bits(cls, config: NetworkConfig, x_bits: Sequence[int],
-                  y_bits: Sequence[int]) -> "SettingAssignment":
-        inter = intermediate_nodes(config)
-        extr = extremal_nodes(config)
-        if len(x_bits) != len(inter) or len(y_bits) != len(extr):
-            raise ConfigurationError(
-                f"assignment needs {len(inter)} intermediate and "
-                f"{len(extr)} extremal input bits")
-        for bit in (*x_bits, *y_bits):
-            if bit not in (0, 1):
-                raise ConfigurationError(f"input bits must be 0 or 1, got {bit!r}")
-        return cls(x={node: int(b) for node, b in zip(inter, x_bits)},
-                   y={node: int(b) for node, b in zip(extr, y_bits)})
+def source_state(theta: float) -> np.ndarray:
+    """Amplitudes (cos theta, 0, 0, sin theta) over the basis 00, 01, 10, 11."""
+    return np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)], dtype=complex)
 
 
 def _require_inputs(config: NetworkConfig, thetas: Sequence[float],
@@ -53,12 +46,7 @@ def _require_inputs(config: NetworkConfig, thetas: Sequence[float],
     if len(thetas) != config.n:
         raise ConfigurationError(f"need {config.n} source angles, got {len(thetas)}")
     check_plan(config, plan)
-    for node in intermediate_nodes(config):
-        if node not in assignment.x:
-            raise ConfigurationError(f"assignment lacks an input for {node.name}")
-    for node in extremal_nodes(config):
-        if node not in assignment.y:
-            raise ConfigurationError(f"assignment lacks an input for {node.name}")
+    assignment.check(config)
     return attach
 
 
@@ -126,7 +114,7 @@ def correlator_statevector(config: NetworkConfig, thetas: Sequence[float],
     phi = psi
     for g, node in enumerate(_qubit_owners(config)):
         obs = _qubit_observable(plan, attach, assignment, node, g // 2 + 1)
-        phi = _apply_single_qubit(obs.matrix(), phi, g, qubits)
+        phi = _apply_single_qubit(bloch_matrix(obs), phi, g, qubits)
     return float(np.vdot(psi, phi).real)
 
 
@@ -148,7 +136,7 @@ def joint_distribution(config: NetworkConfig, thetas: Sequence[float],
     owners = _qubit_owners(config)
     for g, node in enumerate(owners):
         obs = _qubit_observable(plan, attach, assignment, node, g // 2 + 1)
-        _, eigvecs = np.linalg.eigh(obs.matrix())
+        _, eigvecs = np.linalg.eigh(bloch_matrix(obs))
         basis = eigvecs[:, ::-1]  # column 0 holds the +1 eigenvector (outcome bit 0)
         phi = _apply_single_qubit(basis.conj().T, phi, g, qubits)
     probs = np.abs(phi) ** 2

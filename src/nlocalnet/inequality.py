@@ -32,10 +32,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .correlators import SettingAssignment
 from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
-from .quantum import (BlochObservable, MeasurementPlan, check_finite,
-                      check_plan, extremal_observable, pair_expectation)
+from .quantum import (BlochObservable, MeasurementPlan, SettingAssignment,
+                      check_finite, check_plan, extremal_observable,
+                      pair_expectation)
 from .topology import (INTERMEDIATE, NetworkConfig, NodeId, attachments,
                        intermediate_nodes)
 

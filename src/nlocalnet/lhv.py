@@ -42,11 +42,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .correlators import SettingAssignment
 from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
 from .inequality import EvaluationResult, _witness
+from .quantum import SettingAssignment
 from .topology import (AttachmentMap, NetworkConfig, NodeId, attachments,
                        extremal_nodes, intermediate_nodes)
 
@@ -55,22 +53,23 @@ from .topology import (AttachmentMap, NetworkConfig, NodeId, attachments,
 MAX_MODEL_CELLS = 20_000_000
 # Symbol tuples lhv_evaluate_S may visit: the product of the support sizes.
 MAX_SUPPORT_TUPLES = 2 ** 20
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # table bits -> "0"/"1" text
 
 
 @dataclass(frozen=True, eq=False)
 class LHVModel:
     """Source symbol weights plus deterministic response tables.
 
-    Intermediate tables have shape (2, c**m): row = input bit, column = the
-    mixed-radix code of the symbols reaching the node (ascending source
-    order, first source most significant).  Extremal tables have shape
-    (2, c): row = input bit, column = the symbol of the attached source.
+    A table is two bytes rows, one per input bit, of one output bit (0 or 1)
+    per cell.  An intermediate row has c**m cells, indexed by the mixed-radix
+    code of the symbols reaching the node (ascending source order, first
+    source most significant); an extremal row has c, indexed by the symbol.
     """
 
     alphabet_size: int
     weights: Mapping[int, tuple[float, ...]]
-    intermediate: Mapping[NodeId, np.ndarray]
-    extremal: Mapping[NodeId, np.ndarray]
+    intermediate: Mapping[NodeId, tuple[bytes, bytes]]
+    extremal: Mapping[NodeId, tuple[bytes, bytes]]
 
 
 def validate_model(config: NetworkConfig, model: LHVModel) -> AttachmentMap:
@@ -88,15 +87,17 @@ def validate_model(config: NetworkConfig, model: LHVModel) -> AttachmentMap:
         if not (min(weights) >= -1e-12 and abs(sum(weights) - 1.0) <= 1e-12):
             raise ConfigurationError(
                 f"source {r} weights must form a probability vector")
-    expected = [(model.intermediate, node, (2, c ** len(attach.intermediate[node])))
+    expected = [(model.intermediate, node, c ** len(attach.intermediate[node]))
                 for node in intermediate_nodes(config)]
-    expected += [(model.extremal, node, (2, c)) for node in extremal_nodes(config)]
-    for tables, node, want in expected:
+    expected += [(model.extremal, node, c) for node in extremal_nodes(config)]
+    for tables, node, width in expected:
         table = tables.get(node)
-        if table is None or table.shape != want:
+        if not (isinstance(table, tuple) and len(table) == 2
+                and all(isinstance(row, bytes) and len(row) == width
+                        for row in table)):
             raise ConfigurationError(
-                f"node {node.name} needs a response table of shape {want}")
-        if not np.isin(table, (0, 1)).all():
+                f"node {node.name} needs a table of two bytes rows of length {width}")
+        if any(row.translate(None, b"\x00\x01") for row in table):
             raise ConfigurationError(f"node {node.name} table entries must be bits")
     return attach
 
@@ -116,17 +117,11 @@ def lhv_distribution(config: NetworkConfig, model: LHVModel,
     Keys run over all {0,1}^(l+p) outcome tuples, intermediate nodes first.
     """
     attach = validate_model(config, model)
+    assignment.check(config)
     inter = intermediate_nodes(config)
     extr = extremal_nodes(config)
-    for node in inter:
-        if node not in assignment.x:
-            raise ConfigurationError(f"assignment lacks an input for {node.name}")
-    for node in extr:
-        if node not in assignment.y:
-            raise ConfigurationError(f"assignment lacks an input for {node.name}")
     c = model.alphabet_size
-    width = len(inter) + len(extr)
-    masses = {bits: 0.0 for bits in itertools.product((0, 1), repeat=width)}
+    masses = dict.fromkeys(itertools.product((0, 1), repeat=config.l + config.p), 0.0)
     for symbols in itertools.product(range(c), repeat=config.n):
         weight = math.prod(model.weights[r][symbols[r - 1]]
                            for r in range(1, config.n + 1))
@@ -135,10 +130,10 @@ def lhv_distribution(config: NetworkConfig, model: LHVModel,
         bits = []
         for node in inter:
             code = _symbol_code(attach.intermediate[node], symbols, c)
-            bits.append(int(model.intermediate[node][assignment.x[node], code]))
+            bits.append(model.intermediate[node][assignment.x[node]][code])
         for node in extr:
             symbol = symbols[attach.extremal[node] - 1]
-            bits.append(int(model.extremal[node][assignment.y[node], symbol]))
+            bits.append(model.extremal[node][assignment.y[node]][symbol])
         masses[tuple(bits)] += weight
     return masses
 
@@ -160,13 +155,10 @@ def lhv_evaluate_S(config: NetworkConfig, model: LHVModel) -> EvaluationResult:
         raise ResourceLimitError(
             f"the source weights span 2^{tuple_bits:.6g} symbol tuples, above "
             f"the cap 2^{math.log2(MAX_SUPPORT_TUPLES):.6g}")
-    # factors[r][k][s]: g_kj for the extremal node j at source r's end.
-    factors = {}
-    for node in extremal_nodes(config):
-        signs = 1.0 - 2.0 * model.extremal[node]
-        factors[attach.extremal[node]] = (
-            (0.5 * (signs[0] + signs[1])).tolist(),
-            (0.5 * (signs[0] - signs[1])).tolist())
+    # factors[r][s] = (g_0j, g_1j) = (1 - b0 - b1, b1 - b0) at source r's end j.
+    factors = {attach.extremal[node]: [(1 - b0 - b1, b1 - b0)
+                                       for b0, b1 in zip(*model.extremal[node])]
+               for node in extremal_nodes(config)}
     inter = [(model.intermediate[node], attach.intermediate[node])
              for node in intermediate_nodes(config)]
     totals = [0.0, 0.0]
@@ -176,10 +168,10 @@ def lhv_evaluate_S(config: NetworkConfig, model: LHVModel) -> EvaluationResult:
         for k in (0, 1):
             value = weight
             for table, sources in inter:
-                if table[k, _symbol_code(sources, symbols, c)]:
+                if table[k][_symbol_code(sources, symbols, c)]:
                     value = -value
             for r, g in factors.items():
-                value *= g[k][symbols[r - 1]]
+                value *= g[symbols[r - 1]][k]
             totals[k] += value
     return _witness(config, totals[0], totals[1])
 
@@ -213,22 +205,24 @@ def lhv_best_S(config: NetworkConfig,
     model = LHVModel(
         alphabet_size=c,
         weights={r: (1.0,) + (0.0,) * (c - 1) for r in range(1, config.n + 1)},
-        intermediate={node: np.zeros((2, c ** config.m), dtype=np.uint8)
+        intermediate={node: (bytes(c ** config.m),) * 2
                       for node in intermediate_nodes(config)},
-        extremal={node: np.zeros((2, c), dtype=np.uint8)
-                  for node in extremal_nodes(config)})
+        extremal={node: (bytes(c),) * 2 for node in extremal_nodes(config)})
     return lhv_evaluate_S(config, model).s, model
 
 
 def model_to_jsonable(model: LHVModel) -> dict:
-    """JSON-friendly rendering of a model (weights plus response tables)."""
+    """JSON-friendly rendering of a model (weights plus response tables).
+
+    A table becomes two strings, one per input bit, of one "0"/"1" per cell.
+    """
+    def rows(tables: Mapping[NodeId, tuple[bytes, bytes]]) -> dict:
+        return {node.name: [row.translate(_DIGITS).decode() for row in tables[node]]
+                for node in sorted(tables, key=lambda nd: nd.index)}
+
     return {
         "alphabet_size": model.alphabet_size,
         "weights": {str(r): list(model.weights[r]) for r in sorted(model.weights)},
-        "intermediate": {node.name: model.intermediate[node].tolist()
-                         for node in sorted(model.intermediate,
-                                            key=lambda nd: nd.index)},
-        "extremal": {node.name: model.extremal[node].tolist()
-                     for node in sorted(model.extremal,
-                                        key=lambda nd: nd.index)},
+        "intermediate": rows(model.intermediate),
+        "extremal": rows(model.extremal),
     }

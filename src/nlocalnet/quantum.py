@@ -1,12 +1,14 @@
-"""Two-qubit source states, Bloch-vector observables, and measurement plans."""
+"""Bloch-vector observables, measurement plans and input assignments.
+
+Pure Python: the Pauli-measurement value needs no matrices.  The oracles'
+matrices and source amplitudes are in correlators (bloch_matrix, source_state).
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError
 from .topology import NetworkConfig, NodeId, extremal_nodes, intermediate_nodes
@@ -28,22 +30,10 @@ class BlochObservable:
             raise InvalidParameterError(
                 f"Bloch vector must have unit length, got |v|^2 = {norm_sq!r}")
 
-    def matrix(self) -> np.ndarray:
-        """2x2 Hermitian matrix in the computational basis."""
-        return np.array(
-            [[self.vz, self.vx - 1j * self.vy],
-             [self.vx + 1j * self.vy, -self.vz]],
-            dtype=complex)
-
 
 PAULI_X = BlochObservable(1.0, 0.0, 0.0)
 PAULI_Y = BlochObservable(0.0, 1.0, 0.0)
 PAULI_Z = BlochObservable(0.0, 0.0, 1.0)
-
-
-def source_state(theta: float) -> np.ndarray:
-    """Amplitudes (cos theta, 0, 0, sin theta) over the basis 00, 01, 10, 11."""
-    return np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)], dtype=complex)
 
 
 def concurrence(theta: float) -> float:
@@ -90,6 +80,37 @@ class MeasurementPlan:
     intermediate: Mapping[NodeId, tuple[tuple[BlochObservable, ...],
                                         tuple[BlochObservable, ...]]]
     alphas: Mapping[NodeId, float]
+
+
+@dataclass(frozen=True)
+class SettingAssignment:
+    """Chosen input bit for every node."""
+
+    x: Mapping[NodeId, int]
+    y: Mapping[NodeId, int]
+
+    @classmethod
+    def from_bits(cls, config: NetworkConfig, x_bits: Sequence[int],
+                  y_bits: Sequence[int]) -> "SettingAssignment":
+        inter = intermediate_nodes(config)
+        extr = extremal_nodes(config)
+        if len(x_bits) != len(inter) or len(y_bits) != len(extr):
+            raise ConfigurationError(
+                f"assignment needs {len(inter)} intermediate and "
+                f"{len(extr)} extremal input bits")
+        for bit in (*x_bits, *y_bits):
+            if bit not in (0, 1):
+                raise ConfigurationError(f"input bits must be 0 or 1, got {bit!r}")
+        return cls(x={node: int(b) for node, b in zip(inter, x_bits)},
+                   y={node: int(b) for node, b in zip(extr, y_bits)})
+
+    def check(self, config: NetworkConfig) -> None:
+        """Raise ConfigurationError unless every node has an input bit."""
+        for nodes, bits in ((intermediate_nodes(config), self.x),
+                            (extremal_nodes(config), self.y)):
+            missing = [node.name for node in nodes if node not in bits]
+            if missing:
+                raise ConfigurationError(f"assignment lacks an input for {missing[0]}")
 
 
 def check_finite(label: str, values: Iterable[float]) -> None:

@@ -13,6 +13,11 @@ from nlocalnet import (BlochObservable, LHVModel, MeasurementPlan,
 TREE_CHOICES = [(4, 2), (5, 2), (5, 3), (3, 3), (4, 4)]
 
 
+def bits(array) -> tuple[bytes, ...]:
+    """A 0/1 array of shape (2, width) as an LHVModel table of bytes rows."""
+    return tuple(bytes(row) for row in np.asarray(array, dtype=np.uint8))
+
+
 def random_config(rng: np.random.Generator, max_n: int = 5):
     kind = int(rng.integers(0, 3))
     if kind == 0:
@@ -61,10 +66,10 @@ def random_lhv_model(rng: np.random.Generator, config, c: int,
             w /= w.sum()
         weights[r] = tuple(float(v) for v in w)
     attach = attachments(config)
-    inter = {node: rng.integers(0, 2, size=(2, c ** len(attach.intermediate[node])),
-                                dtype=np.uint8)
+    inter = {node: bits(rng.integers(0, 2, size=(2, c ** len(attach.intermediate[node])),
+                                     dtype=np.uint8))
              for node in intermediate_nodes(config)}
-    extr = {node: rng.integers(0, 2, size=(2, c), dtype=np.uint8)
+    extr = {node: bits(rng.integers(0, 2, size=(2, c), dtype=np.uint8))
             for node in extremal_nodes(config)}
     return LHVModel(alphabet_size=c, weights=weights, intermediate=inter,
                     extremal=extr)
@@ -78,12 +83,11 @@ def brute_force_best_I(config, model: LHVModel) -> tuple[float, float]:
     the input-1 rows only I1, so the two maxima are taken independently.
     """
     inter = intermediate_nodes(config)
-    patterns = [list(itertools.product((0, 1), repeat=model.intermediate[node].shape[1]))
+    patterns = [list(itertools.product((0, 1), repeat=len(model.intermediate[node][0])))
                 for node in inter]
     best0 = best1 = 0.0
     for combo in itertools.product(*patterns):
-        tables = {node: np.array([row, row], dtype=np.uint8)
-                  for node, row in zip(inter, combo)}
+        tables = {node: bits([row, row]) for node, row in zip(inter, combo)}
         result = lhv_evaluate_S(config, LHVModel(
             alphabet_size=model.alphabet_size, weights=model.weights,
             intermediate=tables, extremal=model.extremal))

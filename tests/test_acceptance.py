@@ -10,10 +10,11 @@ import numpy as np
 
 from helpers import random_instance
 from nlocalnet import (build_chain, build_star, build_tree, canonical_plan,
-                       closed_form_S, concurrence, correlator_factorized,
-                       correlator_statevector, distribution_correlator,
-                       evaluate_S, joint_distribution, lhv_best_S,
+                       closed_form_S, concurrence, evaluate_S, lhv_best_S,
                        optimize_alpha_equal, sweep, validate)
+from nlocalnet.correlators import (correlator_factorized,
+                                   correlator_statevector,
+                                   distribution_correlator, joint_distribution)
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)

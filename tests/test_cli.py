@@ -288,11 +288,62 @@ def test_lhv_on_large_stars_is_exactly_one(tmp_path, capsys, n):
     assert json.loads(capsys.readouterr().out)["best_s"] == 1.0
 
 
-def test_import_pulls_in_no_scipy():
-    code = ("import sys, nlocalnet, nlocalnet.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+def test_lhv_output_is_one_digit_per_cell(tmp_path, capsys):
+    # star(20)'s hub table has two rows of 2^20 cells; written one JSON line
+    # per cell it took 23 MB
+    topo = tmp_path / "star.json"
+    main(["generate", "star", "--n", "20", "--output", str(topo)])
+    model_path = tmp_path / "model.json"
+    assert main(["lhv", "--topology", str(topo), "--output", str(model_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["best_s"] == 1.0
+    assert model_path.stat().st_size < 3_000_000
+    doc = json.loads(model_path.read_text())
+    for rows, width in ([doc["intermediate"]["A1"], 2 ** 20],
+                        *([rows, 2] for rows in doc["extremal"].values())):
+        assert len(rows) == 2
+        for row in rows:
+            assert len(row) == width and set(row) <= {"0", "1"}
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--theta", "0.1,0.2", "--alpha", "0.3,0.4"],
+    ["maximize", "--theta", "0.1,0.2"],
+    ["lhv"],
+], ids=["evaluate", "maximize", "lhv"])
+def test_unwritable_output_prints_no_report(tmp_path, capsys, command):
+    topo = tmp_path / "chain2.json"
+    main(["generate", "chain", "--n", "2", "--output", str(topo)])
+    # a directory cannot be written as a file
+    assert main([command[0], "--topology", str(topo), *command[1:],
+                 "--output", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_import_pulls_in_no_scipy(tmp_path):
+    # numpy neither: only the nlocalnet.correlators oracles import it
+    code = """if True:
+        import contextlib, io, sys
+        import nlocalnet, nlocalnet.cli
+        topo, model = sys.argv[1:]
+        angles = "0.25pi,0.25pi"
+        runs = [["generate", "chain", "--n", "2", "--output", topo],
+                ["validate", "--topology", topo],
+                ["evaluate", "--topology", topo, "--theta", angles,
+                 "--alpha", angles],
+                ["maximize", "--topology", topo, "--theta", angles],
+                ["sweep", "--topology", topo, "--grid", "0,0.25pi"],
+                ["lhv", "--topology", topo, "--output", model]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [nlocalnet.cli.main(argv) for argv in runs]
+        print(codes, sorted(m for m in sys.modules
+                            if m.split(".")[0] in ("numpy", "scipy")))
+    """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "chain2.json"),
+                           str(tmp_path / "model.json")], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"

@@ -6,9 +6,10 @@ import pytest
 
 from helpers import random_instance
 from nlocalnet import (ConfigurationError, NetworkConfig, ResourceLimitError,
-                       SettingAssignment, build_chain, canonical_plan,
-                       correlator_factorized, correlator_statevector,
-                       distribution_correlator, joint_distribution)
+                       SettingAssignment, build_chain, canonical_plan)
+from nlocalnet.correlators import (correlator_factorized,
+                                   correlator_statevector,
+                                   distribution_correlator, joint_distribution)
 
 PI = math.pi
 

@@ -10,8 +10,8 @@ from helpers import random_instance, random_plan
 from nlocalnet import (InvalidParameterError, MeasurementPlan,
                        ResourceLimitError, build_chain, build_star, build_tree,
                        canonical_plan, closed_form_S, closed_form_smax,
-                       correlator_factorized, evaluate_I, evaluate_S,
-                       evaluate_S_from_correlator)
+                       evaluate_I, evaluate_S, evaluate_S_from_correlator)
+from nlocalnet.correlators import correlator_factorized
 from nlocalnet.inequality import ENUMERATION_MAX_EXTREMAL, signed_y_average
 
 PI = math.pi

@@ -1,17 +1,19 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import brute_force_best_I, random_lhv_model
+from helpers import bits, brute_force_best_I, random_lhv_model
 from nlocalnet import (ConfigurationError, LHVModel, NodeId,
                        ResourceLimitError, SettingAssignment, attachments,
                        build_chain, build_star, build_tree,
-                       distribution_correlator, evaluate_S_from_correlator,
-                       extremal_nodes, lhv_best_S, lhv_distribution,
-                       lhv_evaluate_S, model_to_jsonable, validate_model)
+                       evaluate_S_from_correlator, extremal_nodes, lhv_best_S,
+                       lhv_distribution, lhv_evaluate_S, model_to_jsonable,
+                       validate_model)
+from nlocalnet.correlators import distribution_correlator
 from nlocalnet.lhv import MAX_SUPPORT_TUPLES
 
 
@@ -19,9 +21,9 @@ def point_mass_model(config, symbol=0, c=2):
     """All sources on one symbol, every response 0."""
     weights = {r: tuple(1.0 if k == symbol else 0.0 for k in range(c))
                for r in range(1, config.n + 1)}
-    inter = {NodeId.intermediate(i): np.zeros((2, c ** config.m), dtype=np.uint8)
+    inter = {NodeId.intermediate(i): bits(np.zeros((2, c ** config.m)))
              for i in range(1, config.l + 1)}
-    extr = {NodeId.extremal(j): np.zeros((2, c), dtype=np.uint8)
+    extr = {NodeId.extremal(j): bits(np.zeros((2, c)))
             for j in range(1, config.p + 1)}
     return LHVModel(alphabet_size=c, weights=weights,
                     intermediate=inter, extremal=extr)
@@ -29,8 +31,8 @@ def point_mass_model(config, symbol=0, c=2):
 
 def xor_chain2_model():
     """Uniform binary sources; hub reports the symbol parity, leaves the symbol."""
-    copy_table = np.array([[0, 1], [0, 1]], dtype=np.uint8)
-    xor_table = np.array([[0, 1, 1, 0], [0, 1, 1, 0]], dtype=np.uint8)
+    copy_table = bits([[0, 1], [0, 1]])
+    xor_table = bits([[0, 1, 1, 0], [0, 1, 1, 0]])
     return LHVModel(
         alphabet_size=2,
         weights={1: (0.5, 0.5), 2: (0.5, 0.5)},
@@ -66,9 +68,9 @@ def test_distribution_normalization_random_weights():
     model = LHVModel(
         alphabet_size=2, weights=weights,
         intermediate={NodeId.intermediate(1):
-                      rng.integers(0, 2, size=(2, 8)).astype(np.uint8)},
+                      bits(rng.integers(0, 2, size=(2, 8)))},
         extremal={NodeId.extremal(j):
-                  rng.integers(0, 2, size=(2, 2)).astype(np.uint8)
+                  bits(rng.integers(0, 2, size=(2, 2)))
                   for j in (1, 2, 3)})
     assignment = SettingAssignment.from_bits(config, [0], [1, 0, 1])
     dist = lhv_distribution(config, model, assignment)
@@ -82,10 +84,10 @@ def test_deterministic_model_correlators_are_signs():
         alphabet_size=2,
         weights={1: (1.0, 0.0), 2: (0.0, 1.0), 3: (1.0, 0.0)},
         intermediate={NodeId.intermediate(i):
-                      rng.integers(0, 2, size=(2, 4)).astype(np.uint8)
+                      bits(rng.integers(0, 2, size=(2, 4)))
                       for i in (1, 2)},
         extremal={NodeId.extremal(j):
-                  rng.integers(0, 2, size=(2, 2)).astype(np.uint8)
+                  bits(rng.integers(0, 2, size=(2, 2)))
                   for j in (1, 2)})
     for x_bits in itertools.product((0, 1), repeat=2):
         for y_bits in itertools.product((0, 1), repeat=2):
@@ -114,12 +116,16 @@ def test_validate_model_rejects_bad_shapes_and_weights():
                               extremal=model.extremal)
         with pytest.raises(ConfigurationError):
             validate_model(config, non_finite)
-    bad_table = LHVModel(alphabet_size=2, weights=model.weights,
-                         intermediate={NodeId.intermediate(1):
-                                       np.zeros((2, 3), dtype=np.uint8)},
-                         extremal=model.extremal)
-    with pytest.raises(ConfigurationError):
-        validate_model(config, bad_table)
+    # wrong width, a cell that is not a bit, a short row, a list of rows and
+    # a numpy array instead of a tuple of two bytes rows
+    for table in (bits(np.zeros((2, 3))), (bytes(4), b"\x00\x02\x00\x00"),
+                  (bytes(4), bytes(3)), [bytes(4), bytes(4)],
+                  np.zeros((2, 4), dtype=np.uint8)):
+        bad_table = LHVModel(alphabet_size=2, weights=model.weights,
+                             intermediate={NodeId.intermediate(1): table},
+                             extremal=model.extremal)
+        with pytest.raises(ConfigurationError):
+            validate_model(config, bad_table)
 
 
 def test_best_S_chain2_reaches_the_bound():
@@ -161,14 +167,28 @@ def test_best_S_resource_cap():
         assert "2^" in message and "inf" not in message and "nan" not in message
 
 
-def test_best_S_cap_fires_before_the_model_is_built(monkeypatch):
-    def unexpected(*args, **kwargs):
-        raise AssertionError("table allocated before the cap check")
+def traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    monkeypatch.setattr(np, "zeros", unexpected)
-    for config, c in ((build_star(24), 2), (build_chain(2), 10 ** 400)):
+
+def test_best_S_cap_fires_before_the_model_is_built():
+    # star(24)'s hub table would hold 2 * 2^24 one-byte cells (33 MB); the
+    # refusals must stay under 1 MB.  star(23) is built and peaks far above
+    # that, so the measurement sees a table when one is made.
+    def refuse(config, c):
         with pytest.raises(ResourceLimitError):
             lhv_best_S(config, alphabet_size=c)
+
+    for config, c in ((build_star(24), 2), (build_chain(2), 10 ** 400)):
+        assert traced_peak(lambda: refuse(config, c)) < 2 ** 20
+    star23 = build_star(23)
+    assert traced_peak(lambda: lhv_best_S(star23)) > 2 ** 23
 
 
 def test_best_S_is_exactly_one_on_larger_layouts():
@@ -202,8 +222,7 @@ def test_best_S_equals_naive_enumeration_single_symbol():
     config = build_chain(2)
     best, _ = lhv_best_S(config, alphabet_size=1)
     naive_best = -1.0
-    tables = [np.array([[b0], [b1]], dtype=np.uint8)
-              for b0 in (0, 1) for b1 in (0, 1)]
+    tables = [bits([[b0], [b1]]) for b0 in (0, 1) for b1 in (0, 1)]
     for hub in tables:
         for left in tables:
             for right in tables:
@@ -231,10 +250,9 @@ def test_best_S_dominates_random_raw_models():
                 alphabet_size=2,
                 weights=weights,
                 intermediate={NodeId.intermediate(1):
-                              rng.integers(0, 2, size=(2, hub_width)
-                                           ).astype(np.uint8)},
+                              bits(rng.integers(0, 2, size=(2, hub_width)))},
                 extremal={NodeId.extremal(j):
-                          rng.integers(0, 2, size=(2, 2)).astype(np.uint8)
+                          bits(rng.integers(0, 2, size=(2, 2)))
                           for j in range(1, config.p + 1)})
             assert lhv_evaluate_S(config, model).s <= best + 1e-12
 
@@ -265,7 +283,7 @@ def test_closed_form_is_the_brute_force_maximum():
             for j, node in enumerate(extremal_nodes(config)):
                 table = model.extremal[node]
                 for s, w in enumerate(model.weights[attach.extremal[node]]):
-                    mass[j][int(table[0, s] != table[1, s])] += w
+                    mass[j][int(table[0][s] != table[1][s])] += w
             prod0 = math.prod(m[0] for m in mass)
             prod1 = math.prod(m[1] for m in mass)
             best0, best1 = brute_force_best_I(config, model)
@@ -298,9 +316,8 @@ def test_lhv_evaluate_S_support_cap():
     config = build_star(21)
     model = LHVModel(
         alphabet_size=2, weights={r: (0.5, 0.5) for r in range(1, 22)},
-        intermediate={NodeId.intermediate(1):
-                      np.zeros((2, 2 ** 21), dtype=np.uint8)},
-        extremal={node: np.zeros((2, 2), dtype=np.uint8)
+        intermediate={NodeId.intermediate(1): (bytes(2 ** 21),) * 2},
+        extremal={node: bits(np.zeros((2, 2)))
                   for node in extremal_nodes(config)})
     assert 2 ** 21 > MAX_SUPPORT_TUPLES
     with pytest.raises(ResourceLimitError):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from nlocalnet import (BlochObservable, ConfigurationError,
                        InvalidParameterError, PAULI_X, PAULI_Z, build_chain,
                        canonical_plan, check_plan, concurrence,
-                       extremal_observable, normalize_angle, pair_expectation,
-                       source_state)
+                       extremal_observable, normalize_angle, pair_expectation)
+from nlocalnet.correlators import bloch_matrix, source_state
 
 angles = st.floats(min_value=-20.0, max_value=20.0,
                    allow_nan=False, allow_infinity=False)
@@ -52,7 +52,7 @@ def test_bloch_observable_rejects_non_unit_vector():
 def test_source_state_norm_and_stabilizer(theta):
     psi = source_state(theta)
     assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
-    zz = np.kron(PAULI_Z.matrix(), PAULI_Z.matrix())
+    zz = np.kron(bloch_matrix(PAULI_Z), bloch_matrix(PAULI_Z))
     assert abs(np.vdot(psi, zz @ psi).real - 1.0) < 1e-12
 
 
@@ -60,7 +60,7 @@ def test_source_state_norm_and_stabilizer(theta):
 @settings(max_examples=100)
 def test_xx_expectation_matches_concurrence(theta):
     psi = source_state(theta)
-    xx = np.kron(PAULI_X.matrix(), PAULI_X.matrix())
+    xx = np.kron(bloch_matrix(PAULI_X), bloch_matrix(PAULI_X))
     value = np.vdot(psi, xx @ psi).real
     assert abs(value - math.sin(2 * theta)) < 1e-12
     assert abs(abs(value) - concurrence(theta)) < 1e-12
@@ -73,7 +73,7 @@ def test_observable_squares_to_identity(vx, vy, vz):
     if norm < 1e-6:
         return
     obs = BlochObservable(vx / norm, vy / norm, vz / norm)
-    square = obs.matrix() @ obs.matrix()
+    square = bloch_matrix(obs) @ bloch_matrix(obs)
     assert np.max(np.abs(square - np.eye(2))) < 1e-12
 
 
@@ -83,7 +83,7 @@ def test_pair_expectation_matches_trace(theta, alpha, beta):
     first = extremal_observable(alpha, 0)
     second = extremal_observable(beta, 1)
     psi = source_state(theta)
-    matrix = np.kron(first.matrix(), second.matrix())
+    matrix = np.kron(bloch_matrix(first), bloch_matrix(second))
     exact = np.vdot(psi, matrix @ psi).real
     assert abs(pair_expectation(theta, first, second) - exact) < 1e-12
 
@@ -97,7 +97,7 @@ def test_pair_expectation_with_y_components():
         second = BlochObservable(*vecs[1])
         theta = rng.uniform(0, 2 * math.pi)
         psi = source_state(theta)
-        exact = np.vdot(psi, np.kron(first.matrix(), second.matrix()) @ psi).real
+        exact = np.vdot(psi, np.kron(bloch_matrix(first), bloch_matrix(second)) @ psi).real
         assert abs(pair_expectation(theta, first, second) - exact) < 1e-12
 
 
