@@ -13,15 +13,15 @@ neither this package nor its command line imports.
 from .errors import (ConfigurationError, InvalidParameterError, NlocalError,
                      ResourceLimitError)
 from .inequality import (VIOLATION_TOLERANCE, EvaluationResult, closed_form_S,
-                         closed_form_smax, evaluate_I, evaluate_S,
+                         closed_form_smax, evaluate_S,
                          evaluate_S_from_correlator)
 from .lhv import (LHVModel, lhv_best_S, lhv_distribution, lhv_evaluate_S,
                   model_to_jsonable, validate_model)
-from .optimize import optimize_alpha_equal, sweep
+from .optimize import sweep
 from .quantum import (PAULI_X, PAULI_Y, PAULI_Z, BlochObservable,
                       MeasurementPlan, SettingAssignment, canonical_plan,
                       check_plan, concurrence, extremal_observable,
-                      normalize_angle, pair_expectation)
+                      pair_expectation)
 from .topology import (AttachmentMap, NetworkConfig, NodeId, attachments,
                        build_chain, build_star, build_tree, extremal_nodes,
                        intermediate_nodes, parse_config, serialize_config,
@@ -55,7 +55,6 @@ __all__ = [
     "closed_form_S",
     "closed_form_smax",
     "concurrence",
-    "evaluate_I",
     "evaluate_S",
     "evaluate_S_from_correlator",
     "extremal_nodes",
@@ -65,8 +64,6 @@ __all__ = [
     "lhv_distribution",
     "lhv_evaluate_S",
     "model_to_jsonable",
-    "normalize_angle",
-    "optimize_alpha_equal",
     "pair_expectation",
     "parse_config",
     "serialize_config",

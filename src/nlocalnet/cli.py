@@ -18,10 +18,10 @@ from typing import Sequence
 from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
 from .inequality import VIOLATION_TOLERANCE, closed_form_smax, evaluate_S
 from .lhv import lhv_best_S, model_to_jsonable
-from .optimize import optimize_alpha_equal, sweep
+from .optimize import sweep
 from .quantum import canonical_plan
-from .topology import (NetworkConfig, build_chain, build_star, build_tree,
-                       parse_config, serialize_config, validate)
+from .topology import (NetworkConfig, attachments, build_chain, build_star,
+                       build_tree, parse_config, serialize_config, validate)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -70,9 +70,7 @@ def _read_config(path: str) -> NetworkConfig:
 
 
 def _checked(config: NetworkConfig) -> NetworkConfig:
-    issues = validate(config)
-    if issues:
-        raise InvalidParameterError("invalid topology: " + "; ".join(issues))
+    attachments(config)  # raises ConfigurationError on an invalid layout
     return config
 
 
@@ -159,7 +157,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_maximize(args: argparse.Namespace) -> int:
     config = _load_topology(args.topology)
     thetas = _angles(args.theta, config.n, "theta")
-    alpha_star, smax = optimize_alpha_equal(thetas, config.p)
+    smax, alpha_star = closed_form_smax(thetas, config.p)
     report = {
         "alpha_star": _nine_digits(alpha_star),
         "smax": smax,

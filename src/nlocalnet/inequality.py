@@ -7,20 +7,20 @@ with all intermediate inputs 1.  The witness S = |I0|^(1/p) + |I1|^(1/p)
 stays at or below 1 for every source-factorized classical model, while
 entangled sources with tuned settings push it up to sqrt(2).
 
-evaluate_I and evaluate_S never enumerate the 2^p inputs.  They rely on an
-invariant of valid layouts (connected, acyclic, n >= 2): every extremal node
-touches exactly one source, and no source touches two extremal nodes.  The
-quantum correlator is a product of per-source pair expectations E_r, and the
-sign (-1)^(k sum y) splits into one factor per extremal node, so the average
-is a product over sources:
+evaluate_S never enumerates the 2^p inputs.  It relies on an invariant of
+valid layouts (connected, acyclic, n >= 2): every extremal node touches
+exactly one source, and no source touches two extremal nodes.  The quantum
+correlator is a product of per-source pair expectations E_r, and the sign
+(-1)^(k sum y) splits into one factor per extremal node, so the average is a
+product over sources, with input k at every intermediate end:
 
-    I_k(x) = prod_{r between two intermediate nodes} E_r(x)
-             * prod_{r with an extremal end} 1/2 sum_y (-1)^(k y) E_r(x, y).
+    I_k = prod_{r between two intermediate nodes} E_r(k)
+          * prod_{r with an extremal end} 1/2 sum_y (-1)^(k y) E_r(k, y).
 
 S then costs about 4n pair expectations, with the layout validated and the
 plan checked once, where the enumeration costs n 2^(p+1).  signed_y_average
 is the enumeration oracle: it serves any correlator, classical models
-included (lhv_evaluate_S), and the tests compare both routes with it.  The
+included (lhv_evaluate_S), and the tests compare evaluate_S with it.  The
 two agree to rounding (within 1e-12), not bit for bit, because the
 arithmetic is done in a different order.
 """
@@ -36,8 +36,7 @@ from .errors import ConfigurationError, InvalidParameterError, ResourceLimitErro
 from .quantum import (BlochObservable, MeasurementPlan, SettingAssignment,
                       check_finite, check_plan, extremal_observable,
                       pair_expectation)
-from .topology import (INTERMEDIATE, NetworkConfig, NodeId, attachments,
-                       intermediate_nodes)
+from .topology import INTERMEDIATE, NetworkConfig, NodeId, attachments
 
 VIOLATION_TOLERANCE = 1e-9
 # The enumeration oracle visits 2^p extremal inputs; refuse layouts beyond this.
@@ -48,15 +47,12 @@ Correlator = Callable[[SettingAssignment], float]
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    """Witness value with its two ingredients and the inputs that produced them."""
+    """Witness value, its two ingredients, and whether it exceeds the bound 1."""
 
     i0: float
     i1: float
     s: float
     violated: bool
-    x0: tuple[int, ...]
-    x1: tuple[int, ...]
-    bound: float = 1.0
 
 
 def signed_y_average(correlator: Correlator, config: NetworkConfig, k: int,
@@ -87,8 +83,7 @@ def _witness(config: NetworkConfig, i0: float, i1: float) -> EvaluationResult:
     root = 1.0 / config.p
     s = abs(i0) ** root + abs(i1) ** root
     return EvaluationResult(i0=i0, i1=i1, s=s,
-                            violated=s > 1.0 + VIOLATION_TOLERANCE,
-                            x0=(0,) * config.l, x1=(1,) * config.l)
+                            violated=s > 1.0 + VIOLATION_TOLERANCE)
 
 
 def evaluate_S_from_correlator(correlator: Correlator,
@@ -119,28 +114,25 @@ def _checked_slots(config: NetworkConfig, thetas: Sequence[float],
             for slot, r in enumerate(sources)}
 
 
-def _end_observables(plan: MeasurementPlan, slots: _Slots,
-                     x: dict[NodeId, int], node: NodeId,
-                     r: int) -> tuple[BlochObservable, ...]:
-    """Settings at node's end of source r: the one fixed by the input x at
-    an intermediate node, the pair for inputs y = 0, 1 at an extremal node."""
+def _end_observables(plan: MeasurementPlan, slots: _Slots, k: int,
+                     node: NodeId, r: int) -> tuple[BlochObservable, ...]:
+    """Settings at node's end of source r: the one for input k at an
+    intermediate node, the pair for inputs y = 0, 1 at an extremal node."""
     if node.kind == INTERMEDIATE:
-        return (plan.intermediate[node][x[node]][slots[node, r]],)
+        return (plan.intermediate[node][k][slots[node, r]],)
     alpha = plan.alphas[node]
     return extremal_observable(alpha, 0), extremal_observable(alpha, 1)
 
 
 def _contract(config: NetworkConfig, thetas: Sequence[float],
-              plan: MeasurementPlan, slots: _Slots, k: int,
-              x_bits: Sequence[int]) -> float:
-    """I_k(x) as the product of one factor per source."""
-    x = dict(zip(intermediate_nodes(config), x_bits))
+              plan: MeasurementPlan, slots: _Slots, k: int) -> float:
+    """I_k, input k at every intermediate node, as one factor per source."""
     value = 1.0
     for r in range(1, config.n + 1):
         u, v = config.edges[r]
         terms = [pair_expectation(thetas[r - 1], first, second)
-                 for first in _end_observables(plan, slots, x, u, r)
-                 for second in _end_observables(plan, slots, x, v, r)]
+                 for first in _end_observables(plan, slots, k, u, r)
+                 for second in _end_observables(plan, slots, k, v, r)]
         # Two terms (y = 0, 1) when one end is extremal; a valid layout has
         # no source with two extremal ends.
         if len(terms) == 2:
@@ -150,34 +142,18 @@ def _contract(config: NetworkConfig, thetas: Sequence[float],
     return value
 
 
-def evaluate_I(config: NetworkConfig, thetas: Sequence[float],
-               plan: MeasurementPlan, k: int, x_bits: Sequence[int]) -> float:
-    """Signed extremal-input average for fixed intermediate inputs x_bits.
-
-    Computed as the per-source product of the module docstring, without
-    enumerating extremal inputs; matches signed_y_average over
-    correlator_factorized to rounding.
-    """
-    if k not in (0, 1):
-        raise InvalidParameterError(f"sign exponent k must be 0 or 1, got {k}")
-    slots = _checked_slots(config, thetas, plan)
-    if len(x_bits) != config.l or any(b not in (0, 1) for b in x_bits):
-        raise ConfigurationError(
-            f"need {config.l} intermediate input bits of 0 or 1, got {tuple(x_bits)}")
-    return _contract(config, thetas, plan, slots, k, [int(b) for b in x_bits])
-
-
 def evaluate_S(config: NetworkConfig, thetas: Sequence[float],
                plan: MeasurementPlan) -> EvaluationResult:
     """Witness with all-zero intermediate inputs in I0 and all-one in I1.
 
     Validates the layout and checks the plan once, then contracts I0 and I1
-    per source (see the module docstring): linear in the number of sources.  Agrees with evaluate_S_from_correlator over
-    correlator_factorized to rounding.
+    per source (see the module docstring): linear in the number of sources.
+    Agrees with evaluate_S_from_correlator over correlator_factorized to
+    rounding.
     """
     slots = _checked_slots(config, thetas, plan)
-    i0 = _contract(config, thetas, plan, slots, 0, (0,) * config.l)
-    i1 = _contract(config, thetas, plan, slots, 1, (1,) * config.l)
+    i0 = _contract(config, thetas, plan, slots, 0)
+    i1 = _contract(config, thetas, plan, slots, 1)
     return _witness(config, i0, i1)
 
 

@@ -1,6 +1,7 @@
-"""Maximization of the witness over extremal measurement angles.
+"""The maximized witness tabulated over a grid of source angles.
 
-The equal-angle closed form is the optimum over per-node angles as well: with
+Each row takes its optimum from inequality.closed_form_smax.  That
+equal-angle closed form is the optimum over per-node angles as well: with
 K = |prod sin(2 theta_r)|^(1/p), Hoelder's inequality gives
 (prod |cos a_j|)^(1/p) + (prod K |sin a_j|)^(1/p)
 <= prod (|cos a_j| + K |sin a_j|)^(1/p) <= sqrt(1 + K^2), attained at a_j = atan(K).
@@ -17,12 +18,6 @@ from .inequality import VIOLATION_TOLERANCE, closed_form_smax
 from .topology import NetworkConfig
 
 MAX_SWEEP_ROWS = 1_000_000
-
-
-def optimize_alpha_equal(thetas: Sequence[float], p: int) -> tuple[float, float]:
-    """Best common extremal angle and the witness value it attains."""
-    smax, alpha_star = closed_form_smax(thetas, p)
-    return alpha_star, smax
 
 
 def sweep(config: NetworkConfig, theta_grid: Sequence[float],
@@ -46,7 +41,7 @@ def sweep(config: NetworkConfig, theta_grid: Sequence[float],
             f"{MAX_SWEEP_ROWS}", size=row_count)
     rows = []
     for combo in itertools.product(theta_grid, repeat=config.n):
-        alpha_star, smax = optimize_alpha_equal(combo, config.p)
+        smax, alpha_star = closed_form_smax(combo, config.p)
         rows.append((combo, alpha_star, smax, smax > 1.0 + VIOLATION_TOLERANCE))
     if sink is not None:
         writer = csv.writer(sink, lineterminator="\n")

@@ -13,8 +13,6 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ConfigurationError, InvalidParameterError
 from .topology import NetworkConfig, NodeId, extremal_nodes, intermediate_nodes
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class BlochObservable:
@@ -39,14 +37,6 @@ PAULI_Z = BlochObservable(0.0, 0.0, 1.0)
 def concurrence(theta: float) -> float:
     """Entanglement of the source state, |sin 2 theta|: 0 product, 1 maximal."""
     return abs(math.sin(2.0 * theta))
-
-
-def normalize_angle(theta: float) -> float:
-    """Reduce an angle to [0, 2 pi) for reporting."""
-    reduced = math.fmod(theta, TWO_PI)
-    if reduced < 0.0:
-        reduced += TWO_PI
-    return 0.0 if reduced >= TWO_PI else reduced
 
 
 def extremal_observable(alpha: float, y: int) -> BlochObservable:

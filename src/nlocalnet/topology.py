@@ -50,10 +50,10 @@ class NodeId:
 
     @classmethod
     def parse(cls, name: str) -> "NodeId":
-        if not isinstance(name, str) or _NODE_NAME.fullmatch(name.strip()) is None:
+        match = _NODE_NAME.fullmatch(name.strip()) if isinstance(name, str) else None
+        if match is None:
             raise InvalidParameterError(
                 f"node name {name!r} must look like 'A3' or 'B1'")
-        match = _NODE_NAME.fullmatch(name.strip())
         kind = INTERMEDIATE if match.group(1) == "A" else EXTREMAL
         return cls(kind, int(match.group(2)))
 
@@ -83,6 +83,9 @@ class NetworkConfig:
     @property
     def l(self) -> int:
         """Intermediate node count (2n - p) / m; meaningful for valid layouts."""
+        if self.m < 1:
+            raise ConfigurationError(
+                f"particles per intermediate node m must be at least 1, got {self.m}")
         return (2 * self.n - self.p) // self.m
 
 
@@ -124,13 +127,11 @@ def build_chain(n: int) -> NetworkConfig:
 
 
 def build_star(n: int) -> NetworkConfig:
-    """Star layout (n, n, n): one hub holding a qubit of every source."""
+    """Star layout (n, n, n): one hub holding a qubit of every source; the
+    tree with m = n."""
     if n < 2:
         raise InvalidParameterError(f"star needs at least 2 sources, got {n}")
-    _check_source_count(n)
-    hub = NodeId.intermediate(1)
-    edges = {r: (NodeId.extremal(r), hub) for r in range(1, n + 1)}
-    return NetworkConfig(n=n, m=n, p=n, edges=edges)
+    return build_tree(n, n)
 
 
 def build_tree(n: int, m: int) -> NetworkConfig:

@@ -10,8 +10,8 @@ import numpy as np
 
 from helpers import random_instance
 from nlocalnet import (build_chain, build_star, build_tree, canonical_plan,
-                       closed_form_S, concurrence, evaluate_S, lhv_best_S,
-                       optimize_alpha_equal, sweep, validate)
+                       closed_form_S, closed_form_smax, concurrence, evaluate_S,
+                       lhv_best_S, sweep, validate)
 from nlocalnet.correlators import (correlator_factorized,
                                    correlator_statevector,
                                    distribution_correlator, joint_distribution)
@@ -111,7 +111,7 @@ def test_criterion_5_stationarity_and_grid():
     for trial in range(50):
         config = configs[trial % len(configs)]
         thetas = rng.uniform(0.0, 2 * PI, size=config.n).tolist()
-        alpha_star, smax = optimize_alpha_equal(thetas, config.p)
+        smax, alpha_star = closed_form_smax(thetas, config.p)
 
         def profile(alpha):
             plan = canonical_plan(config, [alpha] * config.p)

@@ -37,6 +37,42 @@ def test_generate_chain(tmp_path, capsys):
     assert doc["edges"][0] == {"source": 1, "ends": ["B1", "A1"]}
 
 
+STAR3_JSON = """{
+  "n": 3,
+  "m": 3,
+  "p": 3,
+  "edges": [
+    {
+      "source": 1,
+      "ends": [
+        "B1",
+        "A1"
+      ]
+    },
+    {
+      "source": 2,
+      "ends": [
+        "B2",
+        "A1"
+      ]
+    },
+    {
+      "source": 3,
+      "ends": [
+        "B3",
+        "A1"
+      ]
+    }
+  ]
+}
+"""
+
+
+def test_generate_star_bytes(capsys):
+    assert main(["generate", "star", "--n", "3"]) == 0
+    assert capsys.readouterr().out == STAR3_JSON
+
+
 def test_generate_tree_and_errors(tmp_path, capsys):
     out = tmp_path / "tree.json"
     assert main(["generate", "tree", "--n", "15", "--m", "3",

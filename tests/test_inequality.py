@@ -10,7 +10,7 @@ from helpers import random_instance, random_plan
 from nlocalnet import (InvalidParameterError, MeasurementPlan,
                        ResourceLimitError, build_chain, build_star, build_tree,
                        canonical_plan, closed_form_S, closed_form_smax,
-                       evaluate_I, evaluate_S, evaluate_S_from_correlator)
+                       evaluate_S, evaluate_S_from_correlator)
 from nlocalnet.correlators import correlator_factorized
 from nlocalnet.inequality import ENUMERATION_MAX_EXTREMAL, signed_y_average
 
@@ -24,7 +24,7 @@ def test_I0_is_product_of_cosines():
         thetas = [0.3 + 0.2 * r for r in range(config.n)]
         alphas = [0.4 + 0.3 * j for j in range(config.p)]
         plan = canonical_plan(config, alphas)
-        value = evaluate_I(config, thetas, plan, 0, (0,) * config.l)
+        value = evaluate_S(config, thetas, plan).i0
         expected = math.prod(math.cos(a) for a in alphas)
         assert value == pytest.approx(expected, abs=1e-12)
 
@@ -34,7 +34,7 @@ def test_I1_is_product_of_sines():
         thetas = [0.2 + 0.25 * r for r in range(config.n)]
         alphas = [0.5 + 0.2 * j for j in range(config.p)]
         plan = canonical_plan(config, alphas)
-        value = evaluate_I(config, thetas, plan, 1, (1,) * config.l)
+        value = evaluate_S(config, thetas, plan).i1
         expected = (math.prod(math.sin(a) for a in alphas)
                     * math.prod(math.sin(2 * t) for t in thetas))
         assert value == pytest.approx(expected, abs=1e-12)
@@ -43,8 +43,13 @@ def test_I1_is_product_of_sines():
 def test_I1_vanishes_for_zero_alphas():
     config = build_chain(2)
     plan = canonical_plan(config, [0.0, 0.0])
-    for x_bits in ((0,), (1,)):
-        assert evaluate_I(config, [0.8, 1.7], plan, 1, x_bits) == 0.0
+    assert evaluate_S(config, [0.8, 1.7], plan).i1 == 0.0
+
+    def corr(assignment):
+        return correlator_factorized(config, [0.8, 1.7], plan, assignment)
+
+    # the mixed input x = 0 under the I1 sign, through the oracle
+    assert signed_y_average(corr, config, 1, (0,)) == 0.0
 
 
 def test_maximal_violation_chain2():
@@ -53,8 +58,6 @@ def test_maximal_violation_chain2():
     result = evaluate_S(config, [PI / 4, PI / 4], plan)
     assert result.s == pytest.approx(math.sqrt(2), abs=1e-12)
     assert result.violated
-    assert result.bound == 1.0
-    assert result.x0 == (0,) and result.x1 == (1,)
     assert result.s == pytest.approx(
         abs(result.i0) ** 0.5 + abs(result.i1) ** 0.5, abs=1e-12)
 
@@ -116,18 +119,6 @@ def test_evaluate_matches_closed_form_six_sources():
             closed_form_S(thetas, alphas, config.p), abs=1e-10)
 
 
-def test_mixed_intermediate_inputs_on_a_chain():
-    # a z-product next to an x-product shares a source whose expectation
-    # vanishes, so any mixed input pattern kills the chain correlator
-    config = build_chain(3)
-    plan = canonical_plan(config, [0.8, 1.1])
-    thetas = [0.5, 1.9, 2.3]
-    for k in (0, 1):
-        for x_bits in ((0, 1), (1, 0)):
-            assert evaluate_I(config, thetas, plan, k, x_bits) == \
-                pytest.approx(0.0, abs=1e-12)
-
-
 @given(angles, angles, angles, angles)
 @settings(max_examples=60, deadline=None)
 def test_chain2_evaluate_matches_closed_form(t1, t2, a1, a2):
@@ -178,16 +169,12 @@ def test_factorized_route_matches_enumeration_oracle():
         def corr(assignment):
             return correlator_factorized(config, thetas, plan, assignment)
 
-        x_bits = [int(b) for b in rng.integers(0, 2, size=config.l)]
-        for k in (0, 1):
-            assert abs(evaluate_I(config, thetas, plan, k, x_bits)
-                       - signed_y_average(corr, config, k, x_bits)) <= 1e-12
         fast = evaluate_S(config, thetas, plan)
         slow = evaluate_S_from_correlator(corr, config)
         assert abs(fast.i0 - slow.i0) <= 1e-12
         assert abs(fast.i1 - slow.i1) <= 1e-12
         assert abs(fast.s - slow.s) <= 1e-12
-        assert (fast.x0, fast.x1, fast.violated) == (slow.x0, slow.x1, slow.violated)
+        assert fast.violated == slow.violated
 
 
 def test_enumeration_oracle_is_capped():
@@ -227,11 +214,9 @@ def test_evaluate_rejects_non_finite_angles(bad):
     with pytest.raises(InvalidParameterError):
         evaluate_S(config, [0.5, bad], plan)
     with pytest.raises(InvalidParameterError):
-        evaluate_I(config, [bad, 0.5], plan, 0, (0,))
+        evaluate_S(config, [bad, 0.5], plan)
     # a plan built by hand bypasses canonical_plan's check
     bad_plan = MeasurementPlan(intermediate=plan.intermediate,
                                alphas={**plan.alphas, next(iter(plan.alphas)): bad})
     with pytest.raises(InvalidParameterError):
         evaluate_S(config, [0.5, 0.6], bad_plan)
-    with pytest.raises(InvalidParameterError):
-        evaluate_I(config, [0.5, 0.6], bad_plan, 1, (1,))

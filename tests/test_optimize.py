@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from nlocalnet import (InvalidParameterError, ResourceLimitError, build_chain,
                        build_star, build_tree, canonical_plan, closed_form_S,
-                       closed_form_smax, evaluate_S, optimize_alpha_equal,
-                       sweep)
+                       closed_form_smax, evaluate_S, sweep)
 from nlocalnet.optimize import MAX_SWEEP_ROWS
 
 PI = math.pi
@@ -23,14 +22,14 @@ def equal_angle_profile(config, thetas):
 
 
 def test_equal_angle_examples():
-    alpha, smax = optimize_alpha_equal([PI / 4, PI / 4], 2)
+    smax, alpha = closed_form_smax([PI / 4, PI / 4], 2)
     assert alpha == pytest.approx(PI / 4, abs=1e-12)
     assert smax == pytest.approx(math.sqrt(2), abs=1e-12)
 
-    alpha, smax = optimize_alpha_equal([0.0, 1.0, 0.7], 2)
+    smax, alpha = closed_form_smax([0.0, 1.0, 0.7], 2)
     assert (alpha, smax) == (0.0, 1.0)
 
-    alpha, smax = optimize_alpha_equal([PI / 6, PI / 6], 2)
+    smax, alpha = closed_form_smax([PI / 6, PI / 6], 2)
     assert alpha == pytest.approx(math.atan(math.sqrt(3) / 2), abs=1e-12)
     assert smax == pytest.approx(math.sqrt(7) / 2, abs=1e-12)
 
@@ -40,7 +39,7 @@ def test_equal_angle_matches_fine_grid():
     alphas = np.arange(0.0, 2 * PI, 1e-4)
     for _ in range(10):
         thetas = rng.uniform(0, 2 * PI, size=3)
-        _, smax = optimize_alpha_equal(thetas, 2)
+        smax, _ = closed_form_smax(thetas, 2)
         k = abs(np.prod(np.sin(2 * thetas))) ** 0.5
         grid_best = float(np.max(np.abs(np.cos(alphas))
                                  + k * np.abs(np.sin(alphas))))
@@ -51,7 +50,7 @@ def test_equal_angle_matches_fine_grid():
 def test_stationarity_at_equal_angle_optimum():
     config = build_chain(2)
     thetas = [0.9, 0.4]
-    alpha_star, _ = optimize_alpha_equal(thetas, config.p)
+    _, alpha_star = closed_form_smax(thetas, config.p)
     profile = equal_angle_profile(config, thetas)
     h = 1e-6
     derivative = (profile(alpha_star + h) - profile(alpha_star - h)) / (2 * h)
@@ -70,7 +69,7 @@ def test_equal_angle_optimum_bounds_every_per_node_choice(layout, data):
     # Hoelder: no choice of per-node extremal angles beats the common angle.
     thetas = data.draw(st.lists(angles, min_size=layout.n, max_size=layout.n))
     alphas = data.draw(st.lists(angles, min_size=layout.p, max_size=layout.p))
-    alpha_star, smax = optimize_alpha_equal(thetas, layout.p)
+    smax, alpha_star = closed_form_smax(thetas, layout.p)
     assert closed_form_S(thetas, alphas, layout.p) <= smax + 1e-12
     assert evaluate_S(layout, thetas, canonical_plan(layout, alphas)).s <= smax + 1e-12
     at_star = canonical_plan(layout, [alpha_star] * layout.p)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nlocalnet import (BlochObservable, ConfigurationError,
                        InvalidParameterError, PAULI_X, PAULI_Z, build_chain,
                        canonical_plan, check_plan, concurrence,
-                       extremal_observable, normalize_angle, pair_expectation)
+                       extremal_observable, pair_expectation)
 from nlocalnet.correlators import bloch_matrix, source_state
 
 angles = st.floats(min_value=-20.0, max_value=20.0,
@@ -99,13 +99,6 @@ def test_pair_expectation_with_y_components():
         psi = source_state(theta)
         exact = np.vdot(psi, np.kron(bloch_matrix(first), bloch_matrix(second)) @ psi).real
         assert abs(pair_expectation(theta, first, second) - exact) < 1e-12
-
-
-def test_normalize_angle():
-    assert normalize_angle(0.0) == 0.0
-    assert normalize_angle(2 * math.pi) == 0.0
-    assert normalize_angle(-math.pi / 2) == pytest.approx(1.5 * math.pi, abs=1e-12)
-    assert normalize_angle(5 * math.pi) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_canonical_plan_shape_and_arity_check():

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from nlocalnet import (ConfigurationError, InvalidParameterError, NetworkConfig,
                        NodeId, ResourceLimitError, attachments, build_chain,
-                       build_star, build_tree, parse_config, serialize_config,
-                       validate)
+                       build_star, build_tree, canonical_plan,
+                       evaluate_S_from_correlator, intermediate_nodes,
+                       parse_config, serialize_config, validate)
 from nlocalnet.topology import MAX_SOURCES
 
 
@@ -194,6 +195,17 @@ def test_attachments_rejects_invalid_config():
     config = NetworkConfig(n=5, m=3, p=2, edges=build_chain(5).edges)
     with pytest.raises(ConfigurationError):
         attachments(config)
+
+
+@pytest.mark.parametrize("call", [
+    lambda config: canonical_plan(config, [0.1, 0.2]),
+    intermediate_nodes,
+    lambda config: evaluate_S_from_correlator(lambda assignment: 1.0, config),
+], ids=["canonical_plan", "intermediate_nodes", "evaluate_S_from_correlator"])
+def test_zero_particles_per_node_is_a_configuration_error(call):
+    config = NetworkConfig(n=2, m=0, p=2, edges=build_chain(2).edges)
+    with pytest.raises(ConfigurationError):
+        call(config)
 
 
 def test_parse_config_rejects_garbage():
