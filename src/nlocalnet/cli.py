@@ -167,19 +167,43 @@ def _cmd_maximize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _OpenedOnFirstWrite:
+    """Text sink that opens its file, truncating it, at the first write.
+
+    sweep writes nothing before its checks pass, so a sweep that fails them
+    leaves an existing --output file as it was.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.file = None
+
+    def write(self, text: str) -> int:
+        if self.file is None:
+            self.file = open(self.path, "w", encoding="utf-8", newline="")
+        return self.file.write(text)
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_topology(args.topology)
     grid = parse_angle_list(args.grid)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as sink:
+        sink = _OpenedOnFirstWrite(args.output)
+        try:
             sweep(config, grid, sink)
+        finally:
+            sink.close()
     else:
         sweep(config, grid, sys.stdout)
     return EXIT_OK
 
 
 def _cmd_lhv(args: argparse.Namespace) -> int:
-    config = _load_topology(args.topology)
+    config = _read_config(args.topology)  # lhv_best_S validates it
     best, model = lhv_best_S(config, alphabet_size=args.alphabet_size)
     report = {
         "best_s": best,

@@ -183,9 +183,20 @@ def closed_form_smax(thetas: Sequence[float], p: int) -> tuple[float, float]:
     |cos a| + K |sin a|, stationary at tan(a) = K with value sqrt(1 + K^2).
     Returns (smax, alpha_star).
     """
-    if p < 1:
-        raise InvalidParameterError(f"extremal node count p must be positive, got {p}")
+    root = _smax_root(p)
     check_finite("source", thetas)
     product = math.prod(math.sin(2.0 * t) for t in thetas)
-    k_value = abs(product) ** (1.0 / p)
+    return _smax_at(abs(product) ** root)
+
+
+def _smax_root(p: int) -> float:
+    """The exponent 1/p of K; p must be positive."""
+    if p < 1:
+        raise InvalidParameterError(f"extremal node count p must be positive, got {p}")
+    return 1.0 / p
+
+
+def _smax_at(k_value: float) -> tuple[float, float]:
+    """(smax, alpha_star) = (sqrt(1 + K^2), atan(K)): the one copy of the
+    formula, shared by closed_form_smax and optimize.sweep."""
     return math.sqrt(1.0 + k_value * k_value), math.atan(k_value)

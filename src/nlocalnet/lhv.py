@@ -147,7 +147,12 @@ def lhv_evaluate_S(config: NetworkConfig, model: LHVModel) -> EvaluationResult:
     over lhv_distribution to rounding.  Raises ResourceLimitError before the
     sum when the supports span more than MAX_SUPPORT_TUPLES symbol tuples.
     """
-    attach = validate_model(config, model)
+    return _contract(config, model, validate_model(config, model))
+
+
+def _contract(config: NetworkConfig, model: LHVModel,
+              attach: AttachmentMap) -> EvaluationResult:
+    """lhv_evaluate_S on a model already checked against the layout."""
     c = model.alphabet_size
     supports = [[s for s, w in enumerate(model.weights[r]) if w != 0.0]
                 for r in range(1, config.n + 1)]
@@ -185,16 +190,18 @@ def lhv_best_S(config: NetworkConfig,
     docstring, and the vertex model reaches it on every layout and alphabet.
     Every source puts weight (1, 0, ..., 0) on the alphabet and every
     response table is all zeros, so I0 = 1 and I1 = 0.  The witness is
-    recomputed from the returned model by lhv_evaluate_S.
+    recomputed from the returned model by lhv_evaluate_S's contraction.  The
+    layout is validated once, first; the model is built to match it and is
+    not checked again.
 
     Raises ResourceLimitError before any table or weight vector is built
     when the intermediate tables would hold more than MAX_MODEL_CELLS cells;
     its size is the rounded-up log2 of that cell count.
     """
+    attach = attachments(config)  # the only validation of the layout
     c = alphabet_size
     if c < 1:
         raise InvalidParameterError(f"alphabet size must be at least 1, got {c}")
-    attachments(config)  # validates the layout
     # Every intermediate node holds m sources, so the l tables hold
     # 2 * l * c**m cells; the exponent is finite for any Python int c.
     cell_bits = 1 + math.log2(config.l) + config.m * math.log2(c)
@@ -209,7 +216,7 @@ def lhv_best_S(config: NetworkConfig,
         intermediate={node: (bytes(c ** config.m),) * 2
                       for node in intermediate_nodes(config)},
         extremal={node: (bytes(c),) * 2 for node in extremal_nodes(config)})
-    return lhv_evaluate_S(config, model).s, model
+    return _contract(config, model, attach).s, model
 
 
 def model_to_jsonable(model: LHVModel) -> dict:

@@ -5,16 +5,27 @@ equal-angle closed form is the optimum over per-node angles as well: with
 K = |prod sin(2 theta_r)|^(1/p), Hoelder's inequality gives
 (prod |cos a_j|)^(1/p) + (prod K |sin a_j|)^(1/p)
 <= prod (|cos a_j| + K |sin a_j|)^(1/p) <= sqrt(1 + K^2), attained at a_j = atan(K).
+
+sweep visits the grid in odometer order, that of itertools.product (last
+angle fastest).  sin(2 theta) and the "%.9g" text of each grid point are
+made once, and so are the product of sines and the CSV text of each head,
+the first n - 1 angles shared by len(grid) consecutive rows; a row then
+costs one multiplication, the closed form and one formatted line.  The
+product runs left to right from 1, as math.prod does, so every row and
+every CSV byte equal closed_form_smax and "%.9g" row by row.  A head is
+built from its n - 1 angles, not extended from a shorter prefix: per-level
+prefix texts would cost n^2 on a one-point grid, and n may reach MAX_SOURCES.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
+import math
 from typing import Sequence, TextIO
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .inequality import VIOLATION_TOLERANCE, closed_form_smax
+from .inequality import VIOLATION_TOLERANCE, _smax_at, _smax_root
+from .quantum import check_finite
 from .topology import NetworkConfig
 
 MAX_SWEEP_ROWS = 1_000_000
@@ -25,30 +36,51 @@ def sweep(config: NetworkConfig, theta_grid: Sequence[float],
           ) -> list[tuple[tuple[float, ...], float, float, bool]]:
     """Tabulate the best equal-angle witness over a Cartesian grid of source angles.
 
-    Rows come in grid order; each holds the source-angle tuple, the optimal
-    common extremal angle, the witness value, and whether it clears the bound.
-    When a sink is given the table is also written as CSV with the header
-    theta_1,...,theta_n,alpha_star,smax,violated.  A grid of more than
-    MAX_SWEEP_ROWS combinations raises ResourceLimitError before any row is built.
+    Rows come in grid order (odometer order, last angle fastest); each holds
+    the source-angle tuple, the optimal common extremal angle, the witness
+    value, and whether it clears the bound.  Every row equals
+    closed_form_smax on its angle tuple, bit for bit (see the module
+    docstring).  When a sink is given the table is also written as CSV, one
+    write per line, each row as soon as it is made, with the header
+    theta_1,...,theta_n,alpha_star,smax,violated and every number as "%.9g".
+
+    Every check comes before the header: an empty grid, a non-finite angle or
+    p < 1 raise InvalidParameterError, and a grid of more than
+    MAX_SWEEP_ROWS combinations raises ResourceLimitError, with nothing
+    written to the sink.
     """
     if not theta_grid:
         raise InvalidParameterError("theta grid must not be empty")
-    row_count = len(theta_grid) ** config.n
+    n = config.n
+    row_count = len(theta_grid) ** n
     if row_count > MAX_SWEEP_ROWS:
         raise ResourceLimitError(
-            f"sweep of {len(theta_grid)} grid points over {config.n} sources "
-            f"needs {len(theta_grid)}^{config.n} rows, above the cap "
+            f"sweep of {len(theta_grid)} grid points over {n} sources "
+            f"needs {len(theta_grid)}^{n} rows, above the cap "
             f"{MAX_SWEEP_ROWS}", size=row_count)
-    rows = []
-    for combo in itertools.product(theta_grid, repeat=config.n):
-        smax, alpha_star = closed_form_smax(combo, config.p)
-        rows.append((combo, alpha_star, smax, smax > 1.0 + VIOLATION_TOLERANCE))
+    root = _smax_root(config.p)
+    check_finite("source", theta_grid)
+    threshold = 1.0 + VIOLATION_TOLERANCE
+    sines = [math.sin(2.0 * t) for t in theta_grid]
+    fields = [f"{t:.9g}," for t in theta_grid]
+    last = list(zip([(t,) for t in theta_grid], sines, fields))
+    # The first n - 1 angles of a row, as the tuple, their sines and their
+    # CSV fields, each in odometer order; one head serves len(theta_grid) rows.
+    heads = zip(itertools.product(theta_grid, repeat=n - 1),
+                itertools.product(sines, repeat=n - 1),
+                itertools.product(fields, repeat=n - 1))
     if sink is not None:
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow([f"theta_{r}" for r in range(1, config.n + 1)]
-                        + ["alpha_star", "smax", "violated"])
-        for combo, alpha_star, smax, violated in rows:
-            writer.writerow([f"{t:.9g}" for t in combo]
-                            + [f"{alpha_star:.9g}", f"{smax:.9g}",
-                               "true" if violated else "false"])
+        sink.write(",".join([f"theta_{r}" for r in range(1, n + 1)]
+                            + ["alpha_star", "smax", "violated"]) + "\n")
+    rows = []
+    for combo, head_sines, head_fields in heads:
+        product = math.prod(head_sines)
+        text = "".join(head_fields)
+        for t, s, field in last:
+            smax, alpha_star = _smax_at(abs(product * s) ** root)
+            violated = smax > threshold
+            rows.append((combo + t, alpha_star, smax, violated))
+            if sink is not None:
+                sink.write(f"{text}{field}{alpha_star:.9g},{smax:.9g},"
+                           f"{'true' if violated else 'false'}\n")
     return rows

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import nlocalnet.topology
 from nlocalnet import closed_form_S, parse_config
 from nlocalnet.cli import main, parse_angle, parse_angle_list
 
@@ -173,6 +174,35 @@ def test_sweep_command(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "theta_1,theta_2,alpha_star,smax,violated"
     assert len(lines) == 10
+
+
+def test_failed_sweep_leaves_the_output_file_alone(tmp_path, capsys):
+    topo = tmp_path / "chain6.json"
+    main(["generate", "chain", "--n", "6", "--output", str(topo)])
+    keep = tmp_path / "keep.csv"
+    keep.write_bytes(b"theta_1,earlier result\n")
+    grid = ",".join(str(0.1 * k) for k in range(11))  # 11^6 rows, above the cap
+    for output in (keep, tmp_path / "new.csv"):
+        assert main(["sweep", "--topology", str(topo), "--grid", grid,
+                     "--output", str(output)]) == 4
+    assert keep.read_bytes() == b"theta_1,earlier result\n"
+    assert not (tmp_path / "new.csv").exists()
+    assert capsys.readouterr().err.startswith("resource limit: ")
+
+
+def test_lhv_validates_the_layout_once(tmp_path, capsys, monkeypatch):
+    topo = tmp_path / "chain3.json"
+    main(["generate", "chain", "--n", "3", "--output", str(topo)])
+    calls = []
+    real_validate = nlocalnet.topology.validate
+
+    def counting_validate(config):
+        calls.append(config)
+        return real_validate(config)
+
+    monkeypatch.setattr(nlocalnet.topology, "validate", counting_validate)
+    assert main(["lhv", "--topology", str(topo), "--output", str(tmp_path / "m.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_lhv_command(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlocalnet import (InvalidParameterError, ResourceLimitError, build_chain,
+from nlocalnet import (VIOLATION_TOLERANCE, InvalidParameterError,
+                       NetworkConfig, ResourceLimitError, build_chain,
                        build_star, build_tree, canonical_plan, closed_form_S,
                        closed_form_smax, evaluate_S, sweep)
 from nlocalnet.optimize import MAX_SWEEP_ROWS
@@ -19,19 +22,6 @@ def equal_angle_profile(config, thetas):
         plan = canonical_plan(config, [alpha] * config.p)
         return evaluate_S(config, thetas, plan).s
     return profile
-
-
-def test_equal_angle_examples():
-    smax, alpha = closed_form_smax([PI / 4, PI / 4], 2)
-    assert alpha == pytest.approx(PI / 4, abs=1e-12)
-    assert smax == pytest.approx(math.sqrt(2), abs=1e-12)
-
-    smax, alpha = closed_form_smax([0.0, 1.0, 0.7], 2)
-    assert (alpha, smax) == (0.0, 1.0)
-
-    smax, alpha = closed_form_smax([PI / 6, PI / 6], 2)
-    assert alpha == pytest.approx(math.atan(math.sqrt(3) / 2), abs=1e-12)
-    assert smax == pytest.approx(math.sqrt(7) / 2, abs=1e-12)
 
 
 def test_equal_angle_matches_fine_grid():
@@ -123,3 +113,41 @@ def test_sweep_row_order_is_grid_order():
     rows = sweep(config, [0.1, 0.2])
     combos = [combo for combo, *_ in rows]
     assert combos == [(0.1, 0.1), (0.1, 0.2), (0.2, 0.1), (0.2, 0.2)]
+
+
+# A float zero, negative angles, pi/4, a repeated value and a Python int.
+EXACT_GRID = [0.0, -0.3, -1.1, PI / 4, 0.7, 0.7, 2]
+
+
+@pytest.mark.parametrize("config", [build_chain(3), build_star(4), build_tree(5, 3)],
+                         ids=["chain3", "star4", "tree5_3"])
+def test_sweep_is_closed_form_smax_row_by_row(config):
+    sink = io.StringIO()
+    rows = sweep(config, EXACT_GRID, sink)
+    expected = []
+    for combo in itertools.product(EXACT_GRID, repeat=config.n):
+        smax, alpha = closed_form_smax(combo, config.p)
+        expected.append((combo, alpha, smax, smax > 1.0 + VIOLATION_TOLERANCE))
+    assert rows == expected  # exact float equality, not approx
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow([f"theta_{r}" for r in range(1, config.n + 1)]
+                    + ["alpha_star", "smax", "violated"])
+    for combo, alpha, smax, violated in expected:
+        writer.writerow([f"{x:.9g}" for x in combo]
+                        + [f"{alpha:.9g}", f"{smax:.9g}", "true" if violated else "false"])
+    assert sink.getvalue() == reference.getvalue()
+
+
+@pytest.mark.parametrize("config, grid, error", [
+    (build_chain(3), [0.2, math.nan, 0.4], InvalidParameterError),
+    (build_chain(3), [0.2, 0.3, -math.inf], InvalidParameterError),
+    (build_chain(3), [], InvalidParameterError),
+    (NetworkConfig(n=2, m=2, p=0, edges={}), [0.2], InvalidParameterError),
+    (build_chain(6), [0.1 * k for k in range(11)], ResourceLimitError),
+], ids=["nan", "inf", "empty", "p0", "cap"])
+def test_sweep_checks_before_the_first_byte(config, grid, error):
+    sink = io.StringIO()
+    with pytest.raises(error):
+        sweep(config, grid, sink)
+    assert sink.getvalue() == ""

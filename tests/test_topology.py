@@ -82,10 +82,6 @@ def test_tree_five_three():
     assert validate(config) == []
 
 
-def test_tree_equal_arity_is_star():
-    assert build_tree(4, 4) == build_star(4)
-
-
 def test_tree_rejects_bad_divisibility():
     with pytest.raises(InvalidParameterError, match="divisible"):
         build_tree(6, 3)
