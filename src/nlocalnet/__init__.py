@@ -18,10 +18,9 @@ from .inequality import (VIOLATION_TOLERANCE, EvaluationResult, closed_form_S,
 from .lhv import (LHVModel, lhv_best_S, lhv_distribution, lhv_evaluate_S,
                   model_to_jsonable, validate_model)
 from .optimize import sweep
-from .quantum import (PAULI_X, PAULI_Y, PAULI_Z, BlochObservable,
-                      MeasurementPlan, SettingAssignment, canonical_plan,
-                      check_plan, concurrence, extremal_observable,
-                      pair_expectation)
+from .quantum import (PAULI_X, PAULI_Z, BlochObservable, MeasurementPlan,
+                      SettingAssignment, canonical_plan, check_plan,
+                      concurrence, extremal_observable, pair_expectation)
 from .topology import (AttachmentMap, NetworkConfig, NodeId, attachments,
                        build_chain, build_star, build_tree, extremal_nodes,
                        intermediate_nodes, parse_config, serialize_config,
@@ -41,7 +40,6 @@ __all__ = [
     "NlocalError",
     "NodeId",
     "PAULI_X",
-    "PAULI_Y",
     "PAULI_Z",
     "ResourceLimitError",
     "SettingAssignment",

@@ -99,7 +99,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         _require_params(args, "n", "m", "p", "edges")
         try:
             edges_doc = json.loads(args.edges)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or too many digits
             raise InvalidParameterError(f"--edges is not valid JSON: {exc}") from None
         config = _checked(parse_config(json.dumps(
             {"n": args.n, "m": args.m, "p": args.p, "edges": edges_doc})))

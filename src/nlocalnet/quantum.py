@@ -30,7 +30,6 @@ class BlochObservable:
 
 
 PAULI_X = BlochObservable(1.0, 0.0, 0.0)
-PAULI_Y = BlochObservable(0.0, 1.0, 0.0)
 PAULI_Z = BlochObservable(0.0, 0.0, 1.0)
 
 

@@ -5,7 +5,10 @@ particles each and p extremal nodes holding a single particle, with
 l = (2n - p) / m.  The node/source incidence structure must form a tree:
 every source bridges exactly two nodes, extremal nodes touch one source,
 intermediate nodes touch m of them, and the whole picture is connected
-with no cycles.
+with no cycles.  validate checks the tree in its one pass over the edge
+map: each source joins its two nodes in a union-find over the nodes, the
+remaining components show whether the network is connected, and it has a
+cycle exactly when n exceeds the node count minus the component count.
 
 Node names follow the "A<i>" / "B<j>" convention of the JSON topology
 files: intermediate nodes are A1..Al, extremal nodes B1..Bp.  Edge
@@ -55,7 +58,13 @@ class NodeId:
             raise InvalidParameterError(
                 f"node name {name!r} must look like 'A3' or 'B1'")
         kind = INTERMEDIATE if match.group(1) == "A" else EXTREMAL
-        return cls(kind, int(match.group(2)))
+        try:
+            index = int(match.group(2))
+        except ValueError:  # more digits than int() converts
+            raise InvalidParameterError(
+                f"node name index has {len(match.group(2))} digits, too many to read"
+            ) from None
+        return cls(kind, index)
 
     @property
     def name(self) -> str:
@@ -171,7 +180,19 @@ def build_tree(n: int, m: int) -> NetworkConfig:
 
 
 def validate(config: NetworkConfig) -> list[str]:
-    """Describe every violated layout invariant; an empty list means valid."""
+    """Describe every violated layout invariant; an empty list means valid.
+
+    The tree test treats each source as an edge between its two nodes and
+    unions the nodes it joins: the layout is connected when one component
+    remains, and acyclic when every source merged two components, that is
+    when n equals the node count minus the component count.
+    """
+    return _walk(config)[0]
+
+
+def _walk(config: NetworkConfig) -> tuple[list[str], dict[NodeId, list[int]]]:
+    # One pass over the edge map: the issues, and each node's sources in
+    # ascending order (the order attachments promises).
     issues: list[str] = []
     n, m, p = config.n, config.m, config.p
     if n < 2:
@@ -197,16 +218,31 @@ def validate(config: NetworkConfig) -> list[str]:
     if len(config.edges) != n or set(config.edges) != set(range(1, n + 1)):
         issues.append("edge map must assign exactly the sources 1..n")
 
-    degrees: dict[NodeId, int] = {}
+    # Nodes get positions 0, 1, ... in order of first sight; parent is a
+    # union-find forest over the positions, and each source joins its ends.
+    position: dict[NodeId, int] = {}
+    sources: list[list[int]] = []
+    parent = list(range(2 * len(config.edges)))
+    merges = 0
     for r in sorted(config.edges):
         u, v = config.edges[r]
-        if u == v:
+        i, j = position.setdefault(u, len(position)), position.setdefault(v, len(position))
+        if i == j:
             issues.append(f"source {r} has both particles at node {u.name}")
-        for node in (u, v):
-            degrees[node] = degrees.get(node, 0) + 1
+        for k in (i, j):
+            if k == len(sources):
+                sources.append([])
+            sources[k].append(r)
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            parent[i] = j
+            merges += 1
 
-    seen_inter = sorted(nd.index for nd in degrees if nd.kind == INTERMEDIATE)
-    seen_extr = sorted(nd.index for nd in degrees if nd.kind == EXTREMAL)
+    seen_inter = sorted(nd.index for nd in position if nd.kind == INTERMEDIATE)
+    seen_extr = sorted(nd.index for nd in position if nd.kind == EXTREMAL)
     if l is not None and (len(seen_inter) != max(l, 0)
                           or seen_inter != list(range(1, l + 1))):
         issues.append(
@@ -217,65 +253,30 @@ def validate(config: NetworkConfig) -> list[str]:
             f"extremal nodes must be exactly B1..B{p}, found "
             f"{[f'B{j}' for j in seen_extr]}")
 
-    for node in sorted(degrees, key=lambda nd: (nd.kind, nd.index)):
+    for node in sorted(position, key=lambda nd: (nd.kind, nd.index)):
         want = m if node.kind == INTERMEDIATE else 1
-        if degrees[node] != want:
-            issues.append(
-                f"node {node.name} touches {degrees[node]} sources, expected {want}")
+        degree = len(sources[position[node]])
+        if degree != want:
+            issues.append(f"node {node.name} touches {degree} sources, expected {want}")
 
-    issues.extend(_incidence_issues(config, degrees))
-    return issues
-
-
-def _incidence_issues(config: NetworkConfig,
-                      degrees: Mapping[NodeId, int]) -> list[str]:
-    # The bipartite node/source incidence graph must be a single tree.
-    parent: dict[object, object] = {node: node for node in degrees}
-    for r in config.edges:
-        parent[("source", r)] = ("source", r)
-
-    def find(item):
-        root = item
-        while parent[root] != root:
-            root = parent[root]
-        while parent[item] != root:
-            parent[item], item = root, parent[item]
-        return root
-
-    cycle = False
-    for r in sorted(config.edges):
-        for node in config.edges[r]:
-            root_a, root_b = find(("source", r)), find(node)
-            if root_a == root_b:
-                cycle = True
-            else:
-                parent[root_a] = root_b
-
-    issues = []
-    if cycle:
+    if len(config.edges) > merges:
         issues.append("the node/source incidence graph contains a cycle")
-    components = {find(item) for item in parent}
-    if len(components) > 1:
-        issues.append(f"the network is disconnected ({len(components)} components)")
-    return issues
+    components = len(position) - merges
+    if components > 1:
+        issues.append(f"the network is disconnected ({components} components)")
+    return issues, {node: sources[i] for node, i in position.items()}
 
 
 def attachments(config: NetworkConfig) -> AttachmentMap:
     """Sources reaching each node, for a valid layout."""
-    issues = validate(config)
+    issues, sources = _walk(config)
     if issues:
         raise ConfigurationError("invalid network layout: " + "; ".join(issues))
-    inter: dict[NodeId, list[int]] = {}
-    extr: dict[NodeId, int] = {}
-    for r in sorted(config.edges):
-        for node in config.edges[r]:
-            if node.kind == INTERMEDIATE:
-                inter.setdefault(node, []).append(r)
-            else:
-                extr[node] = r
     return AttachmentMap(
-        intermediate={node: tuple(sorted(rs)) for node, rs in inter.items()},
-        extremal=extr)
+        intermediate={node: tuple(rs) for node, rs in sources.items()
+                      if node.kind == INTERMEDIATE},
+        extremal={node: rs[0] for node, rs in sources.items()
+                  if node.kind == EXTREMAL})
 
 
 def serialize_config(config: NetworkConfig) -> str:
@@ -297,7 +298,7 @@ def parse_config(text: str) -> NetworkConfig:
     """Inverse of serialize_config; structural problems raise InvalidParameterError."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or too many digits
         raise InvalidParameterError(f"topology document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidParameterError("topology document must be a JSON object")

@@ -190,19 +190,52 @@ def test_failed_sweep_leaves_the_output_file_alone(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("resource limit: ")
 
 
-def test_lhv_validates_the_layout_once(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", [
+    ["lhv", "--topology", "TOPO"],
+    ["maximize", "--topology", "TOPO", "--theta", "0.1,0.2,0.3"],
+    ["sweep", "--topology", "TOPO", "--grid", "0.1,0.2"],
+    ["validate", "--topology", "TOPO"],
+    ["generate", "custom", "--n", "2", "--m", "2", "--p", "2", "--edges",
+     '[{"source": 1, "ends": ["B1", "A1"]}, {"source": 2, "ends": ["A1", "B2"]}]'],
+], ids=["lhv", "maximize", "sweep", "validate", "generate-custom"])
+def test_each_command_walks_the_layout_once(tmp_path, capsys, monkeypatch, command):
     topo = tmp_path / "chain3.json"
     main(["generate", "chain", "--n", "3", "--output", str(topo)])
     calls = []
-    real_validate = nlocalnet.topology.validate
+    real_walk = nlocalnet.topology._walk
 
-    def counting_validate(config):
+    def counting_walk(config):
         calls.append(config)
-        return real_validate(config)
+        return real_walk(config)
 
-    monkeypatch.setattr(nlocalnet.topology, "validate", counting_validate)
-    assert main(["lhv", "--topology", str(topo), "--output", str(tmp_path / "m.json")]) == 0
+    monkeypatch.setattr(nlocalnet.topology, "_walk", counting_walk)
+    assert main([str(topo) if arg == "TOPO" else arg for arg in command]) == 0
     assert len(calls) == 1
+
+
+BIG = "1" * 5000  # above the interpreter's 4300-digit limit on int()
+
+
+@pytest.mark.parametrize("command, document", [
+    (["validate", "--topology", "TOPO"],
+     '{"n": %s, "m": 2, "p": 2, "edges": []}' % BIG),
+    (["validate", "--topology", "TOPO"],
+     '{"n": 2, "m": 2, "p": 2, "edges": [{"source": %s, "ends": ["B1", "A1"]}]}' % BIG),
+    (["validate", "--topology", "TOPO"],
+     '{"n": 2, "m": 2, "p": 2, "edges": [{"source": 1, "ends": ["B1", "A%s"]}]}' % BIG),
+    (["generate", "custom", "--n", "2", "--m", "2", "--p", "2", "--edges",
+      '[{"source": %s, "ends": ["B1", "A1"]}]' % BIG], None),
+    (["generate", "custom", "--n", "2", "--m", "2", "--p", "2", "--edges",
+      '[{"source": 1, "ends": ["B1", "A%s"]}]' % BIG], None),
+], ids=["n", "source", "node-index", "edges-source", "edges-node-index"])
+def test_integers_above_the_digit_limit_exit_2(tmp_path, capsys, command, document):
+    topo = tmp_path / "big.json"
+    if document is not None:
+        topo.write_text(document)
+    assert main([str(topo) if arg == "TOPO" else arg for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_lhv_command(tmp_path, capsys):

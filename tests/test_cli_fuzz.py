@@ -69,13 +69,15 @@ def topology_bytes(draw, config) -> bytes:
             edges.append(edges[index])
         elif action == "end":
             edges[index]["ends"][draw(st.integers(0, 1))] = draw(st.sampled_from(
-                ["A1", "A2", "B1", "B9", "A0", "X1", "B99999999999", 3, None]))
+                ["A1", "A2", "B1", "B9", "A0", "X1", "B99999999999", "A" + "1" * 5000,
+                 3, None]))
         else:
             edges[index]["source"] = draw(st.sampled_from([0, -1, 7, "1", None, True]))
     elif damage == "text":
         return draw(st.sampled_from(
             ["", "{", "[]", "null", '{"n": 2}', "NaN", "[" * 5000,
-             '{"n": NaN, "m": 2, "p": 2, "edges": []}'])).encode()
+             '{"n": NaN, "m": 2, "p": 2, "edges": []}',
+             '{"n": %s, "m": 2, "p": 2, "edges": []}' % ("1" * 5000)])).encode()
     else:
         return b"\xff\xfe" + json.dumps(doc).encode()
     return json.dumps(doc).encode()

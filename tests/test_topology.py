@@ -128,6 +128,30 @@ def test_tree_invariants(m, layers):
     assert graph.number_of_nodes() == config.l + config.p + config.n
 
 
+NODES = st.builds(NodeId, st.sampled_from(["intermediate", "extremal"]),
+                  st.integers(1, 3))
+
+
+@given(st.lists(st.tuples(NODES, NODES), min_size=1, max_size=7))
+@settings(max_examples=300)
+def test_tree_verdict_agrees_with_networkx(ends):
+    # Few node names, so self-loops, parallel sources and several
+    # components all occur.  A MultiGraph keeps both edges of a source
+    # whose ends are one node; a Graph would merge them.
+    edges = dict(enumerate(ends, start=1))
+    graph = nx.MultiGraph()
+    for r, (u, v) in edges.items():
+        graph.add_edge(("S", r), u.name)
+        graph.add_edge(("S", r), v.name)
+    issues = validate(NetworkConfig(n=len(edges), m=2, p=2, edges=edges))
+    has_cycle = "the node/source incidence graph contains a cycle" in issues
+    assert has_cycle == (not nx.is_forest(graph))
+    components = nx.number_connected_components(graph)
+    disconnected = [issue for issue in issues if "disconnected" in issue]
+    assert disconnected == ([f"the network is disconnected ({components} components)"]
+                            if components > 1 else [])
+
+
 @given(st.integers(2, 8))
 @settings(max_examples=20)
 def test_serialization_round_trip(n):
