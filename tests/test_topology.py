@@ -12,7 +12,7 @@ from nlocalnet import (ConfigurationError, InvalidParameterError, NetworkConfig,
                        build_star, build_tree, canonical_plan,
                        evaluate_S_from_correlator, intermediate_nodes,
                        parse_config, serialize_config, validate)
-from nlocalnet.topology import MAX_SOURCES
+from nlocalnet.topology import EXTREMAL, INTERMEDIATE, MAX_SOURCES
 
 
 def incidence_graph(config):
@@ -128,8 +128,7 @@ def test_tree_invariants(m, layers):
     assert graph.number_of_nodes() == config.l + config.p + config.n
 
 
-NODES = st.builds(NodeId, st.sampled_from(["intermediate", "extremal"]),
-                  st.integers(1, 3))
+NODES = st.builds(NodeId, st.sampled_from([INTERMEDIATE, EXTREMAL]), st.integers(1, 3))
 
 
 @given(st.lists(st.tuples(NODES, NODES), min_size=1, max_size=7))
