@@ -135,7 +135,7 @@ def _angles(text: str, count: int, name: str) -> list[float]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _load_topology(args.topology)
+    config = _read_config(args.topology)  # evaluate_S validates it
     thetas = _angles(args.theta, config.n, "theta")
     alphas = _angles(args.alpha, config.p, "alpha")
     result = evaluate_S(config, thetas, canonical_plan(config, alphas))

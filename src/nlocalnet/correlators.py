@@ -78,8 +78,7 @@ def _check_statevector_size(config: NetworkConfig) -> None:
     if config.n > STATEVECTOR_MAX_SOURCES:
         raise ResourceLimitError(
             f"statevector route supports at most {STATEVECTOR_MAX_SOURCES} "
-            f"sources, got {config.n}",
-            size=4 ** config.n)
+            f"sources, got {config.n}")
 
 
 def _full_state(config: NetworkConfig, thetas: Sequence[float]) -> np.ndarray:

@@ -15,7 +15,3 @@ class ConfigurationError(NlocalError, ValueError):
 
 class ResourceLimitError(NlocalError, RuntimeError):
     """A computation would exceed a hard size cap."""
-
-    def __init__(self, message: str, size: int | None = None):
-        super().__init__(message)
-        self.size = size

@@ -18,7 +18,10 @@ product over sources, with input k at every intermediate end:
           * prod_{r with an extremal end} 1/2 sum_y (-1)^(k y) E_r(k, y).
 
 S then costs about 4n pair expectations, with the layout validated and the
-plan checked once, where the enumeration costs n 2^(p+1).  signed_y_average
+plan checked once, where the enumeration costs n 2^(p+1).  The factors are
+gathered per source from the layout's attachments: each intermediate node's
+settings are zipped with its sources, both in ascending source order, and
+each extremal node adds its two settings to its one source.  signed_y_average
 is the enumeration oracle: it serves any correlator, classical models
 included (lhv_evaluate_S), and the tests compare evaluate_S with it.  The
 two agree to rounding (within 1e-12), not bit for bit, because the
@@ -36,7 +39,7 @@ from .errors import ConfigurationError, InvalidParameterError, ResourceLimitErro
 from .quantum import (BlochObservable, MeasurementPlan, SettingAssignment,
                       check_finite, check_plan, extremal_observable,
                       pair_expectation)
-from .topology import INTERMEDIATE, NetworkConfig, NodeId, attachments
+from .topology import AttachmentMap, NetworkConfig, attachments
 
 VIOLATION_TOLERANCE = 1e-9
 # The enumeration oracle visits 2^p extremal inputs; refuse layouts beyond this.
@@ -97,42 +100,26 @@ def evaluate_S_from_correlator(correlator: Correlator,
     return _witness(config, i0, i1)
 
 
-_Slots = dict[tuple[NodeId, int], int]
-
-
-def _checked_slots(config: NetworkConfig, thetas: Sequence[float],
-                   plan: MeasurementPlan) -> _Slots:
-    """Check layout, angles and plan; map (intermediate node, source) to the
-    position of that source's factor in the node's product observable."""
-    attach = attachments(config)  # validates the layout
-    if len(thetas) != config.n:
-        raise ConfigurationError(f"need {config.n} source angles, got {len(thetas)}")
-    check_finite("source", thetas)
-    check_plan(config, plan)
-    check_finite("extremal", plan.alphas.values())
-    return {(node, r): slot for node, sources in attach.intermediate.items()
-            for slot, r in enumerate(sources)}
-
-
-def _end_observables(plan: MeasurementPlan, slots: _Slots, k: int,
-                     node: NodeId, r: int) -> tuple[BlochObservable, ...]:
-    """Settings at node's end of source r: the one for input k at an
-    intermediate node, the pair for inputs y = 0, 1 at an extremal node."""
-    if node.kind == INTERMEDIATE:
-        return (plan.intermediate[node][k][slots[node, r]],)
-    alpha = plan.alphas[node]
-    return extremal_observable(alpha, 0), extremal_observable(alpha, 1)
-
-
 def _contract(config: NetworkConfig, thetas: Sequence[float],
-              plan: MeasurementPlan, slots: _Slots, k: int) -> float:
-    """I_k, input k at every intermediate node, as one factor per source."""
+              plan: MeasurementPlan, attach: AttachmentMap, k: int) -> float:
+    """I_k, input k at every intermediate node, as one factor per source.
+
+    ends[r - 1] collects source r's settings: zipping a node's sources with
+    its input-k factors (both in ascending source order) gives one per
+    intermediate end, and an extremal end adds its pair for y = 0, 1.  End
+    order changes no bit: every product in pair_expectation commutes exactly.
+    """
+    ends: list[list[tuple[BlochObservable, ...]]] = [[] for _ in range(config.n)]
+    for node, sources in attach.intermediate.items():
+        for r, factor in zip(sources, plan.intermediate[node][k]):
+            ends[r - 1].append((factor,))
+    for node, r in attach.extremal.items():
+        alpha = plan.alphas[node]
+        ends[r - 1].append((extremal_observable(alpha, 0), extremal_observable(alpha, 1)))
     value = 1.0
-    for r in range(1, config.n + 1):
-        u, v = config.edges[r]
-        terms = [pair_expectation(thetas[r - 1], first, second)
-                 for first in _end_observables(plan, slots, k, u, r)
-                 for second in _end_observables(plan, slots, k, v, r)]
+    for theta, (near, far) in zip(thetas, ends):
+        terms = [pair_expectation(theta, first, second)
+                 for first in near for second in far]
         # Two terms (y = 0, 1) when one end is extremal; a valid layout has
         # no source with two extremal ends.
         if len(terms) == 2:
@@ -151,9 +138,14 @@ def evaluate_S(config: NetworkConfig, thetas: Sequence[float],
     Agrees with evaluate_S_from_correlator over correlator_factorized to
     rounding.
     """
-    slots = _checked_slots(config, thetas, plan)
-    i0 = _contract(config, thetas, plan, slots, 0)
-    i1 = _contract(config, thetas, plan, slots, 1)
+    attach = attachments(config)  # validates the layout
+    if len(thetas) != config.n:
+        raise ConfigurationError(f"need {config.n} source angles, got {len(thetas)}")
+    check_finite("source", thetas)
+    check_plan(config, plan)
+    check_finite("extremal", plan.alphas.values())
+    i0 = _contract(config, thetas, plan, attach, 0)
+    i1 = _contract(config, thetas, plan, attach, 1)
     return _witness(config, i0, i1)
 
 

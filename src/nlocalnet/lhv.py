@@ -209,7 +209,7 @@ def lhv_best_S(config: NetworkConfig,
     if cell_bits > cap_bits:
         raise ResourceLimitError(
             f"the classical model needs 2^{cell_bits:.6g} response-table "
-            f"cells, above the cap 2^{cap_bits:.6g}", size=math.ceil(cell_bits))
+            f"cells, above the cap 2^{cap_bits:.6g}")
     model = LHVModel(
         alphabet_size=c,
         weights={r: (1.0,) + (0.0,) * (c - 1) for r in range(1, config.n + 1)},
@@ -226,7 +226,7 @@ def model_to_jsonable(model: LHVModel) -> dict:
     """
     def rows(tables: Mapping[NodeId, tuple[bytes, bytes]]) -> dict:
         return {node.name: [row.translate(_DIGITS).decode() for row in tables[node]]
-                for node in sorted(tables, key=lambda nd: nd.index)}
+                for node in sorted(tables)}
 
     return {
         "alphabet_size": model.alphabet_size,

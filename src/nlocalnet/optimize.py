@@ -52,12 +52,11 @@ def sweep(config: NetworkConfig, theta_grid: Sequence[float],
     if not theta_grid:
         raise InvalidParameterError("theta grid must not be empty")
     n = config.n
-    row_count = len(theta_grid) ** n
-    if row_count > MAX_SWEEP_ROWS:
+    if len(theta_grid) ** n > MAX_SWEEP_ROWS:
         raise ResourceLimitError(
             f"sweep of {len(theta_grid)} grid points over {n} sources "
             f"needs {len(theta_grid)}^{n} rows, above the cap "
-            f"{MAX_SWEEP_ROWS}", size=row_count)
+            f"{MAX_SWEEP_ROWS}")
     root = _smax_root(config.p)
     check_finite("source", theta_grid)
     threshold = 1.0 + VIOLATION_TOLERANCE

@@ -110,10 +110,17 @@ def check_finite(label: str, values: Iterable[float]) -> None:
 
 
 def canonical_plan(config: NetworkConfig, alphas: Sequence[float]) -> MeasurementPlan:
-    """The standard plan: all-sigma_z products for input 0, all-sigma_x for input 1."""
+    """The standard plan: all-sigma_z products for input 0, all-sigma_x for input 1.
+
+    The layout may be unvalidated; an m above n (no valid layout has one)
+    is refused before any node's m factors are built.
+    """
     if len(alphas) != config.p:
         raise InvalidParameterError(
             f"need one extremal angle per extremal node ({config.p}), got {len(alphas)}")
+    if config.m > config.n:
+        raise ConfigurationError(
+            f"particles per intermediate node m={config.m} exceeds source count n={config.n}")
     check_finite("extremal", alphas)
     zs = (PAULI_Z,) * config.m
     xs = (PAULI_X,) * config.m

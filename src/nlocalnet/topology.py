@@ -22,7 +22,7 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
 
@@ -36,9 +36,13 @@ _NODE_NAME = re.compile(r"([AB])([1-9][0-9]*)")
 MAX_SOURCES = 100_000
 
 
-@dataclass(frozen=True)
-class NodeId:
-    """A network party; intermediate nodes hold m particles, extremal nodes one."""
+class NodeId(NamedTuple):
+    """A network party; intermediate nodes hold m particles, extremal nodes one.
+
+    A named tuple equal to (kind, index), so it hashes, compares and sorts
+    as that tuple does: extremal nodes sort before intermediate ones, and
+    each kind by index.
+    """
 
     kind: str
     index: int
@@ -117,7 +121,7 @@ def extremal_nodes(config: NetworkConfig) -> list[NodeId]:
 def _check_source_count(n: int) -> None:
     if n > MAX_SOURCES:
         raise ResourceLimitError(
-            f"layout has {n} sources, above the cap {MAX_SOURCES}", size=n)
+            f"layout has {n} sources, above the cap {MAX_SOURCES}")
 
 
 def build_chain(n: int) -> NetworkConfig:
@@ -253,7 +257,7 @@ def _walk(config: NetworkConfig) -> tuple[list[str], dict[NodeId, list[int]]]:
             f"extremal nodes must be exactly B1..B{p}, found "
             f"{[f'B{j}' for j in seen_extr]}")
 
-    for node in sorted(position, key=lambda nd: (nd.kind, nd.index)):
+    for node in sorted(position):
         want = m if node.kind == INTERMEDIATE else 1
         degree = len(sources[position[node]])
         if degree != want:

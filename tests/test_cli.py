@@ -154,6 +154,20 @@ def test_evaluate_command(tmp_path, capsys):
                  "--theta", "0.25pi,0.25pi", "--alpha", "0.25pi"]) == 2
 
 
+def test_evaluate_checks_m_before_building_the_plan(tmp_path, capsys):
+    # evaluate validates the layout inside evaluate_S, after the canonical
+    # plan is built with m factors per node; an m above n must stop first.
+    topo = tmp_path / "big_m.json"
+    main(["generate", "chain", "--n", "2", "--output", str(topo)])
+    doc = json.loads(topo.read_text())
+    doc["m"] = 10 ** 30
+    topo.write_text(json.dumps(doc))
+    assert main(["evaluate", "--topology", str(topo),
+                 "--theta", "0.1,0.2", "--alpha", "0.3,0.4"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "exceeds source count" in err
+
+
 def test_maximize_command(tmp_path, capsys):
     topo = tmp_path / "star3.json"
     main(["generate", "star", "--n", "3", "--output", str(topo)])
@@ -191,13 +205,14 @@ def test_failed_sweep_leaves_the_output_file_alone(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
+    ["evaluate", "--topology", "TOPO", "--theta", "0.1,0.2,0.3", "--alpha", "0.4,0.5"],
     ["lhv", "--topology", "TOPO"],
     ["maximize", "--topology", "TOPO", "--theta", "0.1,0.2,0.3"],
     ["sweep", "--topology", "TOPO", "--grid", "0.1,0.2"],
     ["validate", "--topology", "TOPO"],
     ["generate", "custom", "--n", "2", "--m", "2", "--p", "2", "--edges",
      '[{"source": 1, "ends": ["B1", "A1"]}, {"source": 2, "ends": ["A1", "B2"]}]'],
-], ids=["lhv", "maximize", "sweep", "validate", "generate-custom"])
+], ids=["evaluate", "lhv", "maximize", "sweep", "validate", "generate-custom"])
 def test_each_command_walks_the_layout_once(tmp_path, capsys, monkeypatch, command):
     topo = tmp_path / "chain3.json"
     main(["generate", "chain", "--n", "3", "--output", str(topo)])

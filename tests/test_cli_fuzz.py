@@ -5,6 +5,8 @@ exception.  Stdout must be strict JSON (no NaN or Infinity), a CSV table of
 finite numbers, or the validate report; a failure (2 or 4) writes exactly one
 line to stderr.  Inputs stay small: layouts have at most four sources, and
 `lhv` builds the vertex model, whose size cap only a huge alphabet reaches.
+The raw-text topology documents are drawn rarely, so an explicit test also
+runs each of them through every subcommand that reads a topology.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +32,10 @@ BAD_ANGLES = st.sampled_from(["inf", "-inf", "nan", "infpi", "nanpi", "1e400",
                               "1e400pi", "", "two", "0x1p3", "pipi"])
 SIZES = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["1000000000000", "x", "1.5"]))
 SUBCOMMANDS = ["generate", "validate", "evaluate", "maximize", "sweep", "lhv"]
+RAW_TEXT = ["", "{", "[]", "null", '{"n": 2}', "NaN", "[" * 5000,
+            '{"n": NaN, "m": 2, "p": 2, "edges": []}',
+            '{"n": %s, "m": 2, "p": 2, "edges": []}' % ("1" * 5000)]
+LONG_NAME = "A" + "1" * 5000
 
 
 def often(draw) -> bool:
@@ -69,15 +76,12 @@ def topology_bytes(draw, config) -> bytes:
             edges.append(edges[index])
         elif action == "end":
             edges[index]["ends"][draw(st.integers(0, 1))] = draw(st.sampled_from(
-                ["A1", "A2", "B1", "B9", "A0", "X1", "B99999999999", "A" + "1" * 5000,
+                ["A1", "A2", "B1", "B9", "A0", "X1", "B99999999999", LONG_NAME,
                  3, None]))
         else:
             edges[index]["source"] = draw(st.sampled_from([0, -1, 7, "1", None, True]))
     elif damage == "text":
-        return draw(st.sampled_from(
-            ["", "{", "[]", "null", '{"n": 2}', "NaN", "[" * 5000,
-             '{"n": NaN, "m": 2, "p": 2, "edges": []}',
-             '{"n": %s, "m": 2, "p": 2, "edges": []}' % ("1" * 5000)])).encode()
+        return draw(st.sampled_from(RAW_TEXT)).encode()
     else:
         return b"\xff\xfe" + json.dumps(doc).encode()
     return json.dumps(doc).encode()
@@ -159,3 +163,26 @@ def test_cli_never_escapes_the_documented_exit_codes(data):
     check_stdout(argv[0], code, out)
     if code in (2, 4):
         assert len(err.splitlines()) == 1, (argv, err)
+
+
+LONG_NAME_DOC = serialize_config(build_chain(2)).replace('"A1"', json.dumps(LONG_NAME), 1)
+TOPOLOGY_READERS = [
+    ["validate"],
+    ["evaluate", "--theta", "0.1,0.2", "--alpha", "0.3,0.4"],
+    ["maximize", "--theta", "0.1,0.2"],
+    ["sweep", "--grid", "0.1,0.2"],
+    ["lhv"],
+]
+
+
+@pytest.mark.parametrize("document", [*RAW_TEXT, LONG_NAME_DOC], ids=[
+    "empty", "open-brace", "list", "null", "n-only", "NaN", "deep-list", "n-NaN",
+    "n-5000-digits", "node-name-5000-digits"])
+@pytest.mark.parametrize("command", TOPOLOGY_READERS, ids=lambda argv: argv[0])
+def test_every_raw_topology_text_is_one_line_exit_2(tmp_path, document, command):
+    topology = tmp_path / "topology.json"
+    topology.write_text(document, encoding="utf-8")
+    argv = [command[0], "--topology", str(topology), *command[1:]]
+    code, out, err = run(argv)
+    assert code == 2, (argv, err)
+    assert out == "" and len(err.splitlines()) == 1, (argv, out, err)

@@ -14,7 +14,7 @@ from nlocalnet import (ConfigurationError, LHVModel, NodeId,
                        lhv_distribution, lhv_evaluate_S, model_to_jsonable,
                        validate_model)
 from nlocalnet.correlators import distribution_correlator
-from nlocalnet.lhv import MAX_SUPPORT_TUPLES
+from nlocalnet.lhv import MAX_MODEL_CELLS, MAX_SUPPORT_TUPLES
 
 
 def point_mass_model(config, symbol=0, c=2):
@@ -162,9 +162,10 @@ def test_best_S_resource_cap():
         with pytest.raises(ResourceLimitError) as excinfo:
             lhv_best_S(config, alphabet_size=c)
         assert time.perf_counter() - start < 0.1
-        assert isinstance(excinfo.value.size, int) and excinfo.value.size > 0
         message = str(excinfo.value)
         assert "2^" in message and "inf" not in message and "nan" not in message
+        needed = float(message.split("needs 2^")[1].split()[0])
+        assert math.log2(MAX_MODEL_CELLS) < needed < math.inf
 
 
 def traced_peak(call) -> int:

@@ -1,9 +1,13 @@
-"""README's library example runs and prints what its comments say."""
+"""README's library example and CLI block run and print what their comments say."""
 
 import contextlib
 import io
+import json
 import re
+import shlex
 from pathlib import Path
+
+from nlocalnet.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +23,23 @@ def test_library_example_prints_what_its_comments_say():
     assert best_line == "1.0"
     assert hub_line.count("b'" + r"\x00" * 8 + "'") == 2
     assert abs(float(oracle_line) - 2 ** -1.5) <= 1e-12
+
+
+def test_cli_block_runs_and_evaluate_prints_what_its_comment_says(
+        tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("nlocalnet ")]
+    assert [argv[0] for argv in commands] == [
+        "generate", "generate", "validate", "evaluate", "maximize", "sweep", "lhv"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 0, argv
+        if argv[0] == "evaluate":
+            report = json.loads(capsys.readouterr().out)
+    comment = lines[next(i for i, line in enumerate(lines)
+                         if line.startswith("nlocalnet evaluate ")) + 1]
+    assert '"S": 1.414...' in comment and '"violated": true' in comment
+    assert str(report["S"]).startswith("1.414") and report["violated"] is True

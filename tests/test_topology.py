@@ -210,6 +210,22 @@ def test_validate_reports_bad_degree():
     assert any("touches" in issue for issue in issues)
 
 
+def test_validate_reports_degrees_extremal_first_then_by_index():
+    # Nodes are first seen as A4, B2, A1, B1; the degree issues come in
+    # NodeId order instead: extremal before intermediate, each by index.
+    a, b = NodeId.intermediate, NodeId.extremal
+    edges = {1: (a(4), b(2)), 2: (b(2), a(1)), 3: (a(1), a(4)),
+             4: (a(4), b(1)), 5: (b(1), a(1))}
+    assert validate(NetworkConfig(n=5, m=2, p=2, edges=edges)) == [
+        "intermediate nodes must be exactly A1..A4, found ['A1', 'A4']",
+        "node B1 touches 2 sources, expected 1",
+        "node B2 touches 2 sources, expected 1",
+        "node A1 touches 3 sources, expected 2",
+        "node A4 touches 3 sources, expected 2",
+        "the node/source incidence graph contains a cycle",
+    ]
+
+
 def test_attachments_rejects_invalid_config():
     config = NetworkConfig(n=5, m=3, p=2, edges=build_chain(5).edges)
     with pytest.raises(ConfigurationError):
