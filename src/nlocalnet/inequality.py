@@ -17,15 +17,15 @@ product over sources, with input k at every intermediate end:
     I_k = prod_{r between two intermediate nodes} E_r(k)
           * prod_{r with an extremal end} 1/2 sum_y (-1)^(k y) E_r(k, y).
 
-S then costs about 4n pair expectations, with the layout validated and the
-plan checked once, where the enumeration costs n 2^(p+1).  The factors are
-gathered per source from the layout's attachments: each intermediate node's
-settings are zipped with its sources, both in ascending source order, and
-each extremal node adds its two settings to its one source.  signed_y_average
-is the enumeration oracle: it serves any correlator, classical models
-included (lhv_evaluate_S), and the tests compare evaluate_S with it.  The
-two agree to rounding (within 1e-12), not bit for bit, because the
-arithmetic is done in a different order.
+S then costs 2n + 2p pair expectations, with the layout validated and the
+plan checked once, where the enumeration costs n 2^(p+1).  Both ingredients
+are contracted in one pass over the sources: each source's intermediate-end
+settings are gathered once, as (input 0, input 1) pairs, from the layout's
+attachments, and each extremal node's two settings are built once and serve
+both I0 and I1.  signed_y_average is the enumeration oracle: it serves any
+correlator, classical models included (lhv_evaluate_S), and the tests compare
+evaluate_S with it.  The two agree to rounding (within 1e-12), not bit for
+bit, because the arithmetic is done in a different order.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from typing import Callable, Sequence
 
 from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
 from .quantum import (BlochObservable, MeasurementPlan, SettingAssignment,
-                      check_finite, check_plan, extremal_observable,
-                      pair_expectation)
+                      _check_source_angles, check_finite, check_plan,
+                      extremal_observable, pair_expectation)
 from .topology import AttachmentMap, NetworkConfig, attachments
 
 VIOLATION_TOLERANCE = 1e-9
@@ -101,32 +101,35 @@ def evaluate_S_from_correlator(correlator: Correlator,
 
 
 def _contract(config: NetworkConfig, thetas: Sequence[float],
-              plan: MeasurementPlan, attach: AttachmentMap, k: int) -> float:
-    """I_k, input k at every intermediate node, as one factor per source.
+              plan: MeasurementPlan, attach: AttachmentMap) -> tuple[float, float]:
+    """(I0, I1) in one pass, each a product of one factor per source.
 
-    ends[r - 1] collects source r's settings: zipping a node's sources with
-    its input-k factors (both in ascending source order) gives one per
-    intermediate end, and an extremal end adds its pair for y = 0, 1.  End
-    order changes no bit: every product in pair_expectation commutes exactly.
+    ends[r - 1] lists source r's intermediate-end settings as (input 0,
+    input 1) pairs; extremal[r - 1] holds its extremal end's two settings,
+    built once for both.  End order changes no bit: pair_expectation commutes.
     """
     ends: list[list[tuple[BlochObservable, ...]]] = [[] for _ in range(config.n)]
     for node, sources in attach.intermediate.items():
-        for r, factor in zip(sources, plan.intermediate[node][k]):
-            ends[r - 1].append((factor,))
+        for r, zero, one in zip(sources, *plan.intermediate[node]):
+            ends[r - 1].append((zero, one))
+    extremal: list[tuple[BlochObservable, ...] | None] = [None] * config.n
     for node, r in attach.extremal.items():
         alpha = plan.alphas[node]
-        ends[r - 1].append((extremal_observable(alpha, 0), extremal_observable(alpha, 1)))
-    value = 1.0
-    for theta, (near, far) in zip(thetas, ends):
-        terms = [pair_expectation(theta, first, second)
-                 for first in near for second in far]
-        # Two terms (y = 0, 1) when one end is extremal; a valid layout has
-        # no source with two extremal ends.
-        if len(terms) == 2:
-            value *= 0.5 * (terms[0] - terms[1] if k else terms[0] + terms[1])
-        else:
-            value *= terms[0]
-    return value
+        extremal[r - 1] = (extremal_observable(alpha, 0), extremal_observable(alpha, 1))
+    i0 = i1 = 1.0
+    for theta, inner, outer in zip(thetas, ends, extremal):
+        if outer is None:  # both ends intermediate
+            (a0, a1), (b0, b1) = inner
+            i0 *= pair_expectation(theta, a0, b0)
+            i1 *= pair_expectation(theta, a1, b1)
+        else:  # one extremal end: a valid layout has no source with two
+            [(a0, a1)] = inner
+            up, down = outer
+            i0 *= 0.5 * (pair_expectation(theta, a0, up)
+                         + pair_expectation(theta, a0, down))
+            i1 *= 0.5 * (pair_expectation(theta, a1, up)
+                         - pair_expectation(theta, a1, down))
+    return i0, i1
 
 
 def evaluate_S(config: NetworkConfig, thetas: Sequence[float],
@@ -134,19 +137,17 @@ def evaluate_S(config: NetworkConfig, thetas: Sequence[float],
     """Witness with all-zero intermediate inputs in I0 and all-one in I1.
 
     Validates the layout and checks the plan once, then contracts I0 and I1
-    per source (see the module docstring): linear in the number of sources.
+    in one pass (see the module docstring): linear in the number of sources.
     Agrees with evaluate_S_from_correlator over correlator_factorized to
     rounding.
     """
     attach = attachments(config)  # validates the layout
     if len(thetas) != config.n:
         raise ConfigurationError(f"need {config.n} source angles, got {len(thetas)}")
-    check_finite("source", thetas)
+    _check_source_angles(thetas)
     check_plan(config, plan)
     check_finite("extremal", plan.alphas.values())
-    i0 = _contract(config, thetas, plan, attach, 0)
-    i1 = _contract(config, thetas, plan, attach, 1)
-    return _witness(config, i0, i1)
+    return _witness(config, *_contract(config, thetas, plan, attach))
 
 
 def closed_form_S(thetas: Sequence[float], alphas: Sequence[float],
@@ -159,7 +160,7 @@ def closed_form_S(thetas: Sequence[float], alphas: Sequence[float],
     if p < 1 or len(alphas) != p:
         raise InvalidParameterError(
             f"need exactly p = {p} extremal angles, got {len(alphas)}")
-    check_finite("source", thetas)
+    _check_source_angles(thetas)
     check_finite("extremal", alphas)
     cos_term = math.prod(math.cos(a) for a in alphas)
     sin_term = (math.prod(math.sin(a) for a in alphas)
@@ -176,7 +177,7 @@ def closed_form_smax(thetas: Sequence[float], p: int) -> tuple[float, float]:
     Returns (smax, alpha_star).
     """
     root = _smax_root(p)
-    check_finite("source", thetas)
+    _check_source_angles(thetas)
     product = math.prod(math.sin(2.0 * t) for t in thetas)
     return _smax_at(abs(product) ** root)
 

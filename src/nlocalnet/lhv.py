@@ -195,8 +195,7 @@ def lhv_best_S(config: NetworkConfig,
     not checked again.
 
     Raises ResourceLimitError before any table or weight vector is built
-    when the intermediate tables would hold more than MAX_MODEL_CELLS cells;
-    its size is the rounded-up log2 of that cell count.
+    when the intermediate tables would hold more than MAX_MODEL_CELLS cells.
     """
     attach = attachments(config)  # the only validation of the layout
     c = alphabet_size

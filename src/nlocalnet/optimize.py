@@ -25,7 +25,7 @@ from typing import Sequence, TextIO
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .inequality import VIOLATION_TOLERANCE, _smax_at, _smax_root
-from .quantum import check_finite
+from .quantum import _check_source_angles
 from .topology import NetworkConfig
 
 MAX_SWEEP_ROWS = 1_000_000
@@ -58,7 +58,7 @@ def sweep(config: NetworkConfig, theta_grid: Sequence[float],
             f"needs {len(theta_grid)}^{n} rows, above the cap "
             f"{MAX_SWEEP_ROWS}")
     root = _smax_root(config.p)
-    check_finite("source", theta_grid)
+    _check_source_angles(theta_grid)
     threshold = 1.0 + VIOLATION_TOLERANCE
     sines = [math.sin(2.0 * t) for t in theta_grid]
     fields = [f"{t:.9g}," for t in theta_grid]

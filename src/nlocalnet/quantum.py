@@ -109,6 +109,16 @@ def check_finite(label: str, values: Iterable[float]) -> None:
             raise InvalidParameterError(f"{label} angles must be finite, got {value!r}")
 
 
+def _check_source_angles(thetas: Sequence[float]) -> None:
+    """check_finite for source angles, which also refuses a theta whose
+    2 theta overflows: sin(2 theta) would raise a bare ValueError on it."""
+    check_finite("source", thetas)
+    for theta in thetas:
+        if not math.isfinite(2.0 * theta):
+            raise InvalidParameterError(
+                f"source angle {theta!r} is too large: 2 theta is not finite")
+
+
 def canonical_plan(config: NetworkConfig, alphas: Sequence[float]) -> MeasurementPlan:
     """The standard plan: all-sigma_z products for input 0, all-sigma_x for input 1.
 

@@ -319,6 +319,11 @@ def test_evaluate_output_file_matches_stdout(tmp_path, capsys):
     ("evaluate", ["--theta", "0.25pi,0.25pi", "--alpha", "0.25pi,inf"]),
     ("evaluate", ["--theta", "0.25pi,0.25pi", "--alpha", "0.25pi,nan"]),
     ("maximize", ["--theta", "nan,0.4"]),
+    # finite, but 2 theta overflows inside sin(2 theta)
+    ("evaluate", ["--theta", "1e308,0.25pi", "--alpha", "0.25pi,0.25pi"]),
+    ("maximize", ["--theta", "0.4,1e308"]),
+    ("sweep", ["--grid", "0.1,1e308"]),
+    ("maximize", ["--theta", "0.4,-5e307pi"]),
 ])
 def test_non_finite_angles_exit_2(tmp_path, capsys, command, angles):
     topo = tmp_path / "chain2.json"

@@ -28,8 +28,9 @@ LAYOUTS = [build_chain(2), build_chain(3), build_chain(4), build_star(3),
            build_star(4), build_tree(3, 3), build_tree(4, 2)]
 GOOD_ANGLES = st.one_of(st.floats(-7.0, 7.0, allow_nan=False).map(repr),
                         st.sampled_from(["0", "pi", "-pi", "+pi", "0.25pi", " 0.5 pi "]))
-BAD_ANGLES = st.sampled_from(["inf", "-inf", "nan", "infpi", "nanpi", "1e400",
-                              "1e400pi", "", "two", "0x1p3", "pipi"])
+BAD_ANGLE_TEXT = ["inf", "-inf", "nan", "infpi", "nanpi", "1e400", "1e400pi", "",
+                  "two", "0x1p3", "pipi", "1e308", "-5e307pi"]
+BAD_ANGLES = st.sampled_from(BAD_ANGLE_TEXT)
 SIZES = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["1000000000000", "x", "1.5"]))
 SUBCOMMANDS = ["generate", "validate", "evaluate", "maximize", "sweep", "lhv"]
 RAW_TEXT = ["", "{", "[]", "null", '{"n": 2}', "NaN", "[" * 5000,
@@ -183,6 +184,25 @@ def test_every_raw_topology_text_is_one_line_exit_2(tmp_path, document, command)
     topology = tmp_path / "topology.json"
     topology.write_text(document, encoding="utf-8")
     argv = [command[0], "--topology", str(topology), *command[1:]]
+    code, out, err = run(argv)
+    assert code == 2, (argv, err)
+    assert out == "" and len(err.splitlines()) == 1, (argv, out, err)
+
+
+ANGLE_READERS = [
+    ["evaluate", "--alpha", "0.3,0.4", "--theta"],
+    ["maximize", "--theta"],
+    ["sweep", "--grid"],
+]
+
+
+@pytest.mark.parametrize("bad", BAD_ANGLE_TEXT, ids=lambda text: text or "empty")
+@pytest.mark.parametrize("command", ANGLE_READERS, ids=lambda argv: argv[0])
+def test_every_bad_angle_is_one_line_exit_2(tmp_path, command, bad):
+    """Each BAD_ANGLES entry, which the derandomized draws above mostly skip."""
+    topology = tmp_path / "chain2.json"
+    topology.write_text(serialize_config(build_chain(2)), encoding="utf-8")
+    argv = [command[0], "--topology", str(topology), *command[1:], f"0.1,{bad}"]
     code, out, err = run(argv)
     assert code == 2, (argv, err)
     assert out == "" and len(err.splitlines()) == 1, (argv, out, err)

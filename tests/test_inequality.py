@@ -11,6 +11,7 @@ from nlocalnet import (InvalidParameterError, MeasurementPlan,
                        ResourceLimitError, build_chain, build_star, build_tree,
                        canonical_plan, closed_form_S, closed_form_smax,
                        evaluate_S, evaluate_S_from_correlator)
+from nlocalnet import inequality
 from nlocalnet.correlators import correlator_factorized
 from nlocalnet.inequality import ENUMERATION_MAX_EXTREMAL, signed_y_average
 
@@ -215,8 +216,69 @@ def test_evaluate_rejects_non_finite_angles(bad):
         evaluate_S(config, [0.5, bad], plan)
     with pytest.raises(InvalidParameterError):
         evaluate_S(config, [bad, 0.5], plan)
+    # finite, but 2 theta overflows inside sin(2 theta)
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        evaluate_S(config, [0.5, 1e308], plan)
     # a plan built by hand bypasses canonical_plan's check
     bad_plan = MeasurementPlan(intermediate=plan.intermediate,
                                alphas={**plan.alphas, next(iter(plan.alphas)): bad})
     with pytest.raises(InvalidParameterError):
         evaluate_S(config, [0.5, 0.6], bad_plan)
+
+
+@pytest.mark.parametrize("config", [build_star(5), build_tree(7, 3)],
+                         ids=["star5", "tree7_3"])
+def test_evaluate_S_builds_each_setting_once(config, monkeypatch):
+    """2p extremal settings (y = 0, 1 per extremal node, shared by I0 and
+    I1) and 2n + 2p pair expectations: two per source, plus two more for
+    each source with an extremal end."""
+    calls = {"extremal_observable": 0, "pair_expectation": 0}
+
+    def counting(name):
+        real = getattr(inequality, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(inequality, name, counting(name))
+    plan = canonical_plan(config, [0.3] * config.p)
+    evaluate_S(config, [0.4] * config.n, plan)
+    assert calls == {"extremal_observable": 2 * config.p,
+                     "pair_expectation": 2 * config.n + 2 * config.p}
+
+
+# float.hex of (I0, I1, S) per layout and plan; a reordered product changes them.
+PINNED_BITS = {
+    ("chain3", "canonical"): ("-0x1.8a0423a83c833p-5", "0x1.2543137642902p-2",
+                              "0x1.8249353e04caep-1"),
+    ("chain3", "bloch"): ("-0x1.e423b07d767ffp-5", "-0x1.096e85d5e3339p-13",
+                          "0x1.047529c338dbdp-2"),
+    ("star4", "canonical"): ("-0x1.80cd63b403bb1p-4", "0x1.efa3ed35ca5a1p-10",
+                             "0x1.86390ec617a9fp-1"),
+    ("star4", "bloch"): ("-0x1.9b4b3b41d04c8p-8", "-0x1.38ee0a61c9253p-9",
+                         "0x1.0148b11fc597cp-1"),
+    ("tree7_3", "canonical"): ("-0x1.d697c16336df3p-8", "0x1.32780b7029375p-11",
+                               "0x1.3247d19f41debp-1"),
+    ("tree7_3", "bloch"): ("0x1.2e8110940c617p-26", "0x1.2591809dfd32ap-22",
+                           "0x1.3a9c96ae1e064p-4"),
+}
+
+
+@pytest.mark.parametrize("name, config", [("chain3", build_chain(3)),
+                                          ("star4", build_star(4)),
+                                          ("tree7_3", build_tree(7, 3))],
+                         ids=["chain3", "star4", "tree7_3"])
+def test_evaluate_S_bits_are_pinned(name, config):
+    """Exact bits, so a reordered product shows even where rounding hides it."""
+    rng = np.random.default_rng(7)
+    thetas = rng.uniform(0.0, 2.0 * PI, size=config.n).tolist()
+    alphas = rng.uniform(0.0, 2.0 * PI, size=config.p).tolist()
+    for kind, plan in (("canonical", canonical_plan(config, alphas)),
+                       ("bloch", random_plan(rng, config))):
+        result = evaluate_S(config, thetas, plan)
+        assert (result.i0.hex(), result.i1.hex(), result.s.hex()) == \
+            PINNED_BITS[name, kind]
+        assert not result.violated

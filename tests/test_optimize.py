@@ -70,7 +70,12 @@ def test_equal_angle_optimum_bounds_every_per_node_choice(layout, data):
     lambda: closed_form_smax([math.nan, 0.3], 2),
     lambda: closed_form_S([0.3, 0.4], [math.inf, 0.2], 2),
     lambda: sweep(build_chain(2), [math.nan]),
-], ids=["closed_form_smax", "closed_form_S", "sweep"])
+    # finite angles whose 2 theta overflows inside sin(2 theta)
+    lambda: closed_form_smax([0.3, 1e308], 2),
+    lambda: closed_form_S([-1e308, 0.4], [0.1, 0.2], 2),
+    lambda: sweep(build_chain(2), [0.1, 1e308]),
+], ids=["closed_form_smax", "closed_form_S", "sweep", "closed_form_smax-1e308",
+        "closed_form_S-1e308", "sweep-1e308"])
 def test_library_entry_points_reject_non_finite_angles(call):
     with pytest.raises(InvalidParameterError, match="finite"):
         call()
