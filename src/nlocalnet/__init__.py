@@ -6,66 +6,43 @@ sources under Pauli-plane measurements, maximize it over measurement angles,
 and evaluate classical hidden-variable models, including the vertex model
 that reaches the proved classical bound S <= 1.
 
-The statevector and Born-rule oracles live in nlocalnet.correlators, which
-neither this package nor its command line imports.
+`import nlocalnet` loads no submodule: each public name is imported from its
+home module on first use.  The statevector and Born-rule oracles live in
+nlocalnet.correlators, which neither this package nor its command line
+imports.
 """
 
-from .errors import (ConfigurationError, InvalidParameterError, NlocalError,
-                     ResourceLimitError)
-from .inequality import (VIOLATION_TOLERANCE, EvaluationResult, closed_form_S,
-                         closed_form_smax, evaluate_S,
-                         evaluate_S_from_correlator)
-from .lhv import (LHVModel, lhv_best_S, lhv_distribution, lhv_evaluate_S,
-                  model_to_jsonable, validate_model)
-from .optimize import sweep
-from .quantum import (PAULI_X, PAULI_Z, BlochObservable, MeasurementPlan,
-                      SettingAssignment, canonical_plan, check_plan,
-                      concurrence, extremal_observable, pair_expectation)
-from .topology import (AttachmentMap, NetworkConfig, NodeId, attachments,
-                       build_chain, build_star, build_tree, extremal_nodes,
-                       intermediate_nodes, parse_config, serialize_config,
-                       validate)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttachmentMap",
-    "BlochObservable",
-    "ConfigurationError",
-    "EvaluationResult",
-    "InvalidParameterError",
-    "LHVModel",
-    "MeasurementPlan",
-    "NetworkConfig",
-    "NlocalError",
-    "NodeId",
-    "PAULI_X",
-    "PAULI_Z",
-    "ResourceLimitError",
-    "SettingAssignment",
-    "VIOLATION_TOLERANCE",
-    "attachments",
-    "build_chain",
-    "build_star",
-    "build_tree",
-    "canonical_plan",
-    "check_plan",
-    "closed_form_S",
-    "closed_form_smax",
-    "concurrence",
-    "evaluate_S",
-    "evaluate_S_from_correlator",
-    "extremal_nodes",
-    "extremal_observable",
-    "intermediate_nodes",
-    "lhv_best_S",
-    "lhv_distribution",
-    "lhv_evaluate_S",
-    "model_to_jsonable",
-    "pair_expectation",
-    "parse_config",
-    "serialize_config",
-    "sweep",
-    "validate",
-    "validate_model",
-]
+# Every public name, by the submodule that defines it.
+_PUBLIC = {
+    "errors": ("ConfigurationError", "InvalidParameterError", "NlocalError",
+               "ResourceLimitError"),
+    "inequality": ("VIOLATION_TOLERANCE", "EvaluationResult", "closed_form_S",
+                   "closed_form_smax", "evaluate_S", "evaluate_S_from_correlator"),
+    "lhv": ("LHVModel", "lhv_best_S", "lhv_distribution", "lhv_evaluate_S",
+            "model_to_jsonable", "validate_model"),
+    "optimize": ("sweep",),
+    "quantum": ("PAULI_X", "PAULI_Z", "BlochObservable", "MeasurementPlan",
+                "SettingAssignment", "canonical_plan", "check_plan", "concurrence",
+                "extremal_observable", "pair_expectation"),
+    "topology": ("AttachmentMap", "NetworkConfig", "NodeId", "attachments",
+                 "build_chain", "build_star", "build_tree", "extremal_nodes",
+                 "intermediate_nodes", "parse_config", "serialize_config",
+                 "validate"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

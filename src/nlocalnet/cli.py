@@ -4,6 +4,10 @@ run grid sweeps, and build the classical model on the bound.
 Exit codes: 0 success, 2 bad input, 3 expected violation absent, 4 resource
 cap hit.  Angles are radians, or multiples of pi with a "pi" suffix
 ("0.25pi").  Reports are single-line JSON on stdout; sweeps are CSV.
+
+Every command reads or builds a layout, so topology is imported here; each
+command imports the rest of what it calls in its own body, so it loads only
+the modules it runs.
 """
 
 from __future__ import annotations
@@ -16,10 +20,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
-from .inequality import VIOLATION_TOLERANCE, closed_form_smax, evaluate_S
-from .lhv import lhv_best_S, model_to_jsonable
-from .optimize import sweep
-from .quantum import canonical_plan
 from .topology import (NetworkConfig, attachments, build_chain, build_star,
                        build_tree, parse_config, serialize_config, validate)
 
@@ -135,6 +135,9 @@ def _angles(text: str, count: int, name: str) -> list[float]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .inequality import closed_form_smax, evaluate_S
+    from .quantum import canonical_plan
+
     config = _read_config(args.topology)  # evaluate_S validates it
     thetas = _angles(args.theta, config.n, "theta")
     alphas = _angles(args.alpha, config.p, "alpha")
@@ -155,6 +158,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_maximize(args: argparse.Namespace) -> int:
+    from .inequality import VIOLATION_TOLERANCE, closed_form_smax
+
     config = _load_topology(args.topology)
     thetas = _angles(args.theta, config.n, "theta")
     smax, alpha_star = closed_form_smax(thetas, config.p)
@@ -189,6 +194,8 @@ class _OpenedOnFirstWrite:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .optimize import sweep
+
     config = _load_topology(args.topology)
     grid = parse_angle_list(args.grid)
     if args.output:
@@ -203,6 +210,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_lhv(args: argparse.Namespace) -> int:
+    from .lhv import lhv_best_S, model_to_jsonable
+
     config = _read_config(args.topology)  # lhv_best_S validates it
     best, model = lhv_best_S(config, alphabet_size=args.alphabet_size)
     report = {

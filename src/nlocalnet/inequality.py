@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
 from .quantum import (BlochObservable, MeasurementPlan, SettingAssignment,
@@ -48,8 +47,7 @@ ENUMERATION_MAX_EXTREMAL = 20
 Correlator = Callable[[SettingAssignment], float]
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
+class EvaluationResult(NamedTuple):
     """Witness value, its two ingredients, and whether it exceeds the bound 1."""
 
     i0: float

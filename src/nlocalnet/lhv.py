@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
 from .inequality import EvaluationResult, _witness
@@ -56,8 +55,7 @@ MAX_SUPPORT_TUPLES = 2 ** 20
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # table bits -> "0"/"1" text
 
 
-@dataclass(frozen=True, eq=False)
-class LHVModel:
+class LHVModel(NamedTuple):
     """Source symbol weights plus deterministic response tables.
 
     A table is two bytes rows, one per input bit, of one output bit (0 or 1)

@@ -7,26 +7,37 @@ matrices and source amplitudes are in correlators (bloch_matrix, source_state).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigurationError, InvalidParameterError
 from .topology import NetworkConfig, NodeId, extremal_nodes, intermediate_nodes
 
 
-@dataclass(frozen=True)
-class BlochObservable:
-    """A dichotomic observable v . sigma for a unit 3-vector v (eigenvalues +1, -1)."""
-
+class _BlochVector(NamedTuple):
     vx: float
     vy: float
     vz: float
 
-    def __post_init__(self):
-        norm_sq = self.vx * self.vx + self.vy * self.vy + self.vz * self.vz
+
+class BlochObservable(_BlochVector):
+    """A dichotomic observable v . sigma for a unit 3-vector v (eigenvalues +1, -1).
+
+    A named tuple (vx, vy, vz) whose every constructor, _make and _replace
+    included, checks that v has unit length.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, vx: float, vy: float, vz: float) -> "BlochObservable":
+        norm_sq = vx * vx + vy * vy + vz * vz
         if not abs(norm_sq - 1.0) <= 1e-12:  # also rejects a NaN component
             raise InvalidParameterError(
                 f"Bloch vector must have unit length, got |v|^2 = {norm_sq!r}")
+        return tuple.__new__(cls, (vx, vy, vz))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> "BlochObservable":
+        return cls(*iterable)  # the inherited _make, which _replace calls, skips __new__
 
 
 PAULI_X = BlochObservable(1.0, 0.0, 0.0)
@@ -56,8 +67,7 @@ def pair_expectation(theta: float, first: BlochObservable,
             + math.sin(2.0 * theta) * (first.vx * second.vx - first.vy * second.vy))
 
 
-@dataclass(frozen=True)
-class MeasurementPlan:
+class MeasurementPlan(NamedTuple):
     """Per-node settings for one experiment.
 
     intermediate maps a node to its two product observables (input 0, input 1),
@@ -71,8 +81,7 @@ class MeasurementPlan:
     alphas: Mapping[NodeId, float]
 
 
-@dataclass(frozen=True)
-class SettingAssignment:
+class SettingAssignment(NamedTuple):
     """Chosen input bit for every node."""
 
     x: Mapping[NodeId, int]

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
@@ -79,8 +78,7 @@ class NodeId(NamedTuple):
         return self.name
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
+class NetworkConfig(NamedTuple):
     """An (n, m, p) layout; the edge map sends each source to its two endpoints.
 
     Values are treated as immutable once built.  Endpoint order fixes the
@@ -102,8 +100,7 @@ class NetworkConfig:
         return (2 * self.n - self.p) // self.m
 
 
-@dataclass(frozen=True)
-class AttachmentMap:
+class AttachmentMap(NamedTuple):
     """Which sources reach each node; intermediate lists sorted by source index."""
 
     intermediate: Mapping[NodeId, tuple[int, ...]]

@@ -1,6 +1,10 @@
-"""Shared builders for randomized test instances."""
+"""Shared test helpers: builders for randomized instances, and a runner for
+code in a fresh interpreter."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -11,6 +15,17 @@ from nlocalnet import (BlochObservable, LHVModel, MeasurementPlan,
 
 # Valid (n, m) tree parameters with n <= 5.
 TREE_CHOICES = [(4, 2), (5, 2), (5, 3), (3, 3), (4, 4)]
+
+
+def run_fresh(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run code with args in a fresh interpreter that sees this one's sys.path.
+
+    Extra keyword arguments are set in the child's environment; stdout and
+    stderr are captured as text, and the child is killed after 60 s.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def bits(array) -> tuple[bytes, ...]:

@@ -1,13 +1,11 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 
 import pytest
 
 import nlocalnet.topology
+from helpers import run_fresh
 from nlocalnet import closed_form_S, parse_config
 from nlocalnet.cli import main, parse_angle, parse_angle_list
 
@@ -460,9 +458,43 @@ def test_import_pulls_in_no_scipy(tmp_path):
         print(codes, sorted(m for m in sys.modules
                             if m.split(".")[0] in ("numpy", "scipy")))
     """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "chain2.json"),
-                           str(tmp_path / "model.json")], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_fresh(code, str(tmp_path / "chain2.json"), str(tmp_path / "model.json"))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
+
+
+LAYOUT_MODULES = {"nlocalnet", "nlocalnet.cli", "nlocalnet.errors", "nlocalnet.topology"}
+WITNESS_MODULES = LAYOUT_MODULES | {"nlocalnet.quantum", "nlocalnet.inequality"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["generate", "chain", "--n", "3"], LAYOUT_MODULES),
+    (["validate"], LAYOUT_MODULES),
+    (["evaluate", "--theta", "0.25pi,0.25pi,0.25pi", "--alpha", "0.25pi,0.25pi"],
+     WITNESS_MODULES),
+    (["maximize", "--theta", "0.25pi,0.25pi,0.25pi"], WITNESS_MODULES),
+    (["sweep", "--grid", "0,0.25pi"], WITNESS_MODULES | {"nlocalnet.optimize"}),
+    (["lhv"], WITNESS_MODULES | {"nlocalnet.lhv"}),
+], ids=["generate", "validate", "evaluate", "maximize", "sweep", "lhv"])
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    topo = tmp_path / "chain3.json"
+    main(["generate", "chain", "--n", "3", "--output", str(topo)])
+    if argv[0] != "generate":
+        argv = [*argv, "--topology", str(topo)]
+    # Modules the command loads beyond those of a bare interpreter.
+    code = """if True:
+        import sys
+        bare = set(sys.modules)
+        import contextlib, io, json
+        from nlocalnet.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(sys.argv[1:])
+        print(json.dumps([code, sorted(set(sys.modules) - bare)]))
+    """
+    done = run_fresh(code, *argv)
+    assert done.returncode == 0, done.stderr
+    exit_code, loaded = json.loads(done.stdout)
+    assert exit_code == 0
+    assert {m for m in loaded if m.split(".")[0] == "nlocalnet"} == modules
+    assert [m for m in loaded
+            if m.split(".")[0] in ("dataclasses", "numpy", "scipy")] == []

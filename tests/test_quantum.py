@@ -47,6 +47,18 @@ def test_bloch_observable_rejects_non_unit_vector():
             BlochObservable(bad, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("vector", [(2.0, 0.0, 0.0), (math.nan, 0.0, 1.0)],
+                         ids=["non-unit", "nan"])
+def test_make_and_replace_check_the_norm(vector):
+    # A named tuple's _make and _replace skip __new__, where the check lives.
+    with pytest.raises(InvalidParameterError):
+        BlochObservable._make(vector)
+    with pytest.raises(InvalidParameterError):
+        PAULI_X._replace(vx=vector[0], vz=vector[2])
+    assert PAULI_X._replace(vx=0.0, vz=1.0) == PAULI_Z
+    assert type(BlochObservable._make([0.0, 1.0, 0.0])) is BlochObservable
+
+
 @given(angles)
 @settings(max_examples=100)
 def test_source_state_norm_and_stabilizer(theta):

@@ -1,12 +1,9 @@
-import os
-import subprocess
-import sys
-
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import run_fresh
 from nlocalnet import (ConfigurationError, InvalidParameterError, NetworkConfig,
                        NodeId, ResourceLimitError, attachments, build_chain,
                        build_star, build_tree, canonical_plan,
@@ -285,8 +282,5 @@ def test_validate_allocates_nothing_of_a_size_read_from_the_layout():
         "edges = build_chain(2).edges\n"
         "for n, p in ((10**12, 2), (2, 10**12), (10**12, 10**12)):\n"
         "    assert validate(NetworkConfig(n=n, m=2, p=p, edges=edges))\n")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_fresh(code, OPENBLAS_NUM_THREADS="1")
     assert done.returncode == 0, done.stderr
