@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 
 # Every public name, by the submodule that defines it.
 _PUBLIC = {
-    "errors": ("ConfigurationError", "InvalidParameterError", "NlocalError",
-               "ResourceLimitError"),
+    "errors": ("InvalidParameterError", "NlocalError", "ResourceLimitError"),
     "inequality": ("VIOLATION_TOLERANCE", "EvaluationResult", "closed_form_S",
                    "closed_form_smax", "evaluate_S", "evaluate_S_from_correlator"),
     "lhv": ("LHVModel", "lhv_best_S", "lhv_distribution", "lhv_evaluate_S",

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError
 from .topology import (NetworkConfig, attachments, build_chain, build_star,
                        build_tree, parse_config, serialize_config, validate)
 
@@ -70,7 +70,7 @@ def _read_config(path: str) -> NetworkConfig:
 
 
 def _checked(config: NetworkConfig) -> NetworkConfig:
-    attachments(config)  # raises ConfigurationError on an invalid layout
+    attachments(config)  # raises InvalidParameterError on an invalid layout
     return config
 
 
@@ -298,7 +298,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (InvalidParameterError, ConfigurationError, OSError) as exc:
+    except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimitError as exc:

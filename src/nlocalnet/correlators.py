@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError
 from .quantum import (BlochObservable, MeasurementPlan, SettingAssignment,
                       check_plan, extremal_observable, pair_expectation)
 from .topology import (INTERMEDIATE, AttachmentMap, NetworkConfig, NodeId,
@@ -44,7 +44,7 @@ def _require_inputs(config: NetworkConfig, thetas: Sequence[float],
                     assignment: SettingAssignment) -> AttachmentMap:
     attach = attachments(config)  # validates the layout
     if len(thetas) != config.n:
-        raise ConfigurationError(f"need {config.n} source angles, got {len(thetas)}")
+        raise InvalidParameterError(f"need {config.n} source angles, got {len(thetas)}")
     check_plan(config, plan)
     assignment.check(config)
     return attach

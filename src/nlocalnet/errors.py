@@ -6,11 +6,7 @@ class NlocalError(Exception):
 
 
 class InvalidParameterError(NlocalError, ValueError):
-    """A constructor or CLI argument violates a documented constraint."""
-
-
-class ConfigurationError(NlocalError, ValueError):
-    """Inputs are mutually inconsistent (layout, plan, assignment, or model)."""
+    """An argument breaks a constraint, or inputs contradict each other or the layout."""
 
 
 class ResourceLimitError(NlocalError, RuntimeError):

@@ -22,10 +22,10 @@ plan checked once, where the enumeration costs n 2^(p+1).  Both ingredients
 are contracted in one pass over the sources: each source's intermediate-end
 settings are gathered once, as (input 0, input 1) pairs, from the layout's
 attachments, and each extremal node's two settings are built once and serve
-both I0 and I1.  signed_y_average is the enumeration oracle: it serves any
-correlator, classical models included (lhv_evaluate_S), and the tests compare
-evaluate_S with it.  The two agree to rounding (within 1e-12), not bit for
-bit, because the arithmetic is done in a different order.
+both I0 and I1.  signed_y_average is the enumeration oracle for any
+correlator: the tests compare evaluate_S with it, and lhv_evaluate_S with it
+over lhv_distribution.  Each contraction agrees with it to rounding (within
+1e-12), not bit for bit, because the arithmetic is done in a different order.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import itertools
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError
 from .quantum import (BlochObservable, MeasurementPlan, SettingAssignment,
                       _check_source_angles, check_finite, check_plan,
                       extremal_observable, pair_expectation)
@@ -141,7 +141,7 @@ def evaluate_S(config: NetworkConfig, thetas: Sequence[float],
     """
     attach = attachments(config)  # validates the layout
     if len(thetas) != config.n:
-        raise ConfigurationError(f"need {config.n} source angles, got {len(thetas)}")
+        raise InvalidParameterError(f"need {config.n} source angles, got {len(thetas)}")
     _check_source_angles(thetas)
     check_plan(config, plan)
     check_finite("extremal", plan.alphas.values())

@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError
 from .inequality import EvaluationResult, _witness
 from .quantum import SettingAssignment
 from .topology import (AttachmentMap, NetworkConfig, NodeId, attachments,
@@ -50,8 +50,10 @@ from .topology import (AttachmentMap, NetworkConfig, NodeId, attachments,
 # Response-table cells a model built by lhv_best_S may hold: the intermediate
 # tables, 2 * c**m cells each, grow exponentially in m.
 MAX_MODEL_CELLS = 20_000_000
-# Symbol tuples lhv_evaluate_S may visit: the product of the support sizes.
+# Symbol tuples _symbol_tuples may yield: the product of the support sizes.
 MAX_SUPPORT_TUPLES = 2 ** 20
+# Outcome bits l + p that lhv_distribution may key: it holds 2^(l+p) masses.
+MAX_OUTCOME_BITS = 16
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # table bits -> "0"/"1" text
 
 
@@ -71,19 +73,19 @@ class LHVModel(NamedTuple):
 
 
 def validate_model(config: NetworkConfig, model: LHVModel) -> AttachmentMap:
-    """Raise ConfigurationError unless the model matches the layout."""
+    """Raise InvalidParameterError unless the model matches the layout."""
     attach = attachments(config)
     c = model.alphabet_size
     if c < 1:
-        raise ConfigurationError(f"alphabet size must be at least 1, got {c}")
+        raise InvalidParameterError(f"alphabet size must be at least 1, got {c}")
     for r in range(1, config.n + 1):
         weights = model.weights.get(r)
         if weights is None or len(weights) != c:
-            raise ConfigurationError(
+            raise InvalidParameterError(
                 f"source {r} needs a weight vector of length {c}")
         # Written so that a NaN weight fails both comparisons.
         if not (min(weights) >= -1e-12 and abs(sum(weights) - 1.0) <= 1e-12):
-            raise ConfigurationError(
+            raise InvalidParameterError(
                 f"source {r} weights must form a probability vector")
     expected = [(model.intermediate, node, c ** len(attach.intermediate[node]))
                 for node in intermediate_nodes(config)]
@@ -93,11 +95,11 @@ def validate_model(config: NetworkConfig, model: LHVModel) -> AttachmentMap:
         if not (isinstance(table, tuple) and len(table) == 2
                 and all(isinstance(row, bytes) and len(row) == width
                         for row in table)):
-            raise ConfigurationError(
+            raise InvalidParameterError(
                 f"node {node.name} needs a table of two bytes rows of length {width}")
         # count() scans a row in place; a 2^23-cell hub row is never copied.
         if any(row.count(0) + row.count(1) != width for row in table):
-            raise ConfigurationError(f"node {node.name} table entries must be bits")
+            raise InvalidParameterError(f"node {node.name} table entries must be bits")
     return attach
 
 
@@ -114,18 +116,24 @@ def lhv_distribution(config: NetworkConfig, model: LHVModel,
     """Outcome distribution of the model, factorized over independent sources.
 
     Keys run over all {0,1}^(l+p) outcome tuples, intermediate nodes first.
+    Raises ResourceLimitError before storing a mass when l + p exceeds
+    MAX_OUTCOME_BITS or the supports exceed MAX_SUPPORT_TUPLES tuples.
     """
     attach = validate_model(config, model)
     assignment.check(config)
+    outcome_bits = config.l + config.p
+    if outcome_bits > MAX_OUTCOME_BITS:
+        raise ResourceLimitError(
+            f"the distribution has 2^{outcome_bits} outcomes, above the cap "
+            f"2^{MAX_OUTCOME_BITS}")
+    tuples = _symbol_tuples(config, model)
     inter = intermediate_nodes(config)
     extr = extremal_nodes(config)
     c = model.alphabet_size
-    masses = dict.fromkeys(itertools.product((0, 1), repeat=config.l + config.p), 0.0)
-    for symbols in itertools.product(range(c), repeat=config.n):
+    masses = dict.fromkeys(itertools.product((0, 1), repeat=outcome_bits), 0.0)
+    for symbols in tuples:
         weight = math.prod(model.weights[r][symbols[r - 1]]
                            for r in range(1, config.n + 1))
-        if weight == 0.0:
-            continue
         bits = []
         for node in inter:
             code = _symbol_code(attach.intermediate[node], symbols, c)
@@ -135,6 +143,20 @@ def lhv_distribution(config: NetworkConfig, model: LHVModel,
             bits.append(model.extremal[node][assignment.y[node]][symbol])
         masses[tuple(bits)] += weight
     return masses
+
+
+def _symbol_tuples(config: NetworkConfig,
+                   model: LHVModel) -> Iterator[tuple[int, ...]]:
+    """Every tuple of nonzero-weight symbols, one per source, in lexicographic
+    order; ResourceLimitError first if there are more than MAX_SUPPORT_TUPLES."""
+    supports = [[s for s, w in enumerate(model.weights[r]) if w != 0.0]
+                for r in range(1, config.n + 1)]
+    tuple_bits = sum(math.log2(len(support)) for support in supports)
+    if tuple_bits > math.log2(MAX_SUPPORT_TUPLES):
+        raise ResourceLimitError(
+            f"the source weights span 2^{tuple_bits:.6g} symbol tuples, above "
+            f"the cap 2^{math.log2(MAX_SUPPORT_TUPLES):.6g}")
+    return itertools.product(*supports)
 
 
 def lhv_evaluate_S(config: NetworkConfig, model: LHVModel) -> EvaluationResult:
@@ -152,13 +174,7 @@ def _contract(config: NetworkConfig, model: LHVModel,
               attach: AttachmentMap) -> EvaluationResult:
     """lhv_evaluate_S on a model already checked against the layout."""
     c = model.alphabet_size
-    supports = [[s for s, w in enumerate(model.weights[r]) if w != 0.0]
-                for r in range(1, config.n + 1)]
-    tuple_bits = sum(math.log2(len(support)) for support in supports)
-    if tuple_bits > math.log2(MAX_SUPPORT_TUPLES):
-        raise ResourceLimitError(
-            f"the source weights span 2^{tuple_bits:.6g} symbol tuples, above "
-            f"the cap 2^{math.log2(MAX_SUPPORT_TUPLES):.6g}")
+    tuples = _symbol_tuples(config, model)
     # factors[r][s] = (g_0j, g_1j) = (1 - b0 - b1, b1 - b0) at source r's end j.
     factors = {attach.extremal[node]: [(1 - b0 - b1, b1 - b0)
                                        for b0, b1 in zip(*model.extremal[node])]
@@ -166,7 +182,7 @@ def _contract(config: NetworkConfig, model: LHVModel,
     inter = [(model.intermediate[node], attach.intermediate[node])
              for node in intermediate_nodes(config)]
     totals = [0.0, 0.0]
-    for symbols in itertools.product(*supports):
+    for symbols in tuples:
         weight = math.prod(model.weights[r][symbols[r - 1]]
                            for r in range(1, config.n + 1))
         for k in (0, 1):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ConfigurationError, InvalidParameterError
+from .errors import InvalidParameterError
 from .topology import NetworkConfig, NodeId, extremal_nodes, intermediate_nodes
 
 
@@ -93,22 +93,22 @@ class SettingAssignment(NamedTuple):
         inter = intermediate_nodes(config)
         extr = extremal_nodes(config)
         if len(x_bits) != len(inter) or len(y_bits) != len(extr):
-            raise ConfigurationError(
+            raise InvalidParameterError(
                 f"assignment needs {len(inter)} intermediate and "
                 f"{len(extr)} extremal input bits")
         for bit in (*x_bits, *y_bits):
             if bit not in (0, 1):
-                raise ConfigurationError(f"input bits must be 0 or 1, got {bit!r}")
+                raise InvalidParameterError(f"input bits must be 0 or 1, got {bit!r}")
         return cls(x={node: int(b) for node, b in zip(inter, x_bits)},
                    y={node: int(b) for node, b in zip(extr, y_bits)})
 
     def check(self, config: NetworkConfig) -> None:
-        """Raise ConfigurationError unless every node has an input bit."""
+        """Raise InvalidParameterError unless every node has an input bit."""
         for nodes, bits in ((intermediate_nodes(config), self.x),
                             (extremal_nodes(config), self.y)):
             missing = [node.name for node in nodes if node not in bits]
             if missing:
-                raise ConfigurationError(f"assignment lacks an input for {missing[0]}")
+                raise InvalidParameterError(f"assignment lacks an input for {missing[0]}")
 
 
 def check_finite(label: str, values: Iterable[float]) -> None:
@@ -138,7 +138,7 @@ def canonical_plan(config: NetworkConfig, alphas: Sequence[float]) -> Measuremen
         raise InvalidParameterError(
             f"need one extremal angle per extremal node ({config.p}), got {len(alphas)}")
     if config.m > config.n:
-        raise ConfigurationError(
+        raise InvalidParameterError(
             f"particles per intermediate node m={config.m} exceeds source count n={config.n}")
     check_finite("extremal", alphas)
     zs = (PAULI_Z,) * config.m
@@ -149,14 +149,14 @@ def canonical_plan(config: NetworkConfig, alphas: Sequence[float]) -> Measuremen
 
 
 def check_plan(config: NetworkConfig, plan: MeasurementPlan) -> None:
-    """Raise ConfigurationError unless the plan covers the layout exactly."""
+    """Raise InvalidParameterError unless the plan covers the layout exactly."""
     for node in intermediate_nodes(config):
         if node not in plan.intermediate:
-            raise ConfigurationError(f"plan lacks observables for node {node.name}")
+            raise InvalidParameterError(f"plan lacks observables for node {node.name}")
         pair = plan.intermediate[node]
         if len(pair) != 2 or any(len(factors) != config.m for factors in pair):
-            raise ConfigurationError(
+            raise InvalidParameterError(
                 f"node {node.name} needs {config.m} observable factors per input")
     for node in extremal_nodes(config):
         if node not in plan.alphas:
-            raise ConfigurationError(f"plan lacks an angle for node {node.name}")
+            raise InvalidParameterError(f"plan lacks an angle for node {node.name}")

@@ -23,7 +23,7 @@ import re
 from collections import deque
 from typing import Mapping, NamedTuple
 
-from .errors import ConfigurationError, InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError
 
 INTERMEDIATE = "intermediate"
 EXTREMAL = "extremal"
@@ -95,7 +95,7 @@ class NetworkConfig(NamedTuple):
     def l(self) -> int:
         """Intermediate node count (2n - p) / m; meaningful for valid layouts."""
         if self.m < 1:
-            raise ConfigurationError(
+            raise InvalidParameterError(
                 f"particles per intermediate node m must be at least 1, got {self.m}")
         return (2 * self.n - self.p) // self.m
 
@@ -272,7 +272,7 @@ def attachments(config: NetworkConfig) -> AttachmentMap:
     """Sources reaching each node, for a valid layout."""
     issues, sources = _walk(config)
     if issues:
-        raise ConfigurationError("invalid network layout: " + "; ".join(issues))
+        raise InvalidParameterError("invalid network layout: " + "; ".join(issues))
     return AttachmentMap(
         intermediate={node: tuple(rs) for node, rs in sources.items()
                       if node.kind == INTERMEDIATE},

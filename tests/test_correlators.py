@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import random_instance
-from nlocalnet import (ConfigurationError, NetworkConfig, ResourceLimitError,
+from nlocalnet import (InvalidParameterError, NetworkConfig, ResourceLimitError,
                        SettingAssignment, build_chain, canonical_plan)
 from nlocalnet.correlators import (correlator_factorized,
                                    correlator_statevector,
@@ -145,14 +145,14 @@ def test_correlator_invariant_under_source_relabeling():
 
 def test_assignment_validation():
     config = build_chain(2)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         SettingAssignment.from_bits(config, [0, 0], [0, 0])
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         SettingAssignment.from_bits(config, [0], [0, 2])
     plan = canonical_plan(config, [0.0, 0.0])
     good = SettingAssignment.from_bits(config, [0], [0, 0])
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         correlator_factorized(config, [0.1], plan, good)  # wrong theta count
     incomplete = SettingAssignment(x={}, y=good.y)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         correlator_factorized(config, [0.1, 0.2], plan, incomplete)

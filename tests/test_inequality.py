@@ -88,6 +88,9 @@ def test_closed_form_S_examples():
         == pytest.approx(math.sqrt(2), abs=1e-12)
     assert closed_form_S([PI / 6, PI / 6], [PI / 3, PI / 3], 2) \
         == pytest.approx(1.25, abs=1e-12)
+    with pytest.raises(InvalidParameterError,
+                       match="need exactly p = 2 extremal angles, got 3"):
+        closed_form_S([0.7, 1.1], [0.0, 0.0, 0.0], 2)
 
 
 def test_closed_form_smax_examples():
@@ -188,6 +191,8 @@ def test_enumeration_oracle_is_capped():
     for k in (0, 1):
         with pytest.raises(ResourceLimitError):
             signed_y_average(never, config, k, (k,))
+    with pytest.raises(InvalidParameterError, match="sign exponent k must be 0 or 1, got 2"):
+        signed_y_average(never, config, 2, (0,))
     with pytest.raises(ResourceLimitError):
         evaluate_S_from_correlator(never, config)
 
@@ -219,6 +224,8 @@ def test_evaluate_rejects_non_finite_angles(bad):
     # finite, but 2 theta overflows inside sin(2 theta)
     with pytest.raises(InvalidParameterError, match="not finite"):
         evaluate_S(config, [0.5, 1e308], plan)
+    with pytest.raises(InvalidParameterError, match="need 2 source angles, got 3"):
+        evaluate_S(config, [0.5, 0.6, bad], plan)
     # a plan built by hand bypasses canonical_plan's check
     bad_plan = MeasurementPlan(intermediate=plan.intermediate,
                                alphas={**plan.alphas, next(iter(plan.alphas)): bad})

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from helpers import bits, brute_force_best_I, random_lhv_model
-from nlocalnet import (ConfigurationError, LHVModel, NodeId,
+from nlocalnet import (InvalidParameterError, LHVModel, NodeId,
                        ResourceLimitError, SettingAssignment, attachments,
                        build_chain, build_star, build_tree,
                        evaluate_S_from_correlator, extremal_nodes, lhv_best_S,
                        lhv_distribution, lhv_evaluate_S, model_to_jsonable,
                        validate_model)
 from nlocalnet.correlators import distribution_correlator
-from nlocalnet.lhv import MAX_MODEL_CELLS, MAX_SUPPORT_TUPLES
+from nlocalnet.lhv import MAX_MODEL_CELLS, MAX_OUTCOME_BITS, MAX_SUPPORT_TUPLES
 
 
 def point_mass_model(config, symbol=0, c=2):
@@ -105,8 +105,14 @@ def test_validate_model_rejects_bad_shapes_and_weights():
                            weights={1: (0.7, 0.7), 2: (0.5, 0.5)},
                            intermediate=model.intermediate,
                            extremal=model.extremal)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         validate_model(config, bad_weights)
+    with pytest.raises(InvalidParameterError, match="alphabet size must be at least 1, got 0"):
+        validate_model(config, model._replace(alphabet_size=0))
+    short = model._replace(weights={1: (1.0,), 2: (1.0, 0.0)})
+    with pytest.raises(InvalidParameterError,
+                       match="source 1 needs a weight vector of length 2"):
+        validate_model(config, short)
     nan, inf = math.nan, math.inf
     for weights in ((nan, nan), (1.0, nan), (nan, 1.0), (inf, 0.0),
                     (inf, -inf), (-inf, 1.0)):
@@ -114,7 +120,7 @@ def test_validate_model_rejects_bad_shapes_and_weights():
                               weights={1: weights, 2: (0.5, 0.5)},
                               intermediate=model.intermediate,
                               extremal=model.extremal)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InvalidParameterError):
             validate_model(config, non_finite)
     # wrong width, a cell that is not a bit, a short row, a list of rows and
     # a numpy array instead of a tuple of two bytes rows
@@ -124,7 +130,7 @@ def test_validate_model_rejects_bad_shapes_and_weights():
         bad_table = LHVModel(alphabet_size=2, weights=model.weights,
                              intermediate={NodeId.intermediate(1): table},
                              extremal=model.extremal)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InvalidParameterError):
             validate_model(config, bad_table)
 
 
@@ -324,3 +330,37 @@ def test_lhv_evaluate_S_support_cap():
     assert 2 ** 21 > MAX_SUPPORT_TUPLES
     with pytest.raises(ResourceLimitError):
         lhv_evaluate_S(config, model)
+    # chain(8) with eight equally weighted symbols: 8^8 = 2^24 tuples, refused
+    # by the contraction and by the distribution oracle alike
+    chain8 = build_chain(8)
+    uniform = lhv_best_S(chain8, alphabet_size=8)[1]._replace(
+        weights={r: (1 / 8,) * 8 for r in range(1, 9)})
+    assignment = SettingAssignment.from_bits(chain8, [0] * chain8.l, [0, 0])
+    for call in (lambda: lhv_evaluate_S(chain8, uniform),
+                 lambda: lhv_distribution(chain8, uniform, assignment)):
+        with pytest.raises(ResourceLimitError, match="2\\^24 symbol tuples"):
+            call()
+
+
+def test_lhv_distribution_cap_fires_before_it_allocates():
+    # chain(30) has l + p = 31 outcome bits, 2^31 masses; the refusal must be
+    # quick and stay under 1 MB.  chain(15), at l + p = 16, is still served.
+    def one_symbol(config):
+        zeros = SettingAssignment.from_bits(config, [0] * config.l, [0] * config.p)
+        return lhv_best_S(config, alphabet_size=1)[1], zeros
+
+    config = build_chain(30)
+    model, assignment = one_symbol(config)
+    assert config.l + config.p > MAX_OUTCOME_BITS
+
+    def refuse():
+        with pytest.raises(ResourceLimitError, match="2\\^31 outcomes"):
+            lhv_distribution(config, model, assignment)
+
+    start = time.perf_counter()
+    assert traced_peak(refuse) < 2 ** 20
+    assert time.perf_counter() - start < 0.1
+    chain15 = build_chain(15)
+    assert chain15.l + chain15.p == MAX_OUTCOME_BITS
+    masses = lhv_distribution(chain15, *one_symbol(chain15))
+    assert len(masses) == 2 ** 16 and masses[(0,) * 16] == 1.0

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlocalnet import (BlochObservable, ConfigurationError,
-                       InvalidParameterError, PAULI_X, PAULI_Z, build_chain,
-                       canonical_plan, check_plan, concurrence,
-                       extremal_observable, pair_expectation)
+from nlocalnet import (BlochObservable, InvalidParameterError, MeasurementPlan,
+                       PAULI_X, PAULI_Z, build_chain, canonical_plan, check_plan,
+                       concurrence, extremal_observable, pair_expectation)
 from nlocalnet.correlators import bloch_matrix, source_state
 
 angles = st.floats(min_value=-20.0, max_value=20.0,
@@ -126,5 +125,15 @@ def test_canonical_plan_shape_and_arity_check():
         with pytest.raises(InvalidParameterError):
             canonical_plan(config, [0.1, bad])
     bad = canonical_plan(build_chain(2), [0.1, 0.2])
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         check_plan(config, bad)
+    short = MeasurementPlan(
+        intermediate={node: (zero_obs[1:], one_obs)
+                      for node, (zero_obs, one_obs) in plan.intermediate.items()},
+        alphas=plan.alphas)
+    with pytest.raises(InvalidParameterError,
+                       match="node A1 needs 2 observable factors per input"):
+        check_plan(config, short)
+    no_angle = MeasurementPlan(intermediate=plan.intermediate, alphas={})
+    with pytest.raises(InvalidParameterError, match="plan lacks an angle for node B1"):
+        check_plan(config, no_angle)

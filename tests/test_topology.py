@@ -1,14 +1,17 @@
+import re
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import run_fresh
-from nlocalnet import (ConfigurationError, InvalidParameterError, NetworkConfig,
-                       NodeId, ResourceLimitError, attachments, build_chain,
+from nlocalnet import (InvalidParameterError, NetworkConfig, NodeId,
+                       ResourceLimitError, attachments, build_chain,
                        build_star, build_tree, canonical_plan,
                        evaluate_S_from_correlator, intermediate_nodes,
                        parse_config, serialize_config, validate)
+from nlocalnet.cli import main
 from nlocalnet.topology import EXTREMAL, INTERMEDIATE, MAX_SOURCES
 
 
@@ -225,8 +228,16 @@ def test_validate_reports_degrees_extremal_first_then_by_index():
 
 def test_attachments_rejects_invalid_config():
     config = NetworkConfig(n=5, m=3, p=2, edges=build_chain(5).edges)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         attachments(config)
+    # the counting conditions that no other layout here breaks
+    edges = build_chain(3).edges
+    for (n, m, p), fragment in (
+            ((3, 1, 2), "particles per intermediate node m must be at least 2, got 1"),
+            ((3, 2, 1), "extremal node count p must be at least 2, got 1"),
+            ((4, 2, 2), "edge map must assign exactly the sources 1..n")):
+        with pytest.raises(InvalidParameterError, match=re.escape(fragment)):
+            attachments(NetworkConfig(n=n, m=m, p=p, edges=edges))
 
 
 @pytest.mark.parametrize("call", [
@@ -234,19 +245,32 @@ def test_attachments_rejects_invalid_config():
     intermediate_nodes,
     lambda config: evaluate_S_from_correlator(lambda assignment: 1.0, config),
 ], ids=["canonical_plan", "intermediate_nodes", "evaluate_S_from_correlator"])
-def test_zero_particles_per_node_is_a_configuration_error(call):
+def test_zero_particles_per_node_is_an_invalid_parameter(call):
     config = NetworkConfig(n=2, m=0, p=2, edges=build_chain(2).edges)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidParameterError):
         call(config)
 
 
-def test_parse_config_rejects_garbage():
+def test_parse_config_rejects_garbage(tmp_path, capsys):
     with pytest.raises(InvalidParameterError):
         parse_config("not json")
     with pytest.raises(InvalidParameterError):
         parse_config('{"n": 2, "m": 2}')
     with pytest.raises(InvalidParameterError):
         parse_config('{"n": 2, "m": 2, "p": 2, "edges": [{"source": 1, "ends": ["Q1", "A1"]}]}')
+    head = '{"n": 2, "m": 2, "p": 2, "edges": '
+    topo = tmp_path / "bad.json"
+    for edges, fragment in (
+            ('{}', "topology key 'edges' must be a list"),
+            ('[{"source": 1}]', "each edge needs 'source' and 'ends' keys"),
+            ('[{"source": 1, "ends": ["B1"]}]', "edge for source 1 needs exactly two ends")):
+        with pytest.raises(InvalidParameterError, match=re.escape(fragment)):
+            parse_config(head + edges + "}")
+        # through the command line: exit 2 and one line on stderr
+        topo.write_text(head + edges + "}")
+        assert main(["validate", "--topology", str(topo)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and fragment in err
 
 
 def test_node_id_parse_and_name():
