@@ -24,9 +24,8 @@ _PUBLIC = {
     "lhv": ("LHVModel", "lhv_best_S", "lhv_distribution", "lhv_evaluate_S",
             "model_to_jsonable", "validate_model"),
     "optimize": ("sweep",),
-    "quantum": ("PAULI_X", "PAULI_Z", "BlochObservable", "MeasurementPlan",
-                "SettingAssignment", "canonical_plan", "check_plan", "concurrence",
-                "extremal_observable", "pair_expectation"),
+    "quantum": ("PAULI_X", "PAULI_Z", "BlochObservable", "SettingAssignment",
+                "concurrence", "extremal_observable", "pair_expectation"),
     "topology": ("AttachmentMap", "NetworkConfig", "NodeId", "attachments",
                  "build_chain", "build_star", "build_tree", "extremal_nodes",
                  "intermediate_nodes", "parse_config", "serialize_config",

@@ -20,8 +20,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .topology import (NetworkConfig, attachments, build_chain, build_star,
-                       build_tree, parse_config, serialize_config, validate)
+from .topology import (NetworkConfig, _config_from_doc, attachments, build_chain,
+                       build_star, build_tree, parse_config, serialize_config,
+                       validate)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -101,8 +102,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             edges_doc = json.loads(args.edges)
         except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or too many digits
             raise InvalidParameterError(f"--edges is not valid JSON: {exc}") from None
-        config = _checked(parse_config(json.dumps(
-            {"n": args.n, "m": args.m, "p": args.p, "edges": edges_doc})))
+        config = _checked(_config_from_doc(
+            {"n": args.n, "m": args.m, "p": args.p, "edges": edges_doc}))
     text = serialize_config(config)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -136,12 +137,11 @@ def _angles(text: str, count: int, name: str) -> list[float]:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from .inequality import closed_form_smax, evaluate_S
-    from .quantum import canonical_plan
 
-    config = _read_config(args.topology)  # evaluate_S validates it
-    thetas = _angles(args.theta, config.n, "theta")
-    alphas = _angles(args.alpha, config.p, "alpha")
-    result = evaluate_S(config, thetas, canonical_plan(config, alphas))
+    config = _read_config(args.topology)
+    thetas = parse_angle_list(args.theta)
+    # evaluate_S validates the layout, then checks the angle counts
+    result = evaluate_S(config, thetas, parse_angle_list(args.alpha))
     _, alpha_hint = closed_form_smax(thetas, config.p)
     report = {
         "I0": result.i0,

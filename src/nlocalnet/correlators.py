@@ -3,8 +3,10 @@
 Three routes to the same number: a per-source factorized product (fast, any
 size), a full statevector expectation (oracle, capped at 6 sources), and a
 Born-rule outcome distribution whose signed sum recovers the correlator.
-The global qubit convention is fixed by the layout: source r owns qubits
-2(r-1) and 2(r-1)+1, assigned to its first and second edge endpoint.
+Each route takes the extremal angles alphas, listed B1..Bp, and the fixed
+intermediate settings described in quantum.  The global qubit convention is
+fixed by the layout: source r owns qubits 2(r-1) and 2(r-1)+1, assigned to
+its first and second edge endpoint.
 
 Only this module imports numpy, for the two oracles and their matrices
 (bloch_matrix, source_state); `import nlocalnet` and the CLI never load it.
@@ -17,11 +19,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, ResourceLimitError
-from .quantum import (BlochObservable, MeasurementPlan, SettingAssignment,
-                      check_plan, extremal_observable, pair_expectation)
-from .topology import (INTERMEDIATE, AttachmentMap, NetworkConfig, NodeId,
-                       attachments, extremal_nodes, intermediate_nodes)
+from .errors import ResourceLimitError
+from .quantum import (PAULI_X, PAULI_Z, BlochObservable, SettingAssignment,
+                      _check_angles, extremal_observable, pair_expectation)
+from .topology import (INTERMEDIATE, NetworkConfig, NodeId, attachments,
+                       extremal_nodes, intermediate_nodes)
 
 STATEVECTOR_MAX_SOURCES = 6
 
@@ -40,36 +42,29 @@ def source_state(theta: float) -> np.ndarray:
 
 
 def _require_inputs(config: NetworkConfig, thetas: Sequence[float],
-                    plan: MeasurementPlan,
-                    assignment: SettingAssignment) -> AttachmentMap:
-    attach = attachments(config)  # validates the layout
-    if len(thetas) != config.n:
-        raise InvalidParameterError(f"need {config.n} source angles, got {len(thetas)}")
-    check_plan(config, plan)
+                    alphas: Sequence[float], assignment: SettingAssignment) -> None:
+    attachments(config)  # validates the layout
+    _check_angles(config, thetas, alphas)
     assignment.check(config)
-    return attach
 
 
-def _qubit_observable(plan: MeasurementPlan, attach: AttachmentMap,
-                      assignment: SettingAssignment, node: NodeId,
-                      source: int) -> BlochObservable:
+def _qubit_observable(alphas: Sequence[float], assignment: SettingAssignment,
+                      node: NodeId) -> BlochObservable:
     if node.kind == INTERMEDIATE:
-        factors = plan.intermediate[node][assignment.x[node]]
-        slot = attach.intermediate[node].index(source)
-        return factors[slot]
-    return extremal_observable(plan.alphas[node], assignment.y[node])
+        return PAULI_X if assignment.x[node] else PAULI_Z
+    return extremal_observable(alphas[node.index - 1], assignment.y[node])
 
 
 def correlator_factorized(config: NetworkConfig, thetas: Sequence[float],
-                          plan: MeasurementPlan,
+                          alphas: Sequence[float],
                           assignment: SettingAssignment) -> float:
     """Product over sources of the two-qubit expectation each source contributes."""
-    attach = _require_inputs(config, thetas, plan, assignment)
+    _require_inputs(config, thetas, alphas, assignment)
     value = 1.0
     for r in range(1, config.n + 1):
         u, v = config.edges[r]
-        obs_u = _qubit_observable(plan, attach, assignment, u, r)
-        obs_v = _qubit_observable(plan, attach, assignment, v, r)
+        obs_u = _qubit_observable(alphas, assignment, u)
+        obs_v = _qubit_observable(alphas, assignment, v)
         value *= pair_expectation(thetas[r - 1], obs_u, obs_v)
     return value
 
@@ -103,22 +98,22 @@ def _apply_single_qubit(op: np.ndarray, psi: np.ndarray, position: int,
 
 
 def correlator_statevector(config: NetworkConfig, thetas: Sequence[float],
-                           plan: MeasurementPlan,
+                           alphas: Sequence[float],
                            assignment: SettingAssignment) -> float:
     """Expectation of the full product observable on the 2n-qubit state."""
     _check_statevector_size(config)
-    attach = _require_inputs(config, thetas, plan, assignment)
+    _require_inputs(config, thetas, alphas, assignment)
     qubits = 2 * config.n
     psi = _full_state(config, thetas)
     phi = psi
     for g, node in enumerate(_qubit_owners(config)):
-        obs = _qubit_observable(plan, attach, assignment, node, g // 2 + 1)
+        obs = _qubit_observable(alphas, assignment, node)
         phi = _apply_single_qubit(bloch_matrix(obs), phi, g, qubits)
     return float(np.vdot(psi, phi).real)
 
 
 def joint_distribution(config: NetworkConfig, thetas: Sequence[float],
-                       plan: MeasurementPlan,
+                       alphas: Sequence[float],
                        assignment: SettingAssignment
                        ) -> dict[tuple[int, ...], float]:
     """Born-rule distribution over node outcome bits, intermediate nodes first.
@@ -129,12 +124,12 @@ def joint_distribution(config: NetworkConfig, thetas: Sequence[float],
     outcome.  Keys run over all {0,1}^(l+p) tuples (a_1..a_l, b_1..b_p).
     """
     _check_statevector_size(config)
-    attach = _require_inputs(config, thetas, plan, assignment)
+    _require_inputs(config, thetas, alphas, assignment)
     qubits = 2 * config.n
     phi = _full_state(config, thetas)
     owners = _qubit_owners(config)
     for g, node in enumerate(owners):
-        obs = _qubit_observable(plan, attach, assignment, node, g // 2 + 1)
+        obs = _qubit_observable(alphas, assignment, node)
         _, eigvecs = np.linalg.eigh(bloch_matrix(obs))
         basis = eigvecs[:, ::-1]  # column 0 holds the +1 eigenvector (outcome bit 0)
         phi = _apply_single_qubit(basis.conj().T, phi, g, qubits)

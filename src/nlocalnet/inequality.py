@@ -17,12 +17,11 @@ product over sources, with input k at every intermediate end:
     I_k = prod_{r between two intermediate nodes} E_r(k)
           * prod_{r with an extremal end} 1/2 sum_y (-1)^(k y) E_r(k, y).
 
-S then costs 2n + 2p pair expectations, with the layout validated and the
-plan checked once, where the enumeration costs n 2^(p+1).  Both ingredients
-are contracted in one pass over the sources: each source's intermediate-end
-settings are gathered once, as (input 0, input 1) pairs, from the layout's
-attachments, and each extremal node's two settings are built once and serve
-both I0 and I1.  signed_y_average is the enumeration oracle for any
+S then costs 2n + 2p pair expectations, where the enumeration costs
+n 2^(p+1).  Both ingredients are contracted in one pass over the sources.
+An intermediate end measures sigma_z in I0 and sigma_x in I1 (the fixed
+settings of quantum), and each extremal node's two settings are built once
+and serve both I0 and I1.  signed_y_average is the enumeration oracle for any
 correlator: the tests compare evaluate_S with it, and lhv_evaluate_S with it
 over lhv_distribution.  Each contraction agrees with it to rounding (within
 1e-12), not bit for bit, because the arithmetic is done in a different order.
@@ -35,8 +34,8 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .quantum import (BlochObservable, MeasurementPlan, SettingAssignment,
-                      _check_source_angles, check_finite, check_plan,
+from .quantum import (PAULI_X, PAULI_Z, BlochObservable, SettingAssignment,
+                      _check_angles, _check_source_angles, check_finite,
                       extremal_observable, pair_expectation)
 from .topology import AttachmentMap, NetworkConfig, attachments
 
@@ -99,61 +98,50 @@ def evaluate_S_from_correlator(correlator: Correlator,
 
 
 def _contract(config: NetworkConfig, thetas: Sequence[float],
-              plan: MeasurementPlan, attach: AttachmentMap) -> tuple[float, float]:
+              alphas: Sequence[float], attach: AttachmentMap) -> tuple[float, float]:
     """(I0, I1) in one pass, each a product of one factor per source.
 
-    ends[r - 1] lists source r's intermediate-end settings as (input 0,
-    input 1) pairs; extremal[r - 1] holds its extremal end's two settings,
-    built once for both.  End order changes no bit: pair_expectation commutes.
+    extremal[r - 1] holds the two settings of source r's extremal end, built
+    once for both; a source without one joins two intermediate nodes.
     """
-    ends: list[list[tuple[BlochObservable, ...]]] = [[] for _ in range(config.n)]
-    for node, sources in attach.intermediate.items():
-        for r, zero, one in zip(sources, *plan.intermediate[node]):
-            ends[r - 1].append((zero, one))
-    extremal: list[tuple[BlochObservable, ...] | None] = [None] * config.n
+    extremal: list[tuple[BlochObservable, BlochObservable] | None] = [None] * config.n
     for node, r in attach.extremal.items():
-        alpha = plan.alphas[node]
+        alpha = alphas[node.index - 1]
         extremal[r - 1] = (extremal_observable(alpha, 0), extremal_observable(alpha, 1))
     i0 = i1 = 1.0
-    for theta, inner, outer in zip(thetas, ends, extremal):
+    for theta, outer in zip(thetas, extremal):
         if outer is None:  # both ends intermediate
-            (a0, a1), (b0, b1) = inner
-            i0 *= pair_expectation(theta, a0, b0)
-            i1 *= pair_expectation(theta, a1, b1)
+            i0 *= pair_expectation(theta, PAULI_Z, PAULI_Z)
+            i1 *= pair_expectation(theta, PAULI_X, PAULI_X)
         else:  # one extremal end: a valid layout has no source with two
-            [(a0, a1)] = inner
             up, down = outer
-            i0 *= 0.5 * (pair_expectation(theta, a0, up)
-                         + pair_expectation(theta, a0, down))
-            i1 *= 0.5 * (pair_expectation(theta, a1, up)
-                         - pair_expectation(theta, a1, down))
+            i0 *= 0.5 * (pair_expectation(theta, PAULI_Z, up)
+                         + pair_expectation(theta, PAULI_Z, down))
+            i1 *= 0.5 * (pair_expectation(theta, PAULI_X, up)
+                         - pair_expectation(theta, PAULI_X, down))
     return i0, i1
 
 
 def evaluate_S(config: NetworkConfig, thetas: Sequence[float],
-               plan: MeasurementPlan) -> EvaluationResult:
+               alphas: Sequence[float]) -> EvaluationResult:
     """Witness with all-zero intermediate inputs in I0 and all-one in I1.
 
-    Validates the layout and checks the plan once, then contracts I0 and I1
-    in one pass (see the module docstring): linear in the number of sources.
-    Agrees with evaluate_S_from_correlator over correlator_factorized to
-    rounding.
+    alphas lists the extremal angles of B1..Bp.  Validates the layout, then
+    checks the angles, then contracts I0 and I1 in one pass (see the module
+    docstring): linear in the number of sources.  Agrees with
+    evaluate_S_from_correlator over correlator_factorized to rounding.
     """
     attach = attachments(config)  # validates the layout
-    if len(thetas) != config.n:
-        raise InvalidParameterError(f"need {config.n} source angles, got {len(thetas)}")
-    _check_source_angles(thetas)
-    check_plan(config, plan)
-    check_finite("extremal", plan.alphas.values())
-    return _witness(config, *_contract(config, thetas, plan, attach))
+    _check_angles(config, thetas, alphas)
+    return _witness(config, *_contract(config, thetas, alphas, attach))
 
 
 def closed_form_S(thetas: Sequence[float], alphas: Sequence[float],
                   p: int) -> float:
-    """Witness of the canonical plan by direct arithmetic.
+    """Witness by direct arithmetic.
 
     |prod cos(alpha_j)|^(1/p) + |prod sin(alpha_j) prod sin(2 theta_r)|^(1/p);
-    must agree with evaluate_S on the canonical plan.
+    must agree with evaluate_S.
     """
     if p < 1 or len(alphas) != p:
         raise InvalidParameterError(

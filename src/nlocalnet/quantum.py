@@ -1,4 +1,11 @@
-"""Bloch-vector observables, measurement plans and input assignments.
+"""Bloch-vector observables, the Pauli settings and input assignments.
+
+The settings are fixed but for p angles.  Every qubit of an intermediate
+node is measured in sigma_z for input 0 and in sigma_x for input 1, so the
+node measures the all-sigma_z or the all-sigma_x product.  Extremal node B_j
+measures cos(alpha_j) sigma_z + (-1)^y sin(alpha_j) sigma_x for input y, so
+the extremal angles alpha_1..alpha_p, listed B1..Bp, are the whole
+measurement choice.
 
 Pure Python: the Pauli-measurement value needs no matrices.  The oracles'
 matrices and source amplitudes are in correlators (bloch_matrix, source_state).
@@ -67,20 +74,6 @@ def pair_expectation(theta: float, first: BlochObservable,
             + math.sin(2.0 * theta) * (first.vx * second.vx - first.vy * second.vy))
 
 
-class MeasurementPlan(NamedTuple):
-    """Per-node settings for one experiment.
-
-    intermediate maps a node to its two product observables (input 0, input 1),
-    each a tuple with one single-qubit factor per attached source in ascending
-    source order.  alphas maps an extremal node to the angle of its setting
-    family: input y measures cos(alpha) sigma_z + (-1)^y sin(alpha) sigma_x.
-    """
-
-    intermediate: Mapping[NodeId, tuple[tuple[BlochObservable, ...],
-                                        tuple[BlochObservable, ...]]]
-    alphas: Mapping[NodeId, float]
-
-
 class SettingAssignment(NamedTuple):
     """Chosen input bit for every node."""
 
@@ -128,35 +121,14 @@ def _check_source_angles(thetas: Sequence[float]) -> None:
                 f"source angle {theta!r} is too large: 2 theta is not finite")
 
 
-def canonical_plan(config: NetworkConfig, alphas: Sequence[float]) -> MeasurementPlan:
-    """The standard plan: all-sigma_z products for input 0, all-sigma_x for input 1.
-
-    The layout may be unvalidated; an m above n (no valid layout has one)
-    is refused before any node's m factors are built.
-    """
+def _check_angles(config: NetworkConfig, thetas: Sequence[float],
+                  alphas: Sequence[float]) -> None:
+    """Raise InvalidParameterError unless thetas holds n source angles and
+    alphas p extremal angles, all finite (2 theta included)."""
+    if len(thetas) != config.n:
+        raise InvalidParameterError(f"need {config.n} source angles, got {len(thetas)}")
+    _check_source_angles(thetas)
     if len(alphas) != config.p:
         raise InvalidParameterError(
             f"need one extremal angle per extremal node ({config.p}), got {len(alphas)}")
-    if config.m > config.n:
-        raise InvalidParameterError(
-            f"particles per intermediate node m={config.m} exceeds source count n={config.n}")
     check_finite("extremal", alphas)
-    zs = (PAULI_Z,) * config.m
-    xs = (PAULI_X,) * config.m
-    inter = {node: (zs, xs) for node in intermediate_nodes(config)}
-    alpha_map = {node: float(a) for node, a in zip(extremal_nodes(config), alphas)}
-    return MeasurementPlan(intermediate=inter, alphas=alpha_map)
-
-
-def check_plan(config: NetworkConfig, plan: MeasurementPlan) -> None:
-    """Raise InvalidParameterError unless the plan covers the layout exactly."""
-    for node in intermediate_nodes(config):
-        if node not in plan.intermediate:
-            raise InvalidParameterError(f"plan lacks observables for node {node.name}")
-        pair = plan.intermediate[node]
-        if len(pair) != 2 or any(len(factors) != config.m for factors in pair):
-            raise InvalidParameterError(
-                f"node {node.name} needs {config.m} observable factors per input")
-    for node in extremal_nodes(config):
-        if node not in plan.alphas:
-            raise InvalidParameterError(f"plan lacks an angle for node {node.name}")

@@ -74,9 +74,6 @@ class NodeId(NamedTuple):
         prefix = "A" if self.kind == INTERMEDIATE else "B"
         return f"{prefix}{self.index}"
 
-    def __str__(self) -> str:
-        return self.name
-
 
 class NetworkConfig(NamedTuple):
     """An (n, m, p) layout; the edge map sends each source to its two endpoints.
@@ -301,6 +298,11 @@ def parse_config(text: str) -> NetworkConfig:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or too many digits
         raise InvalidParameterError(f"topology document is not valid JSON: {exc}") from None
+    return _config_from_doc(doc)
+
+
+def _config_from_doc(doc: object) -> NetworkConfig:
+    """parse_config on the decoded document."""
     if not isinstance(doc, dict):
         raise InvalidParameterError("topology document must be a JSON object")
     missing = {"n", "m", "p", "edges"} - set(doc)

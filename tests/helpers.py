@@ -8,10 +8,9 @@ import sys
 
 import numpy as np
 
-from nlocalnet import (BlochObservable, LHVModel, MeasurementPlan,
-                       SettingAssignment, attachments, build_chain, build_star,
-                       build_tree, canonical_plan, extremal_nodes,
-                       intermediate_nodes, lhv_evaluate_S)
+from nlocalnet import (LHVModel, SettingAssignment, attachments, build_chain,
+                       build_star, build_tree, extremal_nodes, intermediate_nodes,
+                       lhv_evaluate_S)
 
 # Valid (n, m) tree parameters with n <= 5.
 TREE_CHOICES = [(4, 2), (5, 2), (5, 3), (3, 3), (4, 4)]
@@ -44,30 +43,14 @@ def random_config(rng: np.random.Generator, max_n: int = 5):
 
 
 def random_instance(rng: np.random.Generator, max_n: int = 5):
-    """A random layout with random angles, plan, and input assignment."""
+    """A random layout with random angles and input assignment."""
     config = random_config(rng, max_n)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=config.n).tolist()
     alphas = rng.uniform(0.0, 2.0 * np.pi, size=config.p).tolist()
-    plan = canonical_plan(config, alphas)
     x_bits = [int(b) for b in rng.integers(0, 2, size=config.l)]
     y_bits = [int(b) for b in rng.integers(0, 2, size=config.p)]
     assignment = SettingAssignment.from_bits(config, x_bits, y_bits)
-    return config, thetas, alphas, plan, assignment
-
-
-def random_bloch(rng: np.random.Generator) -> BlochObservable:
-    v = rng.normal(size=3)
-    return BlochObservable(*(v / np.linalg.norm(v)).tolist())
-
-
-def random_plan(rng: np.random.Generator, config) -> MeasurementPlan:
-    """A plan with a random unit Bloch direction for every intermediate factor."""
-    inter = {node: tuple(tuple(random_bloch(rng) for _ in range(config.m))
-                         for _ in range(2))
-             for node in intermediate_nodes(config)}
-    alphas = {node: float(a) for node, a in
-              zip(extremal_nodes(config), rng.uniform(0.0, 2.0 * np.pi, size=config.p))}
-    return MeasurementPlan(intermediate=inter, alphas=alphas)
+    return config, thetas, alphas, assignment
 
 
 def random_lhv_model(rng: np.random.Generator, config, c: int,

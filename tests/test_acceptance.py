@@ -9,9 +9,9 @@ import time
 import numpy as np
 
 from helpers import random_instance
-from nlocalnet import (build_chain, build_star, build_tree, canonical_plan,
-                       closed_form_S, closed_form_smax, concurrence, evaluate_S,
-                       lhv_best_S, sweep, validate)
+from nlocalnet import (build_chain, build_star, build_tree, closed_form_S,
+                       closed_form_smax, concurrence, evaluate_S, lhv_best_S,
+                       sweep, validate)
 from nlocalnet.correlators import (correlator_factorized,
                                    correlator_statevector,
                                    distribution_correlator, joint_distribution)
@@ -38,9 +38,8 @@ def test_criterion_1_maximal_violation():
     passed = True
     details = []
     for name, config in layouts.items():
-        plan = canonical_plan(config, [PI / 4] * config.p)
         start = time.perf_counter()
-        result = evaluate_S(config, [PI / 4] * config.n, plan)
+        result = evaluate_S(config, [PI / 4] * config.n, [PI / 4] * config.p)
         elapsed = time.perf_counter() - start
         ok = (abs(result.s - SQRT2) <= 1e-9 and result.violated
               and elapsed < 1.0)
@@ -75,11 +74,11 @@ def test_criterion_3_oracle_equivalence():
     instances = _random_instances(220)
     start = time.perf_counter()
     worst = 0.0
-    for config, thetas, _, plan, assignment in instances:
-        fast = correlator_factorized(config, thetas, plan, assignment)
-        exact = correlator_statevector(config, thetas, plan, assignment)
+    for config, thetas, alphas, assignment in instances:
+        fast = correlator_factorized(config, thetas, alphas, assignment)
+        exact = correlator_statevector(config, thetas, alphas, assignment)
         born = distribution_correlator(
-            joint_distribution(config, thetas, plan, assignment))
+            joint_distribution(config, thetas, alphas, assignment))
         worst = max(worst, abs(fast - exact), abs(fast - born),
                     abs(exact - born))
     elapsed = time.perf_counter() - start
@@ -91,8 +90,8 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_closed_form_match():
     instances = _random_instances(220)
     worst = 0.0
-    for config, thetas, alphas, plan, _ in instances:
-        result = evaluate_S(config, thetas, plan)
+    for config, thetas, alphas, _ in instances:
+        result = evaluate_S(config, thetas, alphas)
         worst = max(worst, abs(result.s - closed_form_S(thetas, alphas,
                                                         config.p)))
     passed = worst <= 1e-10
@@ -114,8 +113,7 @@ def test_criterion_5_stationarity_and_grid():
         smax, alpha_star = closed_form_smax(thetas, config.p)
 
         def profile(alpha):
-            plan = canonical_plan(config, [alpha] * config.p)
-            return evaluate_S(config, thetas, plan).s
+            return evaluate_S(config, thetas, [alpha] * config.p).s
 
         h = 1e-6
         derivative = abs(profile(alpha_star + h) - profile(alpha_star - h)) / (2 * h)

@@ -6,7 +6,7 @@ import pytest
 
 import nlocalnet.topology
 from helpers import run_fresh
-from nlocalnet import closed_form_S, parse_config
+from nlocalnet import build_chain, closed_form_S, parse_config, serialize_config
 from nlocalnet.cli import main, parse_angle, parse_angle_list
 
 
@@ -85,7 +85,7 @@ def test_generate_tree_and_errors(tmp_path, capsys):
     assert main(["generate", "chain", "--n", "1"]) == 2
 
 
-def test_generate_custom(tmp_path):
+def test_generate_custom(tmp_path, capsys):
     edges = json.dumps([
         {"source": 1, "ends": ["B1", "A1"]},
         {"source": 2, "ends": ["A1", "B2"]},
@@ -99,6 +99,14 @@ def test_generate_custom(tmp_path):
                       {"source": 3, "ends": ["A1", "B3"]}])
     assert main(["generate", "custom", "--n", "3", "--m", "2", "--p", "3",
                  "--edges", bad]) == 2
+    # Nested lists around the depth where decoding stops: the document that
+    # holds the edges must not be encoded again, a level deeper.
+    capsys.readouterr()
+    for depth in range(700, 1101):
+        assert main(["generate", "custom", "--n", "2", "--m", "2", "--p", "2",
+                     "--edges", "[" * depth + "]" * depth]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (depth, err)
 
 
 def test_validate_command(tmp_path, capsys):
@@ -152,18 +160,21 @@ def test_evaluate_command(tmp_path, capsys):
                  "--theta", "0.25pi,0.25pi", "--alpha", "0.25pi"]) == 2
 
 
-def test_evaluate_checks_m_before_building_the_plan(tmp_path, capsys):
-    # evaluate validates the layout inside evaluate_S, after the canonical
-    # plan is built with m factors per node; an m above n must stop first.
-    topo = tmp_path / "big_m.json"
-    main(["generate", "chain", "--n", "2", "--output", str(topo)])
-    doc = json.loads(topo.read_text())
-    doc["m"] = 10 ** 30
-    topo.write_text(json.dumps(doc))
-    assert main(["evaluate", "--topology", str(topo),
-                 "--theta", "0.1,0.2", "--alpha", "0.3,0.4"]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "exceeds source count" in err
+def test_evaluate_checks_the_layout_before_the_angle_counts(tmp_path, capsys):
+    # evaluate_S validates the layout before it counts the angles, so an
+    # invalid layout is reported as such, with the line maximize prints.
+    topo = tmp_path / "bad.json"
+    chain2, chain3 = (json.loads(serialize_config(build_chain(n))) for n in (2, 3))
+    for doc in ({**chain2, "m": 10 ** 30}, {**chain3, "n": 5, "m": 3},
+                {**chain2, "m": 0}):
+        topo.write_text(json.dumps(doc))
+        assert main(["evaluate", "--topology", str(topo),
+                     "--theta", "0.1,0.2", "--alpha", "0.3,0.4"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: invalid network layout: ")
+        assert main(["maximize", "--topology", str(topo), "--theta", "0.1,0.2"]) == 2
+        assert capsys.readouterr().err == err
 
 
 def test_maximize_command(tmp_path, capsys):

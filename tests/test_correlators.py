@@ -6,7 +6,7 @@ import pytest
 
 from helpers import random_instance
 from nlocalnet import (InvalidParameterError, NetworkConfig, ResourceLimitError,
-                       SettingAssignment, build_chain, canonical_plan)
+                       SettingAssignment, build_chain)
 from nlocalnet.correlators import (correlator_factorized,
                                    correlator_statevector,
                                    distribution_correlator, joint_distribution)
@@ -35,9 +35,9 @@ def trace_oracle_chain2(thetas, bloch_vectors):
 
 def test_all_z_settings_give_unit_correlator():
     config = build_chain(2)
-    plan = canonical_plan(config, [0.0, 0.0])
+    alphas = [0.0, 0.0]
     assignment = SettingAssignment.from_bits(config, [0], [0, 0])
-    value = correlator_factorized(config, [PI / 4, PI / 4], plan, assignment)
+    value = correlator_factorized(config, [PI / 4, PI / 4], alphas, assignment)
     assert value == pytest.approx(1.0, abs=1e-12)
     oracle = trace_oracle_chain2([PI / 4, PI / 4],
                                  [(0, 0, 1)] * 4)
@@ -46,18 +46,18 @@ def test_all_z_settings_give_unit_correlator():
 
 def test_all_z_unit_correlator_for_any_theta():
     config = build_chain(3)
-    plan = canonical_plan(config, [0.0, 0.0])
+    alphas = [0.0, 0.0]
     assignment = SettingAssignment.from_bits(config, [0, 0], [0, 0])
-    value = correlator_factorized(config, [0.3, 1.1, 5.0], plan, assignment)
+    value = correlator_factorized(config, [0.3, 1.1, 5.0], alphas, assignment)
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_all_x_settings_give_product_of_sines():
     thetas = [0.3, 1.2]
     config = build_chain(2)
-    plan = canonical_plan(config, [PI / 2, PI / 2])
+    alphas = [PI / 2, PI / 2]
     assignment = SettingAssignment.from_bits(config, [1], [0, 0])
-    value = correlator_factorized(config, thetas, plan, assignment)
+    value = correlator_factorized(config, thetas, alphas, assignment)
     expected = math.sin(2 * thetas[0]) * math.sin(2 * thetas[1])
     assert value == pytest.approx(expected, abs=1e-12)
     oracle = trace_oracle_chain2(thetas, [(1, 0, 0)] * 4)
@@ -67,29 +67,29 @@ def test_all_x_settings_give_product_of_sines():
 def test_mixed_angles_match_hand_value():
     # sin(pi/3) * sin(2pi/3) = 3/4
     config = build_chain(2)
-    plan = canonical_plan(config, [PI / 2, PI / 2])
+    alphas = [PI / 2, PI / 2]
     assignment = SettingAssignment.from_bits(config, [1], [0, 0])
-    value = correlator_factorized(config, [PI / 6, PI / 3], plan, assignment)
+    value = correlator_factorized(config, [PI / 6, PI / 3], alphas, assignment)
     assert value == pytest.approx(0.75, abs=1e-12)
-    assert correlator_statevector(config, [PI / 6, PI / 3], plan, assignment) \
+    assert correlator_statevector(config, [PI / 6, PI / 3], alphas, assignment) \
         == pytest.approx(0.75, abs=1e-10)
 
 
 def test_statevector_rejects_seven_sources():
     config = build_chain(7)
-    plan = canonical_plan(config, [0.0, 0.0])
+    alphas = [0.0, 0.0]
     assignment = SettingAssignment.from_bits(config, [0] * 6, [0, 0])
     with pytest.raises(ResourceLimitError):
-        correlator_statevector(config, [0.0] * 7, plan, assignment)
+        correlator_statevector(config, [0.0] * 7, alphas, assignment)
     with pytest.raises(ResourceLimitError):
-        joint_distribution(config, [0.0] * 7, plan, assignment)
+        joint_distribution(config, [0.0] * 7, alphas, assignment)
 
 
 def test_joint_distribution_maximal_chain():
     config = build_chain(2)
-    plan = canonical_plan(config, [0.0, 0.0])
+    alphas = [0.0, 0.0]
     assignment = SettingAssignment.from_bits(config, [0], [0, 0])
-    dist = joint_distribution(config, [PI / 4, PI / 4], plan, assignment)
+    dist = joint_distribution(config, [PI / 4, PI / 4], alphas, assignment)
     # outcome tuples are (a1, b1, b2); all mass sits where a1 = b1 xor b2
     for outcome, mass in dist.items():
         a1, b1, b2 = outcome
@@ -102,9 +102,9 @@ def test_joint_distribution_maximal_chain():
 
 def test_joint_distribution_product_state():
     config = build_chain(2)
-    plan = canonical_plan(config, [0.0, 0.0])
+    alphas = [0.0, 0.0]
     assignment = SettingAssignment.from_bits(config, [0], [0, 0])
-    dist = joint_distribution(config, [0.0, 0.0], plan, assignment)
+    dist = joint_distribution(config, [0.0, 0.0], alphas, assignment)
     assert dist[(0, 0, 0)] == pytest.approx(1.0, abs=1e-12)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
 
@@ -112,10 +112,10 @@ def test_joint_distribution_product_state():
 def test_oracle_triangle_on_random_instances():
     rng = np.random.default_rng(424242)
     for _ in range(60):
-        config, thetas, _, plan, assignment = random_instance(rng)
-        fast = correlator_factorized(config, thetas, plan, assignment)
-        exact = correlator_statevector(config, thetas, plan, assignment)
-        dist = joint_distribution(config, thetas, plan, assignment)
+        config, thetas, alphas, assignment = random_instance(rng)
+        fast = correlator_factorized(config, thetas, alphas, assignment)
+        exact = correlator_statevector(config, thetas, alphas, assignment)
+        dist = joint_distribution(config, thetas, alphas, assignment)
         born = distribution_correlator(dist)
         assert abs(fast - exact) < 1e-10
         assert abs(fast - born) < 1e-10
@@ -127,7 +127,7 @@ def test_oracle_triangle_on_random_instances():
 def test_correlator_invariant_under_source_relabeling():
     config = build_chain(3)
     thetas = [0.4, 1.3, 2.2]
-    plan = canonical_plan(config, [0.7, 1.9])
+    alphas = [0.7, 1.9]
     # relabel sources 1,2,3 -> 2,3,1 and permute thetas to match
     relabel = {1: 2, 2: 3, 3: 1}
     edges = {relabel[r]: ends for r, ends in config.edges.items()}
@@ -138,8 +138,8 @@ def test_correlator_invariant_under_source_relabeling():
     for x_bits, y_bits in itertools.product([(0, 0), (1, 0), (1, 1)],
                                             [(0, 0), (0, 1), (1, 1)]):
         a1 = SettingAssignment.from_bits(config, x_bits, y_bits)
-        v1 = correlator_factorized(config, thetas, plan, a1)
-        v2 = correlator_factorized(permuted, thetas_permuted, plan, a1)
+        v1 = correlator_factorized(config, thetas, alphas, a1)
+        v2 = correlator_factorized(permuted, thetas_permuted, alphas, a1)
         assert v1 == pytest.approx(v2, abs=1e-12)
 
 
@@ -149,10 +149,10 @@ def test_assignment_validation():
         SettingAssignment.from_bits(config, [0, 0], [0, 0])
     with pytest.raises(InvalidParameterError):
         SettingAssignment.from_bits(config, [0], [0, 2])
-    plan = canonical_plan(config, [0.0, 0.0])
+    alphas = [0.0, 0.0]
     good = SettingAssignment.from_bits(config, [0], [0, 0])
     with pytest.raises(InvalidParameterError):
-        correlator_factorized(config, [0.1], plan, good)  # wrong theta count
+        correlator_factorized(config, [0.1], alphas, good)  # wrong theta count
     incomplete = SettingAssignment(x={}, y=good.y)
     with pytest.raises(InvalidParameterError):
-        correlator_factorized(config, [0.1, 0.2], plan, incomplete)
+        correlator_factorized(config, [0.1, 0.2], alphas, incomplete)

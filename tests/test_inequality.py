@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -6,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance, random_plan
-from nlocalnet import (InvalidParameterError, MeasurementPlan,
-                       ResourceLimitError, build_chain, build_star, build_tree,
-                       canonical_plan, closed_form_S, closed_form_smax,
+from helpers import random_instance
+from nlocalnet import (InvalidParameterError, ResourceLimitError, build_chain,
+                       build_star, build_tree, closed_form_S, closed_form_smax,
                        evaluate_S, evaluate_S_from_correlator)
 from nlocalnet import inequality
 from nlocalnet.correlators import correlator_factorized
@@ -24,8 +24,7 @@ def test_I0_is_product_of_cosines():
     for config in (build_chain(3), build_star(3), build_tree(5, 3)):
         thetas = [0.3 + 0.2 * r for r in range(config.n)]
         alphas = [0.4 + 0.3 * j for j in range(config.p)]
-        plan = canonical_plan(config, alphas)
-        value = evaluate_S(config, thetas, plan).i0
+        value = evaluate_S(config, thetas, alphas).i0
         expected = math.prod(math.cos(a) for a in alphas)
         assert value == pytest.approx(expected, abs=1e-12)
 
@@ -34,8 +33,7 @@ def test_I1_is_product_of_sines():
     for config in (build_chain(3), build_star(4)):
         thetas = [0.2 + 0.25 * r for r in range(config.n)]
         alphas = [0.5 + 0.2 * j for j in range(config.p)]
-        plan = canonical_plan(config, alphas)
-        value = evaluate_S(config, thetas, plan).i1
+        value = evaluate_S(config, thetas, alphas).i1
         expected = (math.prod(math.sin(a) for a in alphas)
                     * math.prod(math.sin(2 * t) for t in thetas))
         assert value == pytest.approx(expected, abs=1e-12)
@@ -43,11 +41,11 @@ def test_I1_is_product_of_sines():
 
 def test_I1_vanishes_for_zero_alphas():
     config = build_chain(2)
-    plan = canonical_plan(config, [0.0, 0.0])
-    assert evaluate_S(config, [0.8, 1.7], plan).i1 == 0.0
+    alphas = [0.0, 0.0]
+    assert evaluate_S(config, [0.8, 1.7], alphas).i1 == 0.0
 
     def corr(assignment):
-        return correlator_factorized(config, [0.8, 1.7], plan, assignment)
+        return correlator_factorized(config, [0.8, 1.7], alphas, assignment)
 
     # the mixed input x = 0 under the I1 sign, through the oracle
     assert signed_y_average(corr, config, 1, (0,)) == 0.0
@@ -55,8 +53,7 @@ def test_I1_vanishes_for_zero_alphas():
 
 def test_maximal_violation_chain2():
     config = build_chain(2)
-    plan = canonical_plan(config, [PI / 4, PI / 4])
-    result = evaluate_S(config, [PI / 4, PI / 4], plan)
+    result = evaluate_S(config, [PI / 4, PI / 4], [PI / 4, PI / 4])
     assert result.s == pytest.approx(math.sqrt(2), abs=1e-12)
     assert result.violated
     assert result.s == pytest.approx(
@@ -65,8 +62,7 @@ def test_maximal_violation_chain2():
 
 def test_no_violation_with_product_source():
     config = build_star(3)
-    plan = canonical_plan(config, [0.3, 0.9, 1.2])
-    result = evaluate_S(config, [0.0, PI / 4, PI / 4], plan)
+    result = evaluate_S(config, [0.0, PI / 4, PI / 4], [0.3, 0.9, 1.2])
     assert result.s <= 1.0
     assert not result.violated
 
@@ -75,8 +71,7 @@ def test_star3_closed_form_value():
     # S at the optimal common angle atan(sqrt(3)/2) for three pi/6 sources
     config = build_star(3)
     alpha = math.atan(math.sqrt(3) / 2)
-    plan = canonical_plan(config, [alpha] * 3)
-    result = evaluate_S(config, [PI / 6] * 3, plan)
+    result = evaluate_S(config, [PI / 6] * 3, [alpha] * 3)
     expected = math.sqrt(1 + (3 * math.sqrt(3) / 8) ** (2 / 3))
     assert expected == pytest.approx(math.sqrt(7) / 2, abs=1e-12)
     assert result.s == pytest.approx(expected, abs=1e-10)
@@ -107,8 +102,8 @@ def test_closed_form_smax_examples():
 def test_evaluate_matches_closed_form_on_random_instances():
     rng = np.random.default_rng(1905)
     for _ in range(40):
-        config, thetas, alphas, plan, _ = random_instance(rng)
-        result = evaluate_S(config, thetas, plan)
+        config, thetas, alphas, _ = random_instance(rng)
+        result = evaluate_S(config, thetas, alphas)
         assert result.s == pytest.approx(
             closed_form_S(thetas, alphas, config.p), abs=1e-10)
 
@@ -118,7 +113,7 @@ def test_evaluate_matches_closed_form_six_sources():
     for config in (build_chain(6), build_star(6), build_tree(6, 2)):
         thetas = rng.uniform(0, 2 * PI, size=config.n).tolist()
         alphas = rng.uniform(0, 2 * PI, size=config.p).tolist()
-        result = evaluate_S(config, thetas, canonical_plan(config, alphas))
+        result = evaluate_S(config, thetas, alphas)
         assert result.s == pytest.approx(
             closed_form_S(thetas, alphas, config.p), abs=1e-10)
 
@@ -127,8 +122,7 @@ def test_evaluate_matches_closed_form_six_sources():
 @settings(max_examples=60, deadline=None)
 def test_chain2_evaluate_matches_closed_form(t1, t2, a1, a2):
     config = build_chain(2)
-    plan = canonical_plan(config, [a1, a2])
-    result = evaluate_S(config, [t1, t2], plan)
+    result = evaluate_S(config, [t1, t2], [a1, a2])
     assert abs(result.s - closed_form_S([t1, t2], [a1, a2], 2)) < 1e-10
 
 
@@ -140,8 +134,8 @@ def test_equal_angle_optimum_dominates_random_angles():
                       for a in rng.uniform(0, 2 * PI, size=1000))
     assert smax >= best_random - 1e-12
     config = build_chain(2)
-    plan = canonical_plan(config, [alpha_star, alpha_star])
-    assert evaluate_S(config, thetas, plan).s == pytest.approx(smax, abs=1e-10)
+    assert evaluate_S(config, thetas, [alpha_star, alpha_star]).s \
+        == pytest.approx(smax, abs=1e-10)
 
 
 def test_smax_iff_entangled_and_monotone():
@@ -158,8 +152,8 @@ def test_smax_iff_entangled_and_monotone():
 
 
 def test_factorized_route_matches_enumeration_oracle():
-    # Random intermediate Bloch directions break every canonical-plan
-    # cancellation, so each per-source factor is exercised.
+    # Random extremal angles and sources on chains, stars and trees: each
+    # kind of per-source factor is exercised.
     rng = np.random.default_rng(2016)
     layouts = ([build_chain(n) for n in range(2, 8)]
                + [build_star(n) for n in range(2, 8)]
@@ -168,12 +162,12 @@ def test_factorized_route_matches_enumeration_oracle():
     for _ in range(100):
         config = layouts[int(rng.integers(0, len(layouts)))]
         thetas = rng.uniform(0.0, 2.0 * PI, size=config.n).tolist()
-        plan = random_plan(rng, config)
+        alphas = rng.uniform(0.0, 2.0 * PI, size=config.p).tolist()
 
         def corr(assignment):
-            return correlator_factorized(config, thetas, plan, assignment)
+            return correlator_factorized(config, thetas, alphas, assignment)
 
-        fast = evaluate_S(config, thetas, plan)
+        fast = evaluate_S(config, thetas, alphas)
         slow = evaluate_S_from_correlator(corr, config)
         assert abs(fast.i0 - slow.i0) <= 1e-12
         assert abs(fast.i1 - slow.i1) <= 1e-12
@@ -204,9 +198,8 @@ def test_evaluate_S_scales_to_large_layouts(config):
     rng = np.random.default_rng(config.n)
     thetas = rng.uniform(0.1, PI / 2 - 0.1, size=config.n).tolist()
     alphas = rng.uniform(0.1, PI / 2 - 0.1, size=config.p).tolist()
-    plan = canonical_plan(config, alphas)
     start = time.perf_counter()
-    result = evaluate_S(config, thetas, plan)
+    result = evaluate_S(config, thetas, alphas)
     elapsed = time.perf_counter() - start
     assert result.s == pytest.approx(closed_form_S(thetas, alphas, config.p),
                                      abs=1e-10)
@@ -216,21 +209,22 @@ def test_evaluate_S_scales_to_large_layouts(config):
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_evaluate_rejects_non_finite_angles(bad):
     config = build_chain(2)
-    plan = canonical_plan(config, [0.3, 0.4])
+    alphas = [0.3, 0.4]
     with pytest.raises(InvalidParameterError):
-        evaluate_S(config, [0.5, bad], plan)
+        evaluate_S(config, [0.5, bad], alphas)
     with pytest.raises(InvalidParameterError):
-        evaluate_S(config, [bad, 0.5], plan)
+        evaluate_S(config, [bad, 0.5], alphas)
     # finite, but 2 theta overflows inside sin(2 theta)
     with pytest.raises(InvalidParameterError, match="not finite"):
-        evaluate_S(config, [0.5, 1e308], plan)
+        evaluate_S(config, [0.5, 1e308], alphas)
     with pytest.raises(InvalidParameterError, match="need 2 source angles, got 3"):
-        evaluate_S(config, [0.5, 0.6, bad], plan)
-    # a plan built by hand bypasses canonical_plan's check
-    bad_plan = MeasurementPlan(intermediate=plan.intermediate,
-                               alphas={**plan.alphas, next(iter(plan.alphas)): bad})
-    with pytest.raises(InvalidParameterError):
-        evaluate_S(config, [0.5, 0.6], bad_plan)
+        evaluate_S(config, [0.5, 0.6, bad], alphas)
+    with pytest.raises(InvalidParameterError, match="extremal angles must be finite"):
+        evaluate_S(config, [0.5, 0.6], [0.3, bad])
+    for count in (1, 3):
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                f"need one extremal angle per extremal node (2), got {count}")):
+            evaluate_S(config, [0.5, 0.6], [0.3] * count)
 
 
 @pytest.mark.parametrize("config", [build_star(5), build_tree(7, 3)],
@@ -251,26 +245,19 @@ def test_evaluate_S_builds_each_setting_once(config, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(inequality, name, counting(name))
-    plan = canonical_plan(config, [0.3] * config.p)
-    evaluate_S(config, [0.4] * config.n, plan)
+    evaluate_S(config, [0.4] * config.n, [0.3] * config.p)
     assert calls == {"extremal_observable": 2 * config.p,
                      "pair_expectation": 2 * config.n + 2 * config.p}
 
 
-# float.hex of (I0, I1, S) per layout and plan; a reordered product changes them.
+# float.hex of (I0, I1, S) per layout; a reordered product changes them.
 PINNED_BITS = {
-    ("chain3", "canonical"): ("-0x1.8a0423a83c833p-5", "0x1.2543137642902p-2",
-                              "0x1.8249353e04caep-1"),
-    ("chain3", "bloch"): ("-0x1.e423b07d767ffp-5", "-0x1.096e85d5e3339p-13",
-                          "0x1.047529c338dbdp-2"),
-    ("star4", "canonical"): ("-0x1.80cd63b403bb1p-4", "0x1.efa3ed35ca5a1p-10",
-                             "0x1.86390ec617a9fp-1"),
-    ("star4", "bloch"): ("-0x1.9b4b3b41d04c8p-8", "-0x1.38ee0a61c9253p-9",
-                         "0x1.0148b11fc597cp-1"),
-    ("tree7_3", "canonical"): ("-0x1.d697c16336df3p-8", "0x1.32780b7029375p-11",
-                               "0x1.3247d19f41debp-1"),
-    ("tree7_3", "bloch"): ("0x1.2e8110940c617p-26", "0x1.2591809dfd32ap-22",
-                           "0x1.3a9c96ae1e064p-4"),
+    "chain3": ("-0x1.8a0423a83c833p-5", "0x1.2543137642902p-2",
+               "0x1.8249353e04caep-1"),
+    "star4": ("-0x1.80cd63b403bb1p-4", "0x1.efa3ed35ca5a1p-10",
+              "0x1.86390ec617a9fp-1"),
+    "tree7_3": ("-0x1.d697c16336df3p-8", "0x1.32780b7029375p-11",
+                "0x1.3247d19f41debp-1"),
 }
 
 
@@ -283,9 +270,6 @@ def test_evaluate_S_bits_are_pinned(name, config):
     rng = np.random.default_rng(7)
     thetas = rng.uniform(0.0, 2.0 * PI, size=config.n).tolist()
     alphas = rng.uniform(0.0, 2.0 * PI, size=config.p).tolist()
-    for kind, plan in (("canonical", canonical_plan(config, alphas)),
-                       ("bloch", random_plan(rng, config))):
-        result = evaluate_S(config, thetas, plan)
-        assert (result.i0.hex(), result.i1.hex(), result.s.hex()) == \
-            PINNED_BITS[name, kind]
-        assert not result.violated
+    result = evaluate_S(config, thetas, alphas)
+    assert (result.i0.hex(), result.i1.hex(), result.s.hex()) == PINNED_BITS[name]
+    assert not result.violated

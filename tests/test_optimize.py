@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nlocalnet import (VIOLATION_TOLERANCE, InvalidParameterError,
                        NetworkConfig, ResourceLimitError, build_chain,
-                       build_star, build_tree, canonical_plan, closed_form_S,
+                       build_star, build_tree, closed_form_S,
                        closed_form_smax, evaluate_S, sweep)
 from nlocalnet.optimize import MAX_SWEEP_ROWS
 
@@ -19,8 +19,7 @@ PI = math.pi
 
 def equal_angle_profile(config, thetas):
     def profile(alpha):
-        plan = canonical_plan(config, [alpha] * config.p)
-        return evaluate_S(config, thetas, plan).s
+        return evaluate_S(config, thetas, [alpha] * config.p).s
     return profile
 
 
@@ -61,9 +60,9 @@ def test_equal_angle_optimum_bounds_every_per_node_choice(layout, data):
     alphas = data.draw(st.lists(angles, min_size=layout.p, max_size=layout.p))
     smax, alpha_star = closed_form_smax(thetas, layout.p)
     assert closed_form_S(thetas, alphas, layout.p) <= smax + 1e-12
-    assert evaluate_S(layout, thetas, canonical_plan(layout, alphas)).s <= smax + 1e-12
-    at_star = canonical_plan(layout, [alpha_star] * layout.p)
-    assert evaluate_S(layout, thetas, at_star).s == pytest.approx(smax, abs=1e-12)
+    assert evaluate_S(layout, thetas, alphas).s <= smax + 1e-12
+    assert evaluate_S(layout, thetas, [alpha_star] * layout.p).s \
+        == pytest.approx(smax, abs=1e-12)
 
 
 @pytest.mark.parametrize("call", [

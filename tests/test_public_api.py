@@ -8,9 +8,8 @@ import pytest
 import nlocalnet
 from helpers import run_fresh
 from nlocalnet import (AttachmentMap, BlochObservable, EvaluationResult, LHVModel,
-                       MeasurementPlan, NetworkConfig, PAULI_X, SettingAssignment,
-                       attachments, build_chain, canonical_plan, evaluate_S,
-                       lhv_best_S)
+                       NetworkConfig, PAULI_X, SettingAssignment, attachments,
+                       build_chain, evaluate_S, lhv_best_S)
 
 # The public names, by the module that defines them.
 HOMES = {
@@ -20,9 +19,8 @@ HOMES = {
     "lhv": ["LHVModel", "lhv_best_S", "lhv_distribution", "lhv_evaluate_S",
             "model_to_jsonable", "validate_model"],
     "optimize": ["sweep"],
-    "quantum": ["BlochObservable", "MeasurementPlan", "PAULI_X", "PAULI_Z",
-                "SettingAssignment", "canonical_plan", "check_plan", "concurrence",
-                "extremal_observable", "pair_expectation"],
+    "quantum": ["BlochObservable", "PAULI_X", "PAULI_Z", "SettingAssignment",
+                "concurrence", "extremal_observable", "pair_expectation"],
     "topology": ["AttachmentMap", "NetworkConfig", "NodeId", "attachments",
                  "build_chain", "build_star", "build_tree", "extremal_nodes",
                  "intermediate_nodes", "parse_config", "serialize_config",
@@ -32,7 +30,7 @@ PUBLIC = sorted(name for names in HOMES.values() for name in names)
 
 
 def test_all_lists_the_pinned_public_names():
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 35
     assert sorted(nlocalnet.__all__) == PUBLIC
 
 
@@ -78,15 +76,13 @@ def test_import_loads_a_submodule_only_on_first_use():
 
 def _instances() -> dict:
     config = build_chain(3)
-    plan = canonical_plan(config, [0.3, 0.4])
     return {
         NetworkConfig: (config, ("n", "m", "p", "edges")),
         AttachmentMap: (attachments(config), ("intermediate", "extremal")),
         BlochObservable: (PAULI_X, ("vx", "vy", "vz")),
-        MeasurementPlan: (plan, ("intermediate", "alphas")),
         SettingAssignment: (SettingAssignment.from_bits(config, [0, 1], [1, 0]),
                             ("x", "y")),
-        EvaluationResult: (evaluate_S(config, [0.5, 0.6, 0.7], plan),
+        EvaluationResult: (evaluate_S(config, [0.5, 0.6, 0.7], [0.3, 0.4]),
                            ("i0", "i1", "s", "violated")),
         LHVModel: (lhv_best_S(config)[1],
                    ("alphabet_size", "weights", "intermediate", "extremal")),
@@ -94,8 +90,8 @@ def _instances() -> dict:
 
 
 @pytest.mark.parametrize("kind", [
-    NetworkConfig, AttachmentMap, BlochObservable, MeasurementPlan,
-    SettingAssignment, EvaluationResult, LHVModel], ids=lambda kind: kind.__name__)
+    NetworkConfig, AttachmentMap, BlochObservable, SettingAssignment,
+    EvaluationResult, LHVModel], ids=lambda kind: kind.__name__)
 def test_value_types_stay_frozen_with_their_fields_repr_and_pickle(kind):
     value, fields = _instances()[kind]
     assert type(value) is kind

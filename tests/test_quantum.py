@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlocalnet import (BlochObservable, InvalidParameterError, MeasurementPlan,
-                       PAULI_X, PAULI_Z, build_chain, canonical_plan, check_plan,
+from nlocalnet import (BlochObservable, InvalidParameterError, PAULI_X, PAULI_Z,
                        concurrence, extremal_observable, pair_expectation)
 from nlocalnet.correlators import bloch_matrix, source_state
 
@@ -110,30 +109,3 @@ def test_pair_expectation_with_y_components():
         psi = source_state(theta)
         exact = np.vdot(psi, np.kron(bloch_matrix(first), bloch_matrix(second)) @ psi).real
         assert abs(pair_expectation(theta, first, second) - exact) < 1e-12
-
-
-def test_canonical_plan_shape_and_arity_check():
-    config = build_chain(3)
-    plan = canonical_plan(config, [0.1, 0.2])
-    check_plan(config, plan)
-    for node, (zero_obs, one_obs) in plan.intermediate.items():
-        assert zero_obs == (PAULI_Z,) * config.m
-        assert one_obs == (PAULI_X,) * config.m
-    with pytest.raises(InvalidParameterError):
-        canonical_plan(config, [0.1])
-    for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(InvalidParameterError):
-            canonical_plan(config, [0.1, bad])
-    bad = canonical_plan(build_chain(2), [0.1, 0.2])
-    with pytest.raises(InvalidParameterError):
-        check_plan(config, bad)
-    short = MeasurementPlan(
-        intermediate={node: (zero_obs[1:], one_obs)
-                      for node, (zero_obs, one_obs) in plan.intermediate.items()},
-        alphas=plan.alphas)
-    with pytest.raises(InvalidParameterError,
-                       match="node A1 needs 2 observable factors per input"):
-        check_plan(config, short)
-    no_angle = MeasurementPlan(intermediate=plan.intermediate, alphas={})
-    with pytest.raises(InvalidParameterError, match="plan lacks an angle for node B1"):
-        check_plan(config, no_angle)

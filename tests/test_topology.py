@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from helpers import run_fresh
 from nlocalnet import (InvalidParameterError, NetworkConfig, NodeId,
                        ResourceLimitError, attachments, build_chain,
-                       build_star, build_tree, canonical_plan,
-                       evaluate_S_from_correlator, intermediate_nodes,
-                       parse_config, serialize_config, validate)
+                       build_star, build_tree, evaluate_S_from_correlator,
+                       intermediate_nodes, parse_config, serialize_config,
+                       validate)
 from nlocalnet.cli import main
 from nlocalnet.topology import EXTREMAL, INTERMEDIATE, MAX_SOURCES
 
@@ -241,10 +241,9 @@ def test_attachments_rejects_invalid_config():
 
 
 @pytest.mark.parametrize("call", [
-    lambda config: canonical_plan(config, [0.1, 0.2]),
     intermediate_nodes,
     lambda config: evaluate_S_from_correlator(lambda assignment: 1.0, config),
-], ids=["canonical_plan", "intermediate_nodes", "evaluate_S_from_correlator"])
+], ids=["intermediate_nodes", "evaluate_S_from_correlator"])
 def test_zero_particles_per_node_is_an_invalid_parameter(call):
     config = NetworkConfig(n=2, m=0, p=2, edges=build_chain(2).edges)
     with pytest.raises(InvalidParameterError):
