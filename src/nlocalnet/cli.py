@@ -5,19 +5,21 @@ Exit codes: 0 success, 2 bad input, 3 expected violation absent, 4 resource
 cap hit.  Angles are radians, or multiples of pi with a "pi" suffix
 ("0.25pi").  Reports are single-line JSON on stdout; sweeps are CSV.
 
-Every command reads or builds a layout, so topology is imported here; each
-command imports the rest of what it calls in its own body, so it loads only
-the modules it runs.
+Options are parsed by getopt.gnu_getopt from one table, _COMMANDS, which
+also prints the help.  Every command reads or builds a layout, so topology
+is imported here; each command imports the rest of what it calls in its own
+body, so it loads only the modules it runs.
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Callable, NoReturn, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .topology import (NetworkConfig, _config_from_doc, attachments, build_chain,
@@ -86,7 +88,7 @@ def _emit(text: str, output: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: SimpleNamespace) -> int:
     if args.kind == "chain":
         _require_params(args, "n")
         config = build_chain(args.n)
@@ -112,14 +114,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require_params(args: argparse.Namespace, *names: str) -> None:
+def _require_params(args: SimpleNamespace, *names: str) -> None:
     for name in names:
         if getattr(args, name, None) is None:
             raise InvalidParameterError(
                 f"--{name} is required for kind {args.kind!r}")
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
     issues = validate(_read_config(args.topology))
     if issues:
         print("\n".join(issues))
@@ -135,7 +137,7 @@ def _angles(text: str, count: int, name: str) -> list[float]:
     return values
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: SimpleNamespace) -> int:
     from .inequality import closed_form_smax, evaluate_S
 
     config = _read_config(args.topology)
@@ -157,7 +159,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_maximize(args: argparse.Namespace) -> int:
+def _cmd_maximize(args: SimpleNamespace) -> int:
     from .inequality import VIOLATION_TOLERANCE, closed_form_smax
 
     config = _load_topology(args.topology)
@@ -193,7 +195,7 @@ class _OpenedOnFirstWrite:
             self.file.close()
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: SimpleNamespace) -> int:
     from .optimize import sweep
 
     config = _load_topology(args.topology)
@@ -209,7 +211,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_lhv(args: argparse.Namespace) -> int:
+def _cmd_lhv(args: SimpleNamespace) -> int:
     from .lhv import lhv_best_S, model_to_jsonable
 
     config = _read_config(args.topology)  # lhv_best_S validates it
@@ -228,76 +230,143 @@ def _cmd_lhv(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors print one line and exit 2; subparsers inherit the class."""
-
-    def error(self, message: str):
-        self.exit(EXIT_INPUT, f"error: {message}\n")
-
-
-def _list_help(what: str) -> str:
-    # argparse reads a separate value that starts with "-" as an option.
-    return (f"comma-separated {what}; a list that starts with a minus sign "
-            "needs '=', as in --%(dest)s=-0.3,0.2")
+def _usage(message: str) -> NoReturn:
+    """A usage error: one line on stderr, exit 2."""
+    sys.stderr.write(f"error: {message}\n")
+    raise SystemExit(EXIT_INPUT)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="nlocalnet",
-        description="Acyclic quantum network layouts and their n-local "
-                    "correlation inequalities.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_TOPOLOGY = ("FILE", str, None, True, "topology JSON file")
+_OUTPUT = ("FILE", str, None, False, "also write the report to this file")
+_THETA = ("LIST", str, None, True, "comma-separated source angles")
 
-    gen = sub.add_parser("generate", help="write a topology JSON file")
-    gen.add_argument("kind", choices=["chain", "star", "tree", "custom"])
-    gen.add_argument("--n", type=int, help="source count")
-    gen.add_argument("--m", type=int, help="particles per intermediate node")
-    gen.add_argument("--p", type=int, help="extremal node count (custom only)")
-    gen.add_argument("--edges", help="JSON edge list (custom only)")
-    gen.add_argument("--output", help="file to write (stdout if omitted)")
-    gen.set_defaults(run=_cmd_generate)
+# Per subcommand: its handler, one line of help, its positional argument as
+# (name, choices) or None, and its options.  An option maps to (metavar,
+# type, default, required, help); a flag has type bool and takes no value.
+_COMMANDS = {
+    "generate": (_cmd_generate, "write a topology JSON file",
+                 ("kind", ("chain", "star", "tree", "custom")), {
+        "n": ("N", int, None, False, "source count"),
+        "m": ("M", int, None, False, "particles per intermediate node"),
+        "p": ("P", int, None, False, "extremal node count (custom only)"),
+        "edges": ("JSON", str, None, False, "JSON edge list (custom only)"),
+        "output": ("FILE", str, None, False, "file to write (stdout if omitted)")}),
+    "validate": (_cmd_validate, "check a topology file", None, {"topology": _TOPOLOGY}),
+    "evaluate": (_cmd_evaluate, "evaluate the witness for given angles", None, {
+        "topology": _TOPOLOGY, "theta": _THETA,
+        "alpha": ("LIST", str, None, True, "comma-separated extremal angles"),
+        "expect-violation": ("", bool, False, False, "exit 3 unless the bound is violated"),
+        "output": _OUTPUT}),
+    "maximize": (_cmd_maximize, "best extremal angles for given sources", None, {
+        "topology": _TOPOLOGY, "theta": _THETA, "output": _OUTPUT}),
+    "sweep": (_cmd_sweep, "tabulate the witness over a theta grid", None, {
+        "topology": _TOPOLOGY,
+        "grid": ("LIST", str, None, True, "comma-separated grid of source angles"),
+        "output": ("FILE", str, None, False, "CSV file to write (stdout if omitted)")}),
+    "lhv": (_cmd_lhv, "best classical witness (the closed-form bound 1) and the "
+                      "vertex model reaching it", None, {
+        "topology": _TOPOLOGY,
+        "alphabet-size": ("C", int, 2, False, "symbols per source"),
+        "grid-steps": ("K", int, 11, False,
+                       "ignored: only echoed in the report; to be removed"),
+        "output": ("FILE", str, None, False, "dump the model as JSON to this file")}),
+}
+_HELP = """usage: nlocalnet COMMAND [options]
 
-    val = sub.add_parser("validate", help="check a topology file")
-    val.add_argument("--topology", required=True)
-    val.set_defaults(run=_cmd_validate)
+Acyclic quantum network layouts and their n-local correlation inequalities.
 
-    ev = sub.add_parser("evaluate", help="evaluate the witness for given angles")
-    ev.add_argument("--topology", required=True)
-    ev.add_argument("--theta", required=True, help=_list_help("source angles"))
-    ev.add_argument("--alpha", required=True, help=_list_help("extremal angles"))
-    ev.add_argument("--expect-violation", action="store_true",
-                    help="exit 3 unless the bound is violated")
-    ev.add_argument("--output", help="also write the report to this file")
-    ev.set_defaults(run=_cmd_evaluate)
+commands:
+{}
+'nlocalnet COMMAND --help' lists the options of COMMAND.  An option may be
+shortened to a unique prefix and takes its value as --opt VALUE or
+--opt=VALUE; '--' ends the options.  An argument @FILE stands for the lines
+of FILE, one argument per line.  An angle is in radians, or a multiple of pi
+as in 0.25pi.
+"""
+# No command needs more than a few arguments, and getopt copies the rest of
+# the list at each one: time quadratic in their number.
+_MAX_ARGS = 1000
 
-    mx = sub.add_parser("maximize", help="best extremal angles for given sources")
-    mx.add_argument("--topology", required=True)
-    mx.add_argument("--theta", required=True, help=_list_help("source angles"))
-    mx.add_argument("--output", help="also write the report to this file")
-    mx.set_defaults(run=_cmd_maximize)
 
-    sw = sub.add_parser("sweep", help="tabulate the witness over a theta grid")
-    sw.add_argument("--topology", required=True)
-    sw.add_argument("--grid", required=True, help=_list_help("grid of source angles"))
-    sw.add_argument("--output", help="CSV file to write (stdout if omitted)")
-    sw.set_defaults(run=_cmd_sweep)
+def _help(command: str | None) -> str:
+    if command is None:
+        return _HELP.format("".join(f"  {name:<10}{spec[1]}\n"
+                                    for name, spec in _COMMANDS.items()))
+    _, text, positional, options = _COMMANDS[command]
+    choices = " {" + ",".join(positional[1]) + "}" if positional else ""
+    lines = [f"usage: nlocalnet {command}{choices} [options]", "", text, "", "options:"]
+    for name, (metavar, _, default, required, note) in options.items():
+        note += " (required)" if required else f" (default {default})" if default else ""
+        lines.append(f"  {f'--{name} {metavar}'.rstrip():<22}{note}")
+    return "\n".join([*lines, f"  {'-h, --help':<22}show this help and exit\n"])
 
-    lh = sub.add_parser("lhv", help="best classical witness (the closed-form "
-                                    "bound 1) and the vertex model reaching it")
-    lh.add_argument("--topology", required=True)
-    lh.add_argument("--alphabet-size", type=int, default=2)
-    lh.add_argument("--grid-steps", type=int, default=11,
-                    help="ignored: only echoed in the report; to be removed")
-    lh.add_argument("--output", help="dump the model as JSON to this file")
-    lh.set_defaults(run=_cmd_lhv)
 
-    return parser
+def _expand_files(argv: Sequence[str]) -> list[str]:
+    """argv with each @FILE argument replaced by the lines of FILE, read as
+    UTF-8; a line that starts with @ is kept as it is."""
+    expanded = []
+    for arg in argv:
+        if not arg.startswith("@"):
+            expanded.append(arg)
+            continue
+        try:
+            expanded += Path(arg[1:]).read_text(encoding="utf-8").splitlines()
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+            _usage(f"cannot read argument file {arg[1:]!r}: {exc}")
+    return expanded
+
+
+def _parse(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int],
+                                         SimpleNamespace]:
+    """The handler and its arguments; a usage error exits 2, help exits 0."""
+    argv = _expand_files(argv)
+    if len(argv) > _MAX_ARGS:
+        _usage(f"{len(argv)} arguments, above the cap {_MAX_ARGS}")
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        sys.stdout.write(_help(None))
+        raise SystemExit(EXIT_OK)
+    if command not in _COMMANDS:
+        what = f"unknown command {command!r}" if argv else "no command"
+        _usage(f"{what}; the commands are {', '.join(_COMMANDS)}")
+    run, _, positional, options = _COMMANDS[command]
+    try:
+        opts, rest = getopt.gnu_getopt(argv[1:], "h", ["help", *(
+            name + "=" * (spec[1] is not bool) for name, spec in options.items())])
+    except getopt.GetoptError as exc:
+        _usage(exc.msg)
+    values = {name: spec[2] for name, spec in options.items()}
+    for opt, value in opts:
+        if opt in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            raise SystemExit(EXIT_OK)
+        name = opt[2:]
+        kind = options[name][1]
+        try:
+            values[name] = True if kind is bool else kind(value)
+        except ValueError:  # not an integer, or more digits than int() reads
+            shown = repr(value) if len(value) <= 40 else f"{len(value)} characters"
+            _usage(f"option --{name} needs an integer, got {shown}")
+    if positional:
+        label, choices = positional
+        if not rest or rest[0] not in choices:
+            _usage(f"{command} needs a {label} from {', '.join(choices)}"
+                   + (f", not {rest[0]!r}" if rest else ""))
+        values[label] = rest.pop(0)
+    if rest:
+        _usage(f"unexpected argument {rest[0]!r}")
+    missing = [f"--{name}" for name, spec in options.items()
+               if spec[3] and values[name] is None]
+    if missing:
+        _usage(f"{command} requires {', '.join(missing)}")
+    return run, SimpleNamespace(**{name.replace("-", "_"): value
+                                   for name, value in values.items()})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    run, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.run(args)
+        return run(args)
     except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -20,8 +20,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
+from .inequality import _check_angles
 from .quantum import (PAULI_X, PAULI_Z, BlochObservable, SettingAssignment,
-                      _check_angles, extremal_observable, pair_expectation)
+                      extremal_observable, pair_expectation)
 from .topology import (INTERMEDIATE, NetworkConfig, NodeId, attachments,
                        extremal_nodes, intermediate_nodes)
 

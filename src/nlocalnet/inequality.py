@@ -17,13 +17,15 @@ product over sources, with input k at every intermediate end:
     I_k = prod_{r between two intermediate nodes} E_r(k)
           * prod_{r with an extremal end} 1/2 sum_y (-1)^(k y) E_r(k, y).
 
-S then costs 2n + 2p pair expectations, where the enumeration costs
-n 2^(p+1).  Both ingredients are contracted in one pass over the sources.
-An intermediate end measures sigma_z in I0 and sigma_x in I1 (the fixed
-settings of quantum), and each extremal node's two settings are built once
-and serve both I0 and I1.  signed_y_average is the enumeration oracle for any
-correlator: the tests compare evaluate_S with it, and lhv_evaluate_S with it
-over lhv_distribution.  Each contraction agrees with it to rounding (within
+Each factor has a closed form in s = sin(2 theta_r), as in Branciard et al.,
+PRA 85, 032119 (2012).  An intermediate end measures sigma_z in I0 and
+sigma_x in I1 (the fixed settings of quantum), so a source between two
+intermediate nodes gives 1 to I0 and s to I1, and a source at B_j gives
+cos(alpha_j) to I0 and s sin(alpha_j) to I1.  Both ingredients are
+contracted in one pass over the sources, with no observable built.
+signed_y_average is the enumeration oracle for any correlator: the tests
+compare evaluate_S with it, and lhv_evaluate_S with it over
+lhv_distribution.  Each contraction agrees with it to rounding (within
 1e-12), not bit for bit, because the arithmetic is done in a different order.
 """
 
@@ -31,19 +33,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .quantum import (PAULI_X, PAULI_Z, BlochObservable, SettingAssignment,
-                      _check_angles, _check_source_angles, check_finite,
-                      extremal_observable, pair_expectation)
 from .topology import AttachmentMap, NetworkConfig, attachments
+
+if TYPE_CHECKING:
+    from .quantum import SettingAssignment
 
 VIOLATION_TOLERANCE = 1e-9
 # The enumeration oracle visits 2^p extremal inputs; refuse layouts beyond this.
 ENUMERATION_MAX_EXTREMAL = 20
 
-Correlator = Callable[[SettingAssignment], float]
+Correlator = Callable[["SettingAssignment"], float]
 
 
 class EvaluationResult(NamedTuple):
@@ -70,6 +72,8 @@ def signed_y_average(correlator: Correlator, config: NetworkConfig, k: int,
         raise ResourceLimitError(
             f"enumerating the 2^{config.p} extremal inputs exceeds the cap of "
             f"2^{ENUMERATION_MAX_EXTREMAL}")
+    from .quantum import SettingAssignment
+
     x_bits = tuple(x_bits)
     total = 0.0
     for y_bits in itertools.product((0, 1), repeat=config.p):
@@ -101,24 +105,26 @@ def _contract(config: NetworkConfig, thetas: Sequence[float],
               alphas: Sequence[float], attach: AttachmentMap) -> tuple[float, float]:
     """(I0, I1) in one pass, each a product of one factor per source.
 
-    extremal[r - 1] holds the two settings of source r's extremal end, built
-    once for both; a source without one joins two intermediate nodes.
+    extremal[r - 1] holds the angle of source r's extremal end; a source
+    without one joins two intermediate nodes.  The I1 factors keep the
+    operation order of the pair expectations they stand for, so a zero
+    factor keeps its sign; the I0 factor cos(alpha), which is never zero,
+    equals that order's 1/2 (cos(alpha) + cos(alpha)) exactly.
     """
-    extremal: list[tuple[BlochObservable, BlochObservable] | None] = [None] * config.n
+    extremal: list[float | None] = [None] * config.n
     for node, r in attach.extremal.items():
-        alpha = alphas[node.index - 1]
-        extremal[r - 1] = (extremal_observable(alpha, 0), extremal_observable(alpha, 1))
+        extremal[r - 1] = alphas[node.index - 1]
     i0 = i1 = 1.0
-    for theta, outer in zip(thetas, extremal):
-        if outer is None:  # both ends intermediate
-            i0 *= pair_expectation(theta, PAULI_Z, PAULI_Z)
-            i1 *= pair_expectation(theta, PAULI_X, PAULI_X)
+    for theta, alpha in zip(thetas, extremal):
+        s = math.sin(2.0 * theta)
+        if alpha is None:  # both ends intermediate; the I0 factor is 1
+            i1 *= 0.0 + s
         else:  # one extremal end: a valid layout has no source with two
-            up, down = outer
-            i0 *= 0.5 * (pair_expectation(theta, PAULI_Z, up)
-                         + pair_expectation(theta, PAULI_Z, down))
-            i1 *= 0.5 * (pair_expectation(theta, PAULI_X, up)
-                         - pair_expectation(theta, PAULI_X, down))
+            c = math.cos(alpha)
+            z = 0.0 * c
+            q = s * math.sin(alpha)
+            i0 *= c
+            i1 *= 0.5 * ((z + q) - (z - q))
     return i0, i1
 
 
@@ -179,3 +185,33 @@ def _smax_at(k_value: float) -> tuple[float, float]:
     """(smax, alpha_star) = (sqrt(1 + K^2), atan(K)): the one copy of the
     formula, shared by closed_form_smax and optimize.sweep."""
     return math.sqrt(1.0 + k_value * k_value), math.atan(k_value)
+
+
+def check_finite(label: str, values: Iterable[float]) -> None:
+    """Raise InvalidParameterError if any of the angles is infinite or NaN."""
+    for value in values:
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{label} angles must be finite, got {value!r}")
+
+
+def _check_source_angles(thetas: Sequence[float]) -> None:
+    """check_finite for source angles, which also refuses a theta whose
+    2 theta overflows: sin(2 theta) would raise a bare ValueError on it."""
+    check_finite("source", thetas)
+    for theta in thetas:
+        if not math.isfinite(2.0 * theta):
+            raise InvalidParameterError(
+                f"source angle {theta!r} is too large: 2 theta is not finite")
+
+
+def _check_angles(config: NetworkConfig, thetas: Sequence[float],
+                  alphas: Sequence[float]) -> None:
+    """Raise InvalidParameterError unless thetas holds n source angles and
+    alphas p extremal angles, all finite (2 theta included)."""
+    if len(thetas) != config.n:
+        raise InvalidParameterError(f"need {config.n} source angles, got {len(thetas)}")
+    _check_source_angles(thetas)
+    if len(alphas) != config.p:
+        raise InvalidParameterError(
+            f"need one extremal angle per extremal node ({config.p}), got {len(alphas)}")
+    check_finite("extremal", alphas)

@@ -39,13 +39,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .inequality import EvaluationResult, _witness
-from .quantum import SettingAssignment
 from .topology import (AttachmentMap, NetworkConfig, NodeId, attachments,
                        extremal_nodes, intermediate_nodes)
+
+if TYPE_CHECKING:
+    from .quantum import SettingAssignment
 
 # Response-table cells a model built by lhv_best_S may hold: the intermediate
 # tables, 2 * c**m cells each, grow exponentially in m.

@@ -24,8 +24,8 @@ import math
 from typing import Sequence, TextIO
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .inequality import VIOLATION_TOLERANCE, _smax_at, _smax_root
-from .quantum import _check_source_angles
+from .inequality import (VIOLATION_TOLERANCE, _check_source_angles, _smax_at,
+                         _smax_root)
 from .topology import NetworkConfig
 
 MAX_SWEEP_ROWS = 1_000_000

@@ -9,6 +9,8 @@ measurement choice.
 
 Pure Python: the Pauli-measurement value needs no matrices.  The oracles'
 matrices and source amplitudes are in correlators (bloch_matrix, source_state).
+inequality.evaluate_S builds none of these objects: it has each source's
+factor in closed form, so only the oracles and the tests load this module.
 """
 
 from __future__ import annotations
@@ -103,32 +105,3 @@ class SettingAssignment(NamedTuple):
             if missing:
                 raise InvalidParameterError(f"assignment lacks an input for {missing[0]}")
 
-
-def check_finite(label: str, values: Iterable[float]) -> None:
-    """Raise InvalidParameterError if any of the angles is infinite or NaN."""
-    for value in values:
-        if not math.isfinite(value):
-            raise InvalidParameterError(f"{label} angles must be finite, got {value!r}")
-
-
-def _check_source_angles(thetas: Sequence[float]) -> None:
-    """check_finite for source angles, which also refuses a theta whose
-    2 theta overflows: sin(2 theta) would raise a bare ValueError on it."""
-    check_finite("source", thetas)
-    for theta in thetas:
-        if not math.isfinite(2.0 * theta):
-            raise InvalidParameterError(
-                f"source angle {theta!r} is too large: 2 theta is not finite")
-
-
-def _check_angles(config: NetworkConfig, thetas: Sequence[float],
-                  alphas: Sequence[float]) -> None:
-    """Raise InvalidParameterError unless thetas holds n source angles and
-    alphas p extremal angles, all finite (2 theta included)."""
-    if len(thetas) != config.n:
-        raise InvalidParameterError(f"need {config.n} source angles, got {len(thetas)}")
-    _check_source_angles(thetas)
-    if len(alphas) != config.p:
-        raise InvalidParameterError(
-            f"need one extremal angle per extremal node ({config.p}), got {len(alphas)}")
-    check_finite("extremal", alphas)

@@ -148,12 +148,15 @@ def test_evaluate_command(tmp_path, capsys):
                  "--expect-violation"]) == 3
     capsys.readouterr()
 
-    # a list that starts with a minus sign is passed with "="
-    assert main(["evaluate", "--topology", str(topo),
-                 "--theta=-0.3,0.2", "--alpha", "0.5,0.6"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["S"] == pytest.approx(
-        closed_form_S([-0.3, 0.2], [0.5, 0.6], 2), abs=1e-12)
+    # a list that starts with a minus sign, with "=" or as the next argument
+    outputs = []
+    for theta in (["--theta=-0.3,0.2"], ["--theta", "-0.3,0.2"]):
+        assert main(["evaluate", "--topology", str(topo), *theta,
+                     "--alpha", "-0.5,0.6"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["S"] == pytest.approx(
+        closed_form_S([-0.3, 0.2], [-0.5, 0.6], 2), abs=1e-12)
 
     # wrong alpha count
     assert main(["evaluate", "--topology", str(topo),
@@ -363,6 +366,18 @@ def test_evaluate_command_on_a_large_star(tmp_path, capsys):
     ["lhv", "--topology", "TOPO", "--no-refine"],
     ["lhv"],
     ["lhv", "--topology", "TOPO", "--max-work", "10"],
+    [],
+    ["simulate", "--topology", "TOPO"],
+    ["validate", "--topology", "TOPO", "--verbose"],
+    ["maximize", "--theta", "0.1,0.2", "--topology"],
+    ["maximize", "--topology", "TOPO"],
+    ["generate", "chain", "--n", "x"],
+    ["generate", "chain", "--n", BIG],
+    ["validate", "--topology", "TOPO", "extra"],
+    ["generate", "ring", "--n", "3"],
+    ["evaluate", "--t", "TOPO", "--alpha", "0.3,0.4"],
+    ["evaluate", "--topology", "TOPO", "--theta", "0.1,0.2", "--alpha", "0.3,0.4",
+     "--expect-violation=1"],
 ])
 def test_usage_errors_are_one_line(tmp_path, capsys, argv):
     topo = tmp_path / "chain2.json"
@@ -370,8 +385,79 @@ def test_usage_errors_are_one_line(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as info:
         main([str(topo) if arg == "TOPO" else arg for arg in argv])
     assert info.value.code == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_a_unique_prefix_stands_for_its_option(tmp_path, capsys):
+    topo = tmp_path / "chain2.json"
+    main(["generate", "chain", "--n", "2", "--output", str(topo)])
+    assert main(["evaluate", "--topology", str(topo), "--theta", "0.3,0.4",
+                 "--alpha", "0.5,0.6"]) == 0
+    full = capsys.readouterr().out
+    assert main(["evaluate", "--topo", str(topo), "--th=0.3,0.4", "--al", "0.5,0.6"]) == 0
+    assert capsys.readouterr().out == full
+
+
+OPTIONS = {
+    "generate": ["--n", "--m", "--p", "--edges", "--output"],
+    "validate": ["--topology"],
+    "evaluate": ["--topology", "--theta", "--alpha", "--expect-violation", "--output"],
+    "maximize": ["--topology", "--theta", "--output"],
+    "sweep": ["--topology", "--grid", "--output"],
+    "lhv": ["--topology", "--alphabet-size", "--grid-steps", "--output"],
+}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], *([command, "--help"]
+                                                         for command in OPTIONS)],
+                         ids=lambda argv: " ".join(argv))
+def test_help_exits_0_and_names_every_option(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if len(argv) == 1:
+        assert all(f"  {command} " in captured.out for command in OPTIONS)
+    else:
+        assert all(f"  {option} " in captured.out for option in OPTIONS[argv[0]])
+
+
+def test_an_argument_file_carries_a_list_above_the_argument_limit(tmp_path, capsys):
+    # Linux caps one argument at 128 KB; chain(20000)'s angles take 140 KB.
+    topo = tmp_path / "chain.json"
+    main(["generate", "chain", "--n", "20000", "--output", str(topo)])
+    args = tmp_path / "angles.args"
+    thetas = ",".join(["0.25pi"] * 20000)
+    assert len(thetas) > 128 * 1024
+    args.write_text(f"--theta\n{thetas}\n--alpha\n0.25pi,0.25pi\n", encoding="utf-8")
+    assert main(["evaluate", "--topology", str(topo), f"@{args}"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert abs(report["S"] - math.sqrt(2)) <= 1e-12 and report["violated"] is True
+
+
+@pytest.mark.parametrize("content", [None, b"--theta\n\xff0.1,0.2\n", b"", b"@NESTED\n",
+                                     b"--theta\n0.1,0.2\n" * 50_000],
+                         ids=["missing", "not-utf8", "empty", "nested", "100000-lines"])
+def test_a_bad_argument_file_is_one_line_exit_2(tmp_path, capsys, content):
+    # An @file inside an @file is not read: its name reaches the option parser.
+    # The option parser takes time quadratic in the argument count, so a
+    # long argument list is refused before it is parsed.
+    topo = tmp_path / "chain2.json"
+    main(["generate", "chain", "--n", "2", "--output", str(topo)])
+    nested = tmp_path / "nested.args"
+    nested.write_text("--theta\n0.1,0.2\n", encoding="utf-8")
+    args = tmp_path / "bad.args"
+    if content is not None:
+        args.write_bytes(content.replace(b"NESTED", bytes(nested)))
+    with pytest.raises(SystemExit) as info:
+        main(["maximize", "--topology", str(topo), f"@{args}"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_size_caps_exit_4(tmp_path, capsys):
@@ -475,7 +561,7 @@ def test_import_pulls_in_no_scipy(tmp_path):
 
 
 LAYOUT_MODULES = {"nlocalnet", "nlocalnet.cli", "nlocalnet.errors", "nlocalnet.topology"}
-WITNESS_MODULES = LAYOUT_MODULES | {"nlocalnet.quantum", "nlocalnet.inequality"}
+WITNESS_MODULES = LAYOUT_MODULES | {"nlocalnet.inequality"}
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -507,5 +593,5 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules)
     exit_code, loaded = json.loads(done.stdout)
     assert exit_code == 0
     assert {m for m in loaded if m.split(".")[0] == "nlocalnet"} == modules
-    assert [m for m in loaded
-            if m.split(".")[0] in ("dataclasses", "numpy", "scipy")] == []
+    assert [m for m in loaded if m.split(".")[0] in (
+        "argparse", "dataclasses", "locale", "numpy", "scipy")] == []

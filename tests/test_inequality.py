@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import time
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance
+from helpers import random_instance, run_fresh
 from nlocalnet import (InvalidParameterError, ResourceLimitError, build_chain,
                        build_star, build_tree, closed_form_S, closed_form_smax,
-                       evaluate_S, evaluate_S_from_correlator)
-from nlocalnet import inequality
+                       evaluate_S, evaluate_S_from_correlator, parse_config)
+from nlocalnet.cli import main
 from nlocalnet.correlators import correlator_factorized
 from nlocalnet.inequality import ENUMERATION_MAX_EXTREMAL, signed_y_average
 
@@ -227,27 +228,24 @@ def test_evaluate_rejects_non_finite_angles(bad):
             evaluate_S(config, [0.5, 0.6], [0.3] * count)
 
 
-@pytest.mark.parametrize("config", [build_star(5), build_tree(7, 3)],
+@pytest.mark.parametrize("kind, args", [("star", (5,)), ("tree", (7, 3))],
                          ids=["star5", "tree7_3"])
-def test_evaluate_S_builds_each_setting_once(config, monkeypatch):
-    """2p extremal settings (y = 0, 1 per extremal node, shared by I0 and
-    I1) and 2n + 2p pair expectations: two per source, plus two more for
-    each source with an extremal end."""
-    calls = {"extremal_observable": 0, "pair_expectation": 0}
-
-    def counting(name):
-        real = getattr(inequality, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(inequality, name, counting(name))
-    evaluate_S(config, [0.4] * config.n, [0.3] * config.p)
-    assert calls == {"extremal_observable": 2 * config.p,
-                     "pair_expectation": 2 * config.n + 2 * config.p}
+def test_evaluate_S_builds_no_observable(kind, args):
+    """Each source's factor is plain arithmetic: evaluate_S loads neither
+    nlocalnet.quantum nor numpy, and its answer is the closed form's."""
+    code = """if True:
+        import sys
+        import nlocalnet
+        config = getattr(nlocalnet, "build_" + sys.argv[1])(*map(int, sys.argv[2:]))
+        result = nlocalnet.evaluate_S(config, [0.4] * config.n, [0.3] * config.p)
+        s = nlocalnet.closed_form_S([0.4] * config.n, [0.3] * config.p, config.p)
+        print(abs(result.s - s) <= 1e-12,
+              sorted(m for m in sys.modules if m.split(".")[0] == "numpy"
+                     or m == "nlocalnet.quantum"))
+    """
+    done = run_fresh(code, kind, *map(str, args))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True []"
 
 
 # float.hex of (I0, I1, S) per layout; a reordered product changes them.
@@ -272,4 +270,30 @@ def test_evaluate_S_bits_are_pinned(name, config):
     alphas = rng.uniform(0.0, 2.0 * PI, size=config.p).tolist()
     result = evaluate_S(config, thetas, alphas)
     assert (result.i0.hex(), result.i1.hex(), result.s.hex()) == PINNED_BITS[name]
+    assert not result.violated
+
+
+# A tree(7, 3) written through `generate custom` with its sources, A's and
+# B's renumbered and some endpoints swapped: B_j no longer meets source j.
+RELABELLED_EDGES = [
+    {"source": 1, "ends": ["A1", "B4"]}, {"source": 2, "ends": ["A2", "B3"]},
+    {"source": 3, "ends": ["A2", "A3"]}, {"source": 4, "ends": ["A3", "B2"]},
+    {"source": 5, "ends": ["A1", "A2"]}, {"source": 6, "ends": ["B1", "A1"]},
+    {"source": 7, "ends": ["B5", "A3"]}]
+RELABELLED_BITS = ("-0x1.d697c16336df3p-8", "0x1.32780b7029376p-11",
+                   "0x1.3247d19f41debp-1")
+
+
+def test_evaluate_S_bits_are_pinned_on_a_relabelled_layout(tmp_path):
+    """S does not depend on which source each alpha meets, only the order of
+    the product does: these bits are what shows a mix-up of B_j's source."""
+    topo = tmp_path / "relabelled.json"
+    assert main(["generate", "custom", "--n", "7", "--m", "3", "--p", "5",
+                 "--edges", json.dumps(RELABELLED_EDGES), "--output", str(topo)]) == 0
+    config = parse_config(topo.read_text())
+    rng = np.random.default_rng(7)
+    thetas = rng.uniform(0.0, 2.0 * PI, size=config.n).tolist()
+    alphas = rng.uniform(0.0, 2.0 * PI, size=config.p).tolist()
+    result = evaluate_S(config, thetas, alphas)
+    assert (result.i0.hex(), result.i1.hex(), result.s.hex()) == RELABELLED_BITS
     assert not result.violated
