@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -200,6 +203,22 @@ def test_sweep_command(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "theta_1,theta_2,alpha_star,smax,violated"
     assert len(lines) == 10
+
+
+def test_sweep_prints_the_bytes_that_it_writes_to_output(tmp_path):
+    topo = tmp_path / "chain3.json"
+    main(["generate", "chain", "--n", "3", "--output", str(topo)])
+    out = tmp_path / "sweep.csv"
+    # 15 625 rows, more than one block of writes.
+    grid = ",".join(["-0.0", "2"] + [f"{0.13 * k - 1:.2f}" for k in range(23)])
+    argv = ["sweep", "--topology", str(topo), "--grid", grid]
+    assert main([*argv, "--output", str(out)]) == 0
+    done = subprocess.run([sys.executable, "-m", "nlocalnet", *argv],
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                          capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == out.read_bytes()
+    assert done.stdout.count(b"\n") == 25 ** 3 + 1
 
 
 def test_failed_sweep_leaves_the_output_file_alone(tmp_path, capsys):

@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,20 +120,34 @@ def test_sweep_row_order_is_grid_order():
     assert combos == [(0.1, 0.1), (0.1, 0.2), (0.2, 0.1), (0.2, 0.2)]
 
 
-# A float zero, negative angles, pi/4, a repeated value and a Python int.
-EXACT_GRID = [0.0, -0.3, -1.1, PI / 4, 0.7, 0.7, 2]
+# A float zero and a negative zero, negative angles, pi/4, a repeated value
+# and a Python int.  tree(7, 3) takes five of them, since 8^7 rows are above
+# the cap.
+EXACT_GRID = [0.0, -0.0, -0.3, -1.1, PI / 4, 0.7, 0.7, 2]
+TREE7_GRID = [0.0, -0.0, -1.1, 0.7, 2]
 
 
-@pytest.mark.parametrize("config", [build_chain(3), build_star(4), build_tree(5, 3)],
-                         ids=["chain3", "star4", "tree5_3"])
-def test_sweep_is_closed_form_smax_row_by_row(config):
+def permuted_heads_differ(grid):
+    """Whether some three sines from the grid multiply to another last bit
+    once sorted, so that a sweep keyed by the sorted head would be wrong."""
+    sines = [math.sin(2.0 * t) for t in grid]
+    return any(math.prod(head) != math.prod(sorted(head))
+               for head in itertools.product(sines, repeat=3))
+
+
+@pytest.mark.parametrize("config, grid", [
+    (build_chain(3), EXACT_GRID), (build_star(4), EXACT_GRID),
+    (build_tree(5, 3), EXACT_GRID), (build_tree(7, 3), TREE7_GRID),
+], ids=["chain3", "star4", "tree5_3", "tree7_3"])
+def test_sweep_is_closed_form_smax_row_by_row(config, grid):
+    assert permuted_heads_differ(grid)
     sink = io.StringIO()
-    rows = sweep(config, EXACT_GRID, sink)
+    rows = sweep(config, grid, sink)
     expected = []
-    for combo in itertools.product(EXACT_GRID, repeat=config.n):
+    for combo in itertools.product(grid, repeat=config.n):
         smax, alpha = closed_form_smax(combo, config.p)
         expected.append((combo, alpha, smax, smax > 1.0 + VIOLATION_TOLERANCE))
-    assert rows == expected  # exact float equality, not approx
+    assert list(rows) == expected  # exact float equality, not approx
     reference = io.StringIO()
     writer = csv.writer(reference, lineterminator="\n")
     writer.writerow([f"theta_{r}" for r in range(1, config.n + 1)]
@@ -141,6 +156,38 @@ def test_sweep_is_closed_form_smax_row_by_row(config):
         writer.writerow([f"{x:.9g}" for x in combo]
                         + [f"{alpha:.9g}", f"{smax:.9g}", "true" if violated else "false"])
     assert sink.getvalue() == reference.getvalue()
+
+
+class CountingSink:
+    """A sink that keeps only the number of writes and characters."""
+
+    def __init__(self):
+        self.writes = 0
+        self.chars = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.chars += len(text)
+        return len(text)
+
+
+def test_sweep_holds_no_table_and_writes_in_blocks():
+    config, grid = build_chain(5), [0.1 * k for k in range(10)]
+    rows = sweep(config, grid)
+    assert len(rows) == 10 ** 5  # before any row is made
+    assert list(rows) == list(rows)
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        sweep(config, grid, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert sink.writes <= 10 ** 5 // 1000 + 2
+    text = io.StringIO()
+    sweep(config, grid, text)
+    assert sink.chars == len(text.getvalue())
 
 
 @pytest.mark.parametrize("config, grid, error", [
