@@ -20,10 +20,10 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "errors": ("InvalidParameterError", "NlocalError", "ResourceLimitError"),
     "inequality": ("VIOLATION_TOLERANCE", "EvaluationResult", "closed_form_S",
-                   "closed_form_smax", "evaluate_S", "evaluate_S_from_correlator"),
+                   "closed_form_smax", "evaluate_S", "evaluate_S_from_correlator",
+                   "sweep"),
     "lhv": ("LHVModel", "lhv_best_S", "lhv_distribution", "lhv_evaluate_S",
             "model_to_jsonable", "validate_model"),
-    "optimize": ("sweep",),
     "quantum": ("PAULI_X", "PAULI_Z", "BlochObservable", "SettingAssignment",
                 "concurrence", "extremal_observable", "pair_expectation"),
     "topology": ("AttachmentMap", "NetworkConfig", "NodeId", "attachments",

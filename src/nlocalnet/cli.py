@@ -22,9 +22,9 @@ from types import SimpleNamespace
 from typing import Callable, NoReturn, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .topology import (NetworkConfig, _config_from_doc, attachments, build_chain,
-                       build_star, build_tree, parse_config, serialize_config,
-                       validate)
+from .topology import (NetworkConfig, attachments, build_chain, build_star,
+                       build_tree, config_from_doc, parse_config,
+                       serialize_config, validate)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -104,7 +104,7 @@ def _cmd_generate(args: SimpleNamespace) -> int:
             edges_doc = json.loads(args.edges)
         except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or too many digits
             raise InvalidParameterError(f"--edges is not valid JSON: {exc}") from None
-        config = _checked(_config_from_doc(
+        config = _checked(config_from_doc(
             {"n": args.n, "m": args.m, "p": args.p, "edges": edges_doc}))
     text = serialize_config(config)
     if args.output:
@@ -196,7 +196,7 @@ class _OpenedOnFirstWrite:
 
 
 def _cmd_sweep(args: SimpleNamespace) -> int:
-    from .optimize import sweep
+    from .inequality import sweep
 
     config = _load_topology(args.topology)
     grid = parse_angle_list(args.grid)

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
-from .inequality import _check_angles
+from .inequality import check_angles
 from .quantum import (PAULI_X, PAULI_Z, BlochObservable, SettingAssignment,
                       extremal_observable, pair_expectation)
 from .topology import (INTERMEDIATE, NetworkConfig, NodeId, attachments,
@@ -45,7 +45,7 @@ def source_state(theta: float) -> np.ndarray:
 def _require_inputs(config: NetworkConfig, thetas: Sequence[float],
                     alphas: Sequence[float], assignment: SettingAssignment) -> None:
     attachments(config)  # validates the layout
-    _check_angles(config, thetas, alphas)
+    check_angles(config, thetas, alphas)
     assignment.check(config)
 
 

@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from collections import Counter
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple,
+                    Sequence, TextIO)
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .topology import AttachmentMap, NetworkConfig, attachments
@@ -44,8 +46,44 @@ if TYPE_CHECKING:
 VIOLATION_TOLERANCE = 1e-9
 # The enumeration oracle visits 2^p extremal inputs; refuse layouts beyond this.
 ENUMERATION_MAX_EXTREMAL = 20
+MAX_SWEEP_ROWS = 1_000_000
+# Rows gathered into one write to a sweep's sink.
+_BLOCK_ROWS = 8192
+_LN2 = math.log(2.0)
+_NORMAL_MIN = 2.0 ** -1022  # the smallest normal double
 
 Correlator = Callable[["SettingAssignment"], float]
+Product = tuple[float, int]  # (m, e), worth m * 2**e
+
+
+def _product(factors: Sequence[float], exponent: int = 0) -> Product:
+    """2**exponent times the product of factors, each of magnitude at most 1.
+
+    No partial product is smaller than the whole, so a normal math.prod lost
+    nothing to underflow and is returned as it is.  Only when it is zero or
+    subnormal and no factor is zero is the product redone with math.frexp
+    splitting each factor and partial product, so no step leaves the normal
+    range.
+    """
+    product = math.prod(factors)
+    if abs(product) >= _NORMAL_MIN or 0.0 in factors:
+        return product, exponent
+    m, e = 1.0, exponent
+    for factor in factors:
+        fm, fe = math.frexp(factor)
+        m, k = math.frexp(m * fm)
+        e += fe + k
+    return m, e
+
+
+def _root(product: Product, p: int) -> float:
+    """|m * 2**e|^(1/p): abs(m) ** (1/p) when e is 0, else from the log of m
+    split again by math.frexp, so equal products give equal bits."""
+    m, e = product
+    if not (e and m):
+        return abs(m) ** (1.0 / p)
+    m, k = math.frexp(m)
+    return math.exp((math.log(abs(m)) + (e + k) * _LN2) / p)
 
 
 class EvaluationResult(NamedTuple):
@@ -55,6 +93,14 @@ class EvaluationResult(NamedTuple):
     i1: float
     s: float
     violated: bool
+
+    @classmethod
+    def from_ingredients(cls, p: int, i0: Product, i1: Product) -> EvaluationResult:
+        """The result on p extremal nodes of I0 and I1 given as (m, e); a double
+        x is (x, 0).  I0 and I1 are rounded to doubles, S is not."""
+        s = _root(i0, p) + _root(i1, p)
+        return cls(i0=math.ldexp(*i0), i1=math.ldexp(*i1), s=s,
+                   violated=s > 1.0 + VIOLATION_TOLERANCE)
 
 
 def signed_y_average(correlator: Correlator, config: NetworkConfig, k: int,
@@ -83,13 +129,6 @@ def signed_y_average(correlator: Correlator, config: NetworkConfig, k: int,
     return total / 2.0 ** config.p
 
 
-def _witness(config: NetworkConfig, i0: float, i1: float) -> EvaluationResult:
-    root = 1.0 / config.p
-    s = abs(i0) ** root + abs(i1) ** root
-    return EvaluationResult(i0=i0, i1=i1, s=s,
-                            violated=s > 1.0 + VIOLATION_TOLERANCE)
-
-
 def evaluate_S_from_correlator(correlator: Correlator,
                                config: NetworkConfig) -> EvaluationResult:
     """Witness from any correlator source (quantum engine, classical model, ...).
@@ -98,11 +137,11 @@ def evaluate_S_from_correlator(correlator: Correlator,
     """
     i0 = signed_y_average(correlator, config, 0, (0,) * config.l)
     i1 = signed_y_average(correlator, config, 1, (1,) * config.l)
-    return _witness(config, i0, i1)
+    return EvaluationResult.from_ingredients(config.p, (i0, 0), (i1, 0))
 
 
 def _contract(config: NetworkConfig, thetas: Sequence[float],
-              alphas: Sequence[float], attach: AttachmentMap) -> tuple[float, float]:
+              alphas: Sequence[float], attach: AttachmentMap) -> tuple[Product, Product]:
     """(I0, I1) in one pass, each a product of one factor per source.
 
     extremal[r - 1] holds the angle of source r's extremal end; a source
@@ -114,18 +153,19 @@ def _contract(config: NetworkConfig, thetas: Sequence[float],
     extremal: list[float | None] = [None] * config.n
     for node, r in attach.extremal.items():
         extremal[r - 1] = alphas[node.index - 1]
-    i0 = i1 = 1.0
+    i0: list[float] = []  # the factors of I0 and of I1
+    i1: list[float] = []
     for theta, alpha in zip(thetas, extremal):
         s = math.sin(2.0 * theta)
         if alpha is None:  # both ends intermediate; the I0 factor is 1
-            i1 *= 0.0 + s
+            i1.append(0.0 + s)
         else:  # one extremal end: a valid layout has no source with two
             c = math.cos(alpha)
             z = 0.0 * c
             q = s * math.sin(alpha)
-            i0 *= c
-            i1 *= 0.5 * ((z + q) - (z - q))
-    return i0, i1
+            i0.append(c)
+            i1.append(0.5 * ((z + q) - (z - q)))
+    return _product(i0), _product(i1)
 
 
 def evaluate_S(config: NetworkConfig, thetas: Sequence[float],
@@ -138,8 +178,9 @@ def evaluate_S(config: NetworkConfig, thetas: Sequence[float],
     evaluate_S_from_correlator over correlator_factorized to rounding.
     """
     attach = attachments(config)  # validates the layout
-    _check_angles(config, thetas, alphas)
-    return _witness(config, *_contract(config, thetas, alphas, attach))
+    check_angles(config, thetas, alphas)
+    return EvaluationResult.from_ingredients(
+        config.p, *_contract(config, thetas, alphas, attach))
 
 
 def closed_form_S(thetas: Sequence[float], alphas: Sequence[float],
@@ -154,11 +195,11 @@ def closed_form_S(thetas: Sequence[float], alphas: Sequence[float],
             f"need exactly p = {p} extremal angles, got {len(alphas)}")
     _check_source_angles(thetas)
     check_finite("extremal", alphas)
-    cos_term = math.prod(math.cos(a) for a in alphas)
-    sin_term = (math.prod(math.sin(a) for a in alphas)
-                * math.prod(math.sin(2.0 * t) for t in thetas))
-    root = 1.0 / p
-    return abs(cos_term) ** root + abs(sin_term) ** root
+    cos_term = _product([math.cos(a) for a in alphas])
+    sin_alpha = _product([math.sin(a) for a in alphas])
+    sin_theta = _product([math.sin(2.0 * t) for t in thetas])
+    sin_term = _product((sin_alpha[0], sin_theta[0]), sin_alpha[1] + sin_theta[1])
+    return _root(cos_term, p) + _root(sin_term, p)
 
 
 def closed_form_smax(thetas: Sequence[float], p: int) -> tuple[float, float]:
@@ -166,25 +207,135 @@ def closed_form_smax(thetas: Sequence[float], p: int) -> tuple[float, float]:
 
     With K = |prod sin(2 theta_r)|^(1/p) the equal-angle witness is
     |cos a| + K |sin a|, stationary at tan(a) = K with value sqrt(1 + K^2).
+    It is the optimum over per-node angles as well: Hoelder's inequality gives
+    (prod |cos a_j|)^(1/p) + (prod K |sin a_j|)^(1/p)
+    <= prod (|cos a_j| + K |sin a_j|)^(1/p) <= sqrt(1 + K^2).
     Returns (smax, alpha_star).
     """
-    root = _smax_root(p)
+    _check_p(p)
     _check_source_angles(thetas)
-    product = math.prod(math.sin(2.0 * t) for t in thetas)
-    return _smax_at(abs(product) ** root)
+    return _smax_at(_root(_product([math.sin(2.0 * t) for t in thetas]), p))
 
 
-def _smax_root(p: int) -> float:
-    """The exponent 1/p of K; p must be positive."""
+def _check_p(p: int) -> None:
     if p < 1:
         raise InvalidParameterError(f"extremal node count p must be positive, got {p}")
-    return 1.0 / p
 
 
 def _smax_at(k_value: float) -> tuple[float, float]:
     """(smax, alpha_star) = (sqrt(1 + K^2), atan(K)): the one copy of the
-    formula, shared by closed_form_smax and optimize.sweep."""
+    formula, shared by closed_form_smax and sweep."""
     return math.sqrt(1.0 + k_value * k_value), math.atan(k_value)
+
+
+class _Table:
+    """The rows of a sweep, in grid order; each iteration makes them again.
+
+    A row's first n - 1 angles, its head, reach it only through the product
+    of their sines, so the rows of each distinct product are made once, keyed
+    by _product's exact (m, e): permuted heads can multiply to another last bit.
+    """
+
+    def __init__(self, grid: Sequence[float], n: int, p: int) -> None:
+        self.grid = tuple(grid)
+        self.n = n
+        self.p = p
+        self.sines = [math.sin(2.0 * t) for t in self.grid]
+
+    def __len__(self) -> int:
+        return len(self.grid) ** self.n
+
+    def __iter__(self) -> Iterator[tuple[tuple[float, ...], float, float, bool]]:
+        last = [(t,) for t in self.grid]
+        heads = itertools.product(self.grid, repeat=self.n - 1)
+        for head, values in self._by_product(heads, self._values):
+            for t, (alpha_star, smax, violated) in zip(last, values):
+                yield head + t, alpha_star, smax, violated
+
+    def _values(self, head: Product) -> list[tuple[float, float, bool]]:
+        """(alpha_star, smax, violated) of the rows whose head has this product."""
+        m, e = head
+        p, threshold = self.p, 1.0 + VIOLATION_TOLERANCE
+        values = []
+        for s in self.sines:
+            smax, alpha_star = _smax_at(_root(_product((m, s), e), p))
+            values.append((alpha_star, smax, smax > threshold))
+        return values
+
+    def _by_product(self, heads: Iterable, make: Callable[[Product], list]
+                    ) -> Iterator[tuple]:
+        """Pair each head, in grid order, with make(the product of its sines).
+
+        make runs once per distinct product, and its result is kept only
+        until the last head with that product.  0.0 and -0.0 share a key,
+        harmless as a row reads only |product * last sine|.
+        """
+        left = Counter(map(_product, itertools.product(self.sines, repeat=self.n - 1)))
+        made: dict[Product, list] = {}
+        products = map(_product, itertools.product(self.sines, repeat=self.n - 1))
+        for head, product in zip(heads, products):
+            result = made.get(product)
+            if result is None:
+                result = made[product] = make(product)
+            left[product] -= 1
+            if not left[product]:
+                del made[product]
+            yield head, result
+
+    def write(self, sink: TextIO) -> None:
+        """Write the header, then the rows as CSV, each write but the last
+        holding _BLOCK_ROWS rows or more.  A head's text is joined from its
+        n - 1 fields: prefix texts would cost n^2 on a one-point grid."""
+        sink.write(",".join([f"theta_{r}" for r in range(1, self.n + 1)]
+                            + ["alpha_star", "smax", "violated"]) + "\n")
+        fields = [f"{t:.9g}," for t in self.grid]
+
+        def tails(product: Product) -> list[str]:
+            return [f"{field}{alpha_star:.9g},{smax:.9g},"
+                    f"{'true' if violated else 'false'}\n"
+                    for field, (alpha_star, smax, violated)
+                    in zip(fields, self._values(product))]
+
+        texts = map("".join, itertools.product(fields, repeat=self.n - 1))
+        heads = (text + text.join(row_tails)
+                 for text, row_tails in self._by_product(texts, tails))
+        heads_per_block = math.ceil(_BLOCK_ROWS / len(fields))
+        for block in iter(lambda: "".join(itertools.islice(heads, heads_per_block)), ""):
+            sink.write(block)
+
+
+def sweep(config: NetworkConfig, theta_grid: Sequence[float],
+          sink: TextIO | None = None) -> _Table:
+    """Tabulate the best equal-angle witness over a Cartesian grid of source angles.
+
+    Returns a sized, re-iterable table of rows in grid order (odometer order,
+    last angle fastest): len() is len(theta_grid) ** n before any row is
+    made, and each iteration makes the rows again; for a list, use
+    list(sweep(...)).  A row holds the source-angle tuple, the optimal common
+    extremal angle, the witness value, and whether it clears the bound, and
+    equals closed_form_smax on its angle tuple, bit for bit.  A sink, if
+    given, gets the table as CSV before sweep returns, with the header
+    theta_1,...,theta_n,alpha_star,smax,violated and every number as "%.9g".
+
+    Every check comes before the header: an empty grid, a non-finite angle or
+    p < 1 raise InvalidParameterError, and a grid of more than
+    MAX_SWEEP_ROWS combinations raises ResourceLimitError, with nothing
+    written to the sink.
+    """
+    if not theta_grid:
+        raise InvalidParameterError("theta grid must not be empty")
+    n = config.n
+    if len(theta_grid) ** n > MAX_SWEEP_ROWS:
+        raise ResourceLimitError(
+            f"sweep of {len(theta_grid)} grid points over {n} sources "
+            f"needs {len(theta_grid)}^{n} rows, above the cap "
+            f"{MAX_SWEEP_ROWS}")
+    _check_p(config.p)
+    _check_source_angles(theta_grid)
+    table = _Table(theta_grid, n, config.p)
+    if sink is not None:
+        table.write(sink)
+    return table
 
 
 def check_finite(label: str, values: Iterable[float]) -> None:
@@ -204,10 +355,11 @@ def _check_source_angles(thetas: Sequence[float]) -> None:
                 f"source angle {theta!r} is too large: 2 theta is not finite")
 
 
-def _check_angles(config: NetworkConfig, thetas: Sequence[float],
-                  alphas: Sequence[float]) -> None:
+def check_angles(config: NetworkConfig, thetas: Sequence[float],
+                 alphas: Sequence[float]) -> None:
     """Raise InvalidParameterError unless thetas holds n source angles and
-    alphas p extremal angles, all finite (2 theta included)."""
+    alphas p extremal angles, all finite (2 theta included).  Shared by
+    evaluate_S and the correlator oracles."""
     if len(thetas) != config.n:
         raise InvalidParameterError(f"need {config.n} source angles, got {len(thetas)}")
     _check_source_angles(thetas)

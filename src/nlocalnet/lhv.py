@@ -23,16 +23,16 @@ so the intermediate tables can match the sign of every product of extremal
 factors: the largest |I_k| over them is prod_j P_j(g_kj != 0), with P_j the
 weight of the source at extremal node j.  Input-0 rows enter only I0 and
 input-1 rows only I1, so with q_j = P_j(g_1j != 0) the best witness is
-(prod (1 - q_j))^(1/p) + (prod q_j)^(1/p) <= 1 by the inequality of
-arithmetic and geometric means (the Hoelder step of optimize), with equality
-when the q_j are equal.  The vertex model, mass 1 on symbol 0 and all-zero
-tables, has q_j = 0: I0 = 1, I1 = 0 and S = 1 exactly on every layout and
-alphabet.  This is the argument of Branciard, Rosset, Gisin, Pironio, PRA 85,
-032119 (2012) for the bilocal chain, Tavakoli, Skrzypczyk, Cavalcanti, Acin,
-PRA 90, 062109 (2014) for the star and Rosset et al., PRL 116, 010403 (2016)
-for acyclic networks.  lhv_best_S is neither a search nor a proof by
-enumeration; the tests check the product formula against a brute-force
-maximum over intermediate tables on small layouts.
+(prod (1 - q_j))^(1/p) + (prod q_j)^(1/p) <= 1 by the inequality of arithmetic
+and geometric means (the Hoelder step of closed_form_smax), with equality when
+the q_j are equal.  The vertex model, mass 1 on symbol 0 and all-zero tables,
+has q_j = 0: I0 = 1, I1 = 0 and S = 1 exactly on every layout and alphabet.
+This is the argument of Branciard, Rosset, Gisin, Pironio, PRA 85, 032119
+(2012) for the bilocal chain, Tavakoli, Skrzypczyk, Cavalcanti, Acin, PRA 90,
+062109 (2014) for the star and Rosset et al., PRL 116, 010403 (2016) for
+acyclic networks.  lhv_best_S is neither a search nor a proof by enumeration;
+the tests check the product formula against a brute-force maximum over
+intermediate tables on small layouts.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import math
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .inequality import EvaluationResult, _witness
+from .inequality import EvaluationResult
 from .topology import (AttachmentMap, NetworkConfig, NodeId, attachments,
                        extremal_nodes, intermediate_nodes)
 
@@ -195,7 +195,7 @@ def _contract(config: NetworkConfig, model: LHVModel,
             for r, g in factors.items():
                 value *= g[symbols[r - 1]][k]
             totals[k] += value
-    return _witness(config, totals[0], totals[1])
+    return EvaluationResult.from_ingredients(config.p, (totals[0], 0), (totals[1], 0))
 
 
 def lhv_best_S(config: NetworkConfig,

@@ -298,11 +298,11 @@ def parse_config(text: str) -> NetworkConfig:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or too many digits
         raise InvalidParameterError(f"topology document is not valid JSON: {exc}") from None
-    return _config_from_doc(doc)
+    return config_from_doc(doc)
 
 
-def _config_from_doc(doc: object) -> NetworkConfig:
-    """parse_config on the decoded document."""
+def config_from_doc(doc: object) -> NetworkConfig:
+    """parse_config on the decoded document; the CLI builds custom layouts with it."""
     if not isinstance(doc, dict):
         raise InvalidParameterError("topology document must be a JSON object")
     missing = {"n", "m", "p", "edges"} - set(doc)

@@ -457,6 +457,40 @@ def test_an_argument_file_carries_a_list_above_the_argument_limit(tmp_path, caps
     assert abs(report["S"] - math.sqrt(2)) <= 1e-12 and report["violated"] is True
 
 
+def test_evaluate_finds_the_violation_below_the_double_range(tmp_path, capsys):
+    # star(15000) at alpha = 0.3: I1 = sin(0.3)^15000 is far below 2^-1022
+    # and prints as 0.0, yet S = cos(0.3) + sin(0.3) = 1.25086.
+    topo = tmp_path / "star.json"
+    main(["generate", "star", "--n", "15000", "--output", str(topo)])
+    args = tmp_path / "angles.args"
+    args.write_text("--theta\n" + ",".join(["0.25pi"] * 15000)
+                    + "\n--alpha\n" + ",".join(["0.3"] * 15000) + "\n", encoding="utf-8")
+    assert main(["evaluate", "--topology", str(topo), f"@{args}", "--expect-violation"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["S"] == pytest.approx(math.cos(0.3) + math.sin(0.3), rel=1e-12)
+    assert report["violated"] is True and report["I1"] == 0.0
+    assert report["I0"] == pytest.approx(math.cos(0.3) ** 15000, rel=1e-10)
+
+
+def test_maximize_and_sweep_agree_below_the_double_range(tmp_path, capsys):
+    # prod sin(2 theta) = sin(0.4 pi)^15000 is far below 2^-1022, but
+    # K = sin(0.4 pi) on a star, so smax = sqrt(1 + sin^2(0.4 pi)).
+    topo = tmp_path / "star.json"
+    main(["generate", "star", "--n", "15000", "--output", str(topo)])
+    expected = math.sqrt(1 + math.sin(0.4 * math.pi) ** 2)
+    args = tmp_path / "theta.args"
+    args.write_text("--theta\n" + ",".join(["0.2pi"] * 15000) + "\n", encoding="utf-8")
+    assert main(["maximize", "--topology", str(topo), f"@{args}"]) == 0
+    assert json.loads(capsys.readouterr().out)["smax"] == pytest.approx(expected, rel=1e-12)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--topology", str(topo), "--grid", "0.2pi",
+                 "--output", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    assert header.endswith("theta_15000,alpha_star,smax,violated")
+    *_, smax, violated = row.split(",")
+    assert (float(smax), violated) == (pytest.approx(expected, rel=1e-8), "true")
+
+
 @pytest.mark.parametrize("content", [None, b"--theta\n\xff0.1,0.2\n", b"", b"@NESTED\n",
                                      b"--theta\n0.1,0.2\n" * 50_000],
                          ids=["missing", "not-utf8", "empty", "nested", "100000-lines"])
@@ -589,7 +623,7 @@ WITNESS_MODULES = LAYOUT_MODULES | {"nlocalnet.inequality"}
     (["evaluate", "--theta", "0.25pi,0.25pi,0.25pi", "--alpha", "0.25pi,0.25pi"],
      WITNESS_MODULES),
     (["maximize", "--theta", "0.25pi,0.25pi,0.25pi"], WITNESS_MODULES),
-    (["sweep", "--grid", "0,0.25pi"], WITNESS_MODULES | {"nlocalnet.optimize"}),
+    (["sweep", "--grid", "0,0.25pi"], WITNESS_MODULES),
     (["lhv"], WITNESS_MODULES | {"nlocalnet.lhv"}),
 ], ids=["generate", "validate", "evaluate", "maximize", "sweep", "lhv"])
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):

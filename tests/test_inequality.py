@@ -2,6 +2,7 @@ import json
 import math
 import re
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from nlocalnet import (InvalidParameterError, ResourceLimitError, build_chain,
 from nlocalnet.cli import main
 from nlocalnet.correlators import correlator_factorized
 from nlocalnet.inequality import ENUMERATION_MAX_EXTREMAL, signed_y_average
+from nlocalnet.topology import MAX_SOURCES
 
 PI = math.pi
 angles = st.floats(min_value=0.0, max_value=2 * PI,
@@ -297,3 +299,55 @@ def test_evaluate_S_bits_are_pinned_on_a_relabelled_layout(tmp_path):
     result = evaluate_S(config, thetas, alphas)
     assert (result.i0.hex(), result.i1.hex(), result.s.hex()) == RELABELLED_BITS
     assert not result.violated
+
+
+# Layouts whose I0 and I1 fall far below the double range (2^-1022).
+@pytest.mark.parametrize("build, args, theta, alpha", [
+    (build_star, (3000,), PI / 4, PI / 4),
+    (build_star, (MAX_SOURCES,), 0.2 * PI, 0.3),
+    (build_chain, (MAX_SOURCES,), 0.2 * PI, 0.3),
+    (build_tree, (MAX_SOURCES - 1, 3), 0.2 * PI, 0.3),
+], ids=["star3000", "star_max", "chain_max", "tree_max_3"])
+def test_equal_angle_identity_holds_below_the_double_range(build, args, theta, alpha):
+    """With theta on every source and alpha on every extremal node, I0 is
+    cos(alpha)^p and I1 is sin(alpha)^p sin(2 theta)^n, so S is one power
+    of sin(2 theta), with no product of factors."""
+    config = build(*args)
+    expected = (abs(math.cos(alpha))
+                + abs(math.sin(alpha)) * abs(math.sin(2 * theta)) ** (config.n / config.p))
+    thetas, alphas = [theta] * config.n, [alpha] * config.p
+    result = evaluate_S(config, thetas, alphas)
+    assert result.s == pytest.approx(expected, rel=1e-12)
+    assert result.violated is (expected > 1.0 + 1e-9)
+    assert closed_form_S(thetas, alphas, config.p) == pytest.approx(expected, rel=1e-12)
+    smax, alpha_star = closed_form_smax(thetas, config.p)
+    k_value = abs(math.sin(2 * theta)) ** (config.n / config.p)
+    assert smax == pytest.approx(math.sqrt(1 + k_value ** 2), rel=1e-12)
+    assert alpha_star == pytest.approx(math.atan(k_value), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2747, 2759])
+def test_subnormal_ingredients_are_the_exact_power_rounded(p):
+    """On star(p) at alpha = 0.7, I0 = cos(0.7)^p is a subnormal of a few
+    bits, far coarser than the rounding of the factors: the reported I0 is
+    the exact power rounded to a double, and I1 = sin(0.7)^p rounds to 0.0."""
+    result = evaluate_S(build_star(p), [PI / 4] * p, [0.7] * p)
+    assert 0.0 < result.i0 < 2.0 ** -1060
+    assert result.i0 == float(Fraction(math.cos(0.7)) ** p)
+    assert result.i1 == float(Fraction(math.sin(0.7)) ** p) == 0.0
+    assert result.s == pytest.approx(math.cos(0.7) + math.sin(0.7), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_no_layout_exceeds_the_quantum_bound(seed):
+    """S <= sqrt(2) on every layout and every angle choice (Hoelder), here
+    on stars and trees of random size up to MAX_SOURCES sources, so up to
+    about 10^5 extremal nodes, with random angles near pi/4, where S comes
+    close to the bound and every factor is above 1/2."""
+    rng = np.random.default_rng(seed)
+    n = 2 * int(rng.integers(1000, MAX_SOURCES // 2)) - 1  # odd, as tree(n, 3) needs
+    config = build_tree(n, 3) if seed % 2 else build_star(n)
+    thetas = rng.uniform(0.2 * PI, 0.3 * PI, size=config.n).tolist()
+    alphas = rng.uniform(0.2 * PI, 0.3 * PI, size=config.p).tolist()
+    assert evaluate_S(config, thetas, alphas).s <= math.sqrt(2) + 1e-12
+    assert closed_form_S(thetas, alphas, config.p) <= math.sqrt(2) + 1e-12

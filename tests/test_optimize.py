@@ -13,7 +13,7 @@ from nlocalnet import (VIOLATION_TOLERANCE, InvalidParameterError,
                        NetworkConfig, ResourceLimitError, build_chain,
                        build_star, build_tree, closed_form_S,
                        closed_form_smax, evaluate_S, sweep)
-from nlocalnet.optimize import MAX_SWEEP_ROWS
+from nlocalnet.inequality import MAX_SWEEP_ROWS
 
 PI = math.pi
 
@@ -125,6 +125,9 @@ def test_sweep_row_order_is_grid_order():
 # the cap.
 EXACT_GRID = [0.0, -0.0, -0.3, -1.1, PI / 4, 0.7, 0.7, 2]
 TREE7_GRID = [0.0, -0.0, -1.1, 0.7, 2]
+# A sine of 1e-200: products of heads fall below 2^-1022, so the rows are
+# keyed by the exact (mantissa, exponent) of each product.
+TINY_GRID = EXACT_GRID + [5e-201]
 
 
 def permuted_heads_differ(grid):
@@ -138,7 +141,8 @@ def permuted_heads_differ(grid):
 @pytest.mark.parametrize("config, grid", [
     (build_chain(3), EXACT_GRID), (build_star(4), EXACT_GRID),
     (build_tree(5, 3), EXACT_GRID), (build_tree(7, 3), TREE7_GRID),
-], ids=["chain3", "star4", "tree5_3", "tree7_3"])
+    (build_star(4), TINY_GRID),
+], ids=["chain3", "star4", "tree5_3", "tree7_3", "star4-tiny"])
 def test_sweep_is_closed_form_smax_row_by_row(config, grid):
     assert permuted_heads_differ(grid)
     sink = io.StringIO()

@@ -1,7 +1,9 @@
+import ast
 import importlib
 import inspect
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +17,10 @@ from nlocalnet import (AttachmentMap, BlochObservable, EvaluationResult, LHVMode
 HOMES = {
     "errors": ["InvalidParameterError", "NlocalError", "ResourceLimitError"],
     "inequality": ["EvaluationResult", "VIOLATION_TOLERANCE", "closed_form_S",
-                   "closed_form_smax", "evaluate_S", "evaluate_S_from_correlator"],
+                   "closed_form_smax", "evaluate_S", "evaluate_S_from_correlator",
+                   "sweep"],
     "lhv": ["LHVModel", "lhv_best_S", "lhv_distribution", "lhv_evaluate_S",
             "model_to_jsonable", "validate_model"],
-    "optimize": ["sweep"],
     "quantum": ["BlochObservable", "PAULI_X", "PAULI_Z", "SettingAssignment",
                 "concurrence", "extremal_observable", "pair_expectation"],
     "topology": ["AttachmentMap", "NetworkConfig", "NodeId", "attachments",
@@ -105,3 +107,15 @@ def test_value_types_stay_frozen_with_their_fields_repr_and_pickle(kind):
                            + ")")
     copy = pickle.loads(pickle.dumps(value))
     assert type(copy) is kind and copy == value
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """Each private name stays in its module: no `from .x import _y`."""
+    package = Path(nlocalnet.__file__).parent
+    crossings = [f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                 for path in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.level or (node.module or "").split(".")[0] == "nlocalnet")
+                 for alias in node.names if alias.name.startswith("_")]
+    assert crossings == []
