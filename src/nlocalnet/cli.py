@@ -13,9 +13,11 @@ body, so it loads only the modules it runs.
 
 from __future__ import annotations
 
+import errno
 import getopt
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -75,10 +77,6 @@ def _read_config(path: str) -> NetworkConfig:
 def _checked(config: NetworkConfig) -> NetworkConfig:
     attachments(config)  # raises InvalidParameterError on an invalid layout
     return config
-
-
-def _load_topology(path: str) -> NetworkConfig:
-    return _checked(_read_config(path))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -162,7 +160,7 @@ def _cmd_evaluate(args: SimpleNamespace) -> int:
 def _cmd_maximize(args: SimpleNamespace) -> int:
     from .inequality import VIOLATION_TOLERANCE, closed_form_smax
 
-    config = _load_topology(args.topology)
+    config = _checked(_read_config(args.topology))
     thetas = _angles(args.theta, config.n, "theta")
     smax, alpha_star = closed_form_smax(thetas, config.p)
     report = {
@@ -198,7 +196,7 @@ class _OpenedOnFirstWrite:
 def _cmd_sweep(args: SimpleNamespace) -> int:
     from .inequality import sweep
 
-    config = _load_topology(args.topology)
+    config = _read_config(args.topology)  # sweep validates it
     grid = parse_angle_list(args.grid)
     if args.output:
         sink = _OpenedOnFirstWrite(args.output)
@@ -363,11 +361,28 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int],
                                    for name, value in values.items()})
 
 
+class _ClosedStdout:
+    """Stands for sys.stdout, None when fd 1 is closed: each write fails."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, "standard output is closed")
+
+    def flush(self) -> None:
+        pass
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    run, args = _parse(sys.argv[1:] if argv is None else argv)
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
     try:
-        return run(args)
+        try:
+            run, args = _parse(sys.argv[1:] if argv is None else argv)
+            return run(args)
+        finally:  # help and errors included: buffered output fails here, not at exit
+            sys.stdout.flush()
     except (InvalidParameterError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # so the flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceLimitError as exc:

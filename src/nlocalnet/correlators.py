@@ -1,32 +1,129 @@
-"""Correlators of the product of all node outcomes: the numpy oracle module.
+"""The correctness oracles: the Pauli settings, three correlator routes and
+the enumeration average.  The only module that imports numpy.
 
-Three routes to the same number: a per-source factorized product (fast, any
-size), a full statevector expectation (oracle, capped at 6 sources), and a
-Born-rule outcome distribution whose signed sum recovers the correlator.
-Each route takes the extremal angles alphas, listed B1..Bp, and the fixed
-intermediate settings described in quantum.  The global qubit convention is
-fixed by the layout: source r owns qubits 2(r-1) and 2(r-1)+1, assigned to
-its first and second edge endpoint.
+The settings are fixed but for p angles.  Every qubit of an intermediate
+node is measured in sigma_z for input 0 and in sigma_x for input 1, so the
+node measures the all-sigma_z or the all-sigma_x product.  Extremal node B_j
+measures cos(alpha_j) sigma_z + (-1)^y sin(alpha_j) sigma_x for input y, so
+the extremal angles alpha_1..alpha_p, listed B1..Bp, are the whole
+measurement choice.  A SettingAssignment picks the input bit of every node.
 
-Only this module imports numpy, for the two oracles and their matrices
-(bloch_matrix, source_state); `import nlocalnet` and the CLI never load it.
+Three routes give the product correlator of one assignment: a per-source
+factorized product (any size), a full statevector expectation (capped at 6
+sources), and a Born-rule outcome distribution whose signed sum recovers
+the correlator.  The global qubit convention is fixed by the layout: source
+r owns qubits 2(r-1) and 2(r-1)+1, assigned to its first and second edge
+endpoint.  signed_y_average and evaluate_S_from_correlator enumerate the 2^p
+extremal inputs of any correlator, quantum or classical; the tests check
+inequality.evaluate_S and lhv.lhv_evaluate_S against them.
+
+`import nlocalnet` and the CLI never load this module: inequality.evaluate_S
+has each source's factor in closed form and builds none of these objects.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError
-from .inequality import check_angles
-from .quantum import (PAULI_X, PAULI_Z, BlochObservable, SettingAssignment,
-                      extremal_observable, pair_expectation)
+from .errors import InvalidParameterError, ResourceLimitError
+from .inequality import EvaluationResult, check_angles
 from .topology import (INTERMEDIATE, NetworkConfig, NodeId, attachments,
                        extremal_nodes, intermediate_nodes)
 
 STATEVECTOR_MAX_SOURCES = 6
+# The enumeration oracle visits 2^p extremal inputs; refuse layouts beyond this.
+ENUMERATION_MAX_EXTREMAL = 20
+
+
+class _BlochVector(NamedTuple):
+    vx: float
+    vy: float
+    vz: float
+
+
+class BlochObservable(_BlochVector):
+    """A dichotomic observable v . sigma for a unit 3-vector v (eigenvalues +1, -1).
+
+    A named tuple (vx, vy, vz) whose every constructor, _make and _replace
+    included, checks that v has unit length.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, vx: float, vy: float, vz: float) -> "BlochObservable":
+        norm_sq = vx * vx + vy * vy + vz * vz
+        if not abs(norm_sq - 1.0) <= 1e-12:  # also rejects a NaN component
+            raise InvalidParameterError(
+                f"Bloch vector must have unit length, got |v|^2 = {norm_sq!r}")
+        return tuple.__new__(cls, (vx, vy, vz))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> "BlochObservable":
+        return cls(*iterable)  # the inherited _make, which _replace calls, skips __new__
+
+
+PAULI_X = BlochObservable(1.0, 0.0, 0.0)
+PAULI_Z = BlochObservable(0.0, 0.0, 1.0)
+
+
+def concurrence(theta: float) -> float:
+    """Entanglement of the source state, |sin 2 theta|: 0 product, 1 maximal."""
+    return abs(math.sin(2.0 * theta))
+
+
+def extremal_observable(alpha: float, y: int) -> BlochObservable:
+    """Single-qubit setting cos(alpha) sigma_z + (-1)^y sin(alpha) sigma_x."""
+    sign = -1.0 if y & 1 else 1.0
+    return BlochObservable(sign * math.sin(alpha), 0.0, math.cos(alpha))
+
+
+def pair_expectation(theta: float, first: BlochObservable,
+                     second: BlochObservable) -> float:
+    """Expectation of first (x) second on the source state of angle theta.
+
+    Equals the trace of the 4x4 product observable against the source
+    projector; reduces to vz.vz + sin(2 theta) (vx.vx - vy.vy) because the
+    state is supported on the 00/11 plane.
+    """
+    return (first.vz * second.vz
+            + math.sin(2.0 * theta) * (first.vx * second.vx - first.vy * second.vy))
+
+
+class SettingAssignment(NamedTuple):
+    """Chosen input bit for every node."""
+
+    x: Mapping[NodeId, int]
+    y: Mapping[NodeId, int]
+
+    @classmethod
+    def from_bits(cls, config: NetworkConfig, x_bits: Sequence[int],
+                  y_bits: Sequence[int]) -> "SettingAssignment":
+        inter = intermediate_nodes(config)
+        extr = extremal_nodes(config)
+        if len(x_bits) != len(inter) or len(y_bits) != len(extr):
+            raise InvalidParameterError(
+                f"assignment needs {len(inter)} intermediate and "
+                f"{len(extr)} extremal input bits")
+        for bit in (*x_bits, *y_bits):
+            if bit not in (0, 1):
+                raise InvalidParameterError(f"input bits must be 0 or 1, got {bit!r}")
+        return cls(x={node: int(b) for node, b in zip(inter, x_bits)},
+                   y={node: int(b) for node, b in zip(extr, y_bits)})
+
+    def check(self, config: NetworkConfig) -> None:
+        """Raise InvalidParameterError unless every node has an input bit."""
+        for nodes, bits in ((intermediate_nodes(config), self.x),
+                            (extremal_nodes(config), self.y)):
+            missing = [node.name for node in nodes if node not in bits]
+            if missing:
+                raise InvalidParameterError(f"assignment lacks an input for {missing[0]}")
+
+
+Correlator = Callable[[SettingAssignment], float]
 
 
 def bloch_matrix(obs: BlochObservable) -> np.ndarray:
@@ -159,3 +256,38 @@ def distribution_correlator(distribution: Mapping[tuple[int, ...], float]) -> fl
     """Signed sum (-1)^(number of 1 outcomes) over a joint outcome distribution."""
     return sum((-1.0) ** sum(outcome) * mass
                for outcome, mass in distribution.items())
+
+
+def signed_y_average(correlator: Correlator, config: NetworkConfig, k: int,
+                     x_bits: Sequence[int]) -> float:
+    """Average correlators over all extremal inputs with sign (-1)^(k sum y).
+
+    The enumeration oracle: it calls the correlator 2^p times, so layouts
+    with more than ENUMERATION_MAX_EXTREMAL extremal nodes raise
+    ResourceLimitError before any call.  Terms are accumulated in
+    lexicographic input order so repeated runs are bit-identical.
+    """
+    if k not in (0, 1):
+        raise InvalidParameterError(f"sign exponent k must be 0 or 1, got {k}")
+    if config.p > ENUMERATION_MAX_EXTREMAL:
+        raise ResourceLimitError(
+            f"enumerating the 2^{config.p} extremal inputs exceeds the cap of "
+            f"2^{ENUMERATION_MAX_EXTREMAL}")
+    x_bits = tuple(x_bits)
+    total = 0.0
+    for y_bits in itertools.product((0, 1), repeat=config.p):
+        assignment = SettingAssignment.from_bits(config, x_bits, y_bits)
+        sign = -1.0 if k and (sum(y_bits) & 1) else 1.0
+        total += sign * correlator(assignment)
+    return total / 2.0 ** config.p
+
+
+def evaluate_S_from_correlator(correlator: Correlator,
+                               config: NetworkConfig) -> EvaluationResult:
+    """Witness from any correlator source (quantum engine, classical model, ...).
+
+    Enumerates the extremal inputs through signed_y_average.
+    """
+    i0 = signed_y_average(correlator, config, 0, (0,) * config.l)
+    i1 = signed_y_average(correlator, config, 1, (1,) * config.l)
+    return EvaluationResult.from_ingredients(config.p, (i0, 0), (i1, 0))

@@ -1,4 +1,7 @@
-"""The nonlinear witness built from input-averaged correlators.
+"""The nonlinear witness built from input-averaged correlators: the answer path.
+
+This module holds evaluate_S, the closed forms, sweep and the angle checks;
+the oracles that check them are in correlators.
 
 For a layout with p extremal nodes, two ingredients average the full product
 correlator over all 2^p extremal input choices: I0 plainly, with all
@@ -19,12 +22,12 @@ product over sources, with input k at every intermediate end:
 
 Each factor has a closed form in s = sin(2 theta_r), as in Branciard et al.,
 PRA 85, 032119 (2012).  An intermediate end measures sigma_z in I0 and
-sigma_x in I1 (the fixed settings of quantum), so a source between two
-intermediate nodes gives 1 to I0 and s to I1, and a source at B_j gives
-cos(alpha_j) to I0 and s sin(alpha_j) to I1.  Both ingredients are
-contracted in one pass over the sources, with no observable built.
-signed_y_average is the enumeration oracle for any correlator: the tests
-compare evaluate_S with it, and lhv_evaluate_S with it over
+sigma_x in I1 (the fixed settings described in correlators), so a source
+between two intermediate nodes gives 1 to I0 and s to I1, and a source at
+B_j gives cos(alpha_j) to I0 and s sin(alpha_j) to I1.  Both ingredients are
+contracted in one pass over the sources, with no observable built.  The
+tests compare evaluate_S with the enumeration oracle
+correlators.signed_y_average, and lhv_evaluate_S with it over
 lhv_distribution.  Each contraction agrees with it to rounding (within
 1e-12), not bit for bit, because the arithmetic is done in a different order.
 """
@@ -34,25 +37,18 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple,
-                    Sequence, TextIO)
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .topology import AttachmentMap, NetworkConfig, attachments
 
-if TYPE_CHECKING:
-    from .quantum import SettingAssignment
-
 VIOLATION_TOLERANCE = 1e-9
-# The enumeration oracle visits 2^p extremal inputs; refuse layouts beyond this.
-ENUMERATION_MAX_EXTREMAL = 20
 MAX_SWEEP_ROWS = 1_000_000
 # Rows gathered into one write to a sweep's sink.
 _BLOCK_ROWS = 8192
 _LN2 = math.log(2.0)
 _NORMAL_MIN = 2.0 ** -1022  # the smallest normal double
 
-Correlator = Callable[["SettingAssignment"], float]
 Product = tuple[float, int]  # (m, e), worth m * 2**e
 
 
@@ -101,43 +97,6 @@ class EvaluationResult(NamedTuple):
         s = _root(i0, p) + _root(i1, p)
         return cls(i0=math.ldexp(*i0), i1=math.ldexp(*i1), s=s,
                    violated=s > 1.0 + VIOLATION_TOLERANCE)
-
-
-def signed_y_average(correlator: Correlator, config: NetworkConfig, k: int,
-                     x_bits: Sequence[int]) -> float:
-    """Average correlators over all extremal inputs with sign (-1)^(k sum y).
-
-    The enumeration oracle: it calls the correlator 2^p times, so layouts
-    with more than ENUMERATION_MAX_EXTREMAL extremal nodes raise
-    ResourceLimitError before any call.  Terms are accumulated in
-    lexicographic input order so repeated runs are bit-identical.
-    """
-    if k not in (0, 1):
-        raise InvalidParameterError(f"sign exponent k must be 0 or 1, got {k}")
-    if config.p > ENUMERATION_MAX_EXTREMAL:
-        raise ResourceLimitError(
-            f"enumerating the 2^{config.p} extremal inputs exceeds the cap of "
-            f"2^{ENUMERATION_MAX_EXTREMAL}")
-    from .quantum import SettingAssignment
-
-    x_bits = tuple(x_bits)
-    total = 0.0
-    for y_bits in itertools.product((0, 1), repeat=config.p):
-        assignment = SettingAssignment.from_bits(config, x_bits, y_bits)
-        sign = -1.0 if k and (sum(y_bits) & 1) else 1.0
-        total += sign * correlator(assignment)
-    return total / 2.0 ** config.p
-
-
-def evaluate_S_from_correlator(correlator: Correlator,
-                               config: NetworkConfig) -> EvaluationResult:
-    """Witness from any correlator source (quantum engine, classical model, ...).
-
-    Enumerates the extremal inputs through signed_y_average.
-    """
-    i0 = signed_y_average(correlator, config, 0, (0,) * config.l)
-    i1 = signed_y_average(correlator, config, 1, (1,) * config.l)
-    return EvaluationResult.from_ingredients(config.p, (i0, 0), (i1, 0))
 
 
 def _contract(config: NetworkConfig, thetas: Sequence[float],
@@ -212,14 +171,10 @@ def closed_form_smax(thetas: Sequence[float], p: int) -> tuple[float, float]:
     <= prod (|cos a_j| + K |sin a_j|)^(1/p) <= sqrt(1 + K^2).
     Returns (smax, alpha_star).
     """
-    _check_p(p)
-    _check_source_angles(thetas)
-    return _smax_at(_root(_product([math.sin(2.0 * t) for t in thetas]), p))
-
-
-def _check_p(p: int) -> None:
     if p < 1:
         raise InvalidParameterError(f"extremal node count p must be positive, got {p}")
+    _check_source_angles(thetas)
+    return _smax_at(_root(_product([math.sin(2.0 * t) for t in thetas]), p))
 
 
 def _smax_at(k_value: float) -> tuple[float, float]:
@@ -317,11 +272,12 @@ def sweep(config: NetworkConfig, theta_grid: Sequence[float],
     given, gets the table as CSV before sweep returns, with the header
     theta_1,...,theta_n,alpha_star,smax,violated and every number as "%.9g".
 
-    Every check comes before the header: an empty grid, a non-finite angle or
-    p < 1 raise InvalidParameterError, and a grid of more than
+    Every check comes before the header: an invalid layout, an empty grid or
+    a non-finite angle raise InvalidParameterError, and a grid of more than
     MAX_SWEEP_ROWS combinations raises ResourceLimitError, with nothing
     written to the sink.
     """
+    attachments(config)  # validates the layout
     if not theta_grid:
         raise InvalidParameterError("theta grid must not be empty")
     n = config.n
@@ -330,7 +286,6 @@ def sweep(config: NetworkConfig, theta_grid: Sequence[float],
             f"sweep of {len(theta_grid)} grid points over {n} sources "
             f"needs {len(theta_grid)}^{n} rows, above the cap "
             f"{MAX_SWEEP_ROWS}")
-    _check_p(config.p)
     _check_source_angles(theta_grid)
     table = _Table(theta_grid, n, config.p)
     if sink is not None:

@@ -47,7 +47,7 @@ from .topology import (AttachmentMap, NetworkConfig, NodeId, attachments,
                        extremal_nodes, intermediate_nodes)
 
 if TYPE_CHECKING:
-    from .quantum import SettingAssignment
+    from .correlators import SettingAssignment
 
 # Response-table cells a model built by lhv_best_S may hold: the intermediate
 # tables, 2 * c**m cells each, grow exponentially in m.

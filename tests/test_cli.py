@@ -648,3 +648,34 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules)
     assert {m for m in loaded if m.split(".")[0] == "nlocalnet"} == modules
     assert [m for m in loaded if m.split(".")[0] in (
         "argparse", "dataclasses", "locale", "numpy", "scipy")] == []
+
+
+@pytest.mark.parametrize("stdout", ["closed-pipe", "closed-fd"])
+@pytest.mark.parametrize("argv", [
+    ["generate", "chain", "--n", "3"],
+    ["validate", "--topology", "TOPO"],
+    ["evaluate", "--topology", "TOPO", "--theta", "0.1,0.2,0.3", "--alpha", "0.3,0.4"],
+    ["sweep", "--topology", "TOPO", "--grid", "0.1,0.2"],
+    ["--help"],
+], ids=["generate", "validate", "evaluate", "sweep", "help"])
+def test_an_unwritable_stdout_is_one_line_exit_2(tmp_path, argv, stdout):
+    """Buffered stdout, as by default: a pipe nobody reads, or fd 1 closed."""
+    topo = tmp_path / "chain3.json"
+    main(["generate", "chain", "--n", "3", "--output", str(topo)])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    command = [sys.executable, "-m", "nlocalnet",
+               *(str(topo) if arg == "TOPO" else arg for arg in argv)]
+    if stdout == "closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+    else:
+        done = subprocess.run(command, stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=60, preexec_fn=lambda: os.close(1))
+    assert done.returncode == 2, done.stderr
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")

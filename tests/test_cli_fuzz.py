@@ -6,7 +6,9 @@ finite numbers, or the validate report; a failure (2 or 4) writes exactly one
 line to stderr.  Inputs stay small: layouts have at most four sources, and
 `lhv` builds the vertex model, whose size cap only a huge alphabet reaches.
 The raw-text topology documents are drawn rarely, so an explicit test also
-runs each of them through every subcommand that reads a topology.
+runs each of them through every subcommand that reads a topology.  The
+options sometimes come from an @FILE argument, whole or damaged; each kind
+is reported as a hypothesis event (pytest --hypothesis-show-statistics).
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nlocalnet import build_chain, build_star, build_tree, serialize_config
@@ -37,6 +39,7 @@ RAW_TEXT = ["", "{", "[]", "null", '{"n": 2}', "NaN", "[" * 5000,
             '{"n": NaN, "m": 2, "p": 2, "edges": []}',
             '{"n": %s, "m": 2, "p": 2, "edges": []}' % ("1" * 5000)]
 LONG_NAME = "A" + "1" * 5000
+ARGUMENT_FILES = ["whole", "missing", "empty", "non-utf8", "nested"]
 
 
 def often(draw) -> bool:
@@ -88,6 +91,22 @@ def topology_bytes(draw, config) -> bytes:
     return json.dumps(doc).encode()
 
 
+def through_a_file(draw, work: Path, argv: list[str]) -> list[str]:
+    """argv as it is, or with its options moved into an @FILE argument; the
+    file is sometimes missing, empty, not UTF-8, or ends in a nested @FILE."""
+    kind = "inline" if often(draw) else draw(st.sampled_from(ARGUMENT_FILES))
+    event(f"argument file: {kind}")
+    if kind == "inline":
+        return argv
+    path = work / "argv.txt"
+    text = "".join(f"{arg}\n" for arg in argv[1:]).encode()
+    content = {"whole": text, "empty": b"", "non-utf8": b"\xff" + text,
+               "nested": text + f"@{path}\n".encode()}.get(kind)
+    if content is not None:  # a missing file is not written
+        path.write_bytes(content)
+    return [argv[0], f"@{path}"]
+
+
 @st.composite
 def command_lines(draw, work: Path) -> list[str]:
     command = draw(st.sampled_from(SUBCOMMANDS))
@@ -122,7 +141,7 @@ def command_lines(draw, work: Path) -> list[str]:
     if command != "validate" and draw(st.booleans()):
         argv += ["--output", draw(st.sampled_from(
             [str(work / "out.txt"), str(work / "no" / "out.txt"), str(work)]))]
-    return argv
+    return through_a_file(draw, work, argv)
 
 
 def run(argv):

@@ -14,8 +14,8 @@ from nlocalnet import (InvalidParameterError, ResourceLimitError, build_chain,
                        build_star, build_tree, closed_form_S, closed_form_smax,
                        evaluate_S, evaluate_S_from_correlator, parse_config)
 from nlocalnet.cli import main
-from nlocalnet.correlators import correlator_factorized
-from nlocalnet.inequality import ENUMERATION_MAX_EXTREMAL, signed_y_average
+from nlocalnet.correlators import (ENUMERATION_MAX_EXTREMAL, correlator_factorized,
+                                   signed_y_average)
 from nlocalnet.topology import MAX_SOURCES
 
 PI = math.pi
@@ -234,7 +234,7 @@ def test_evaluate_rejects_non_finite_angles(bad):
                          ids=["star5", "tree7_3"])
 def test_evaluate_S_builds_no_observable(kind, args):
     """Each source's factor is plain arithmetic: evaluate_S loads neither
-    nlocalnet.quantum nor numpy, and its answer is the closed form's."""
+    nlocalnet.correlators nor numpy, and its answer is the closed form's."""
     code = """if True:
         import sys
         import nlocalnet
@@ -243,7 +243,7 @@ def test_evaluate_S_builds_no_observable(kind, args):
         s = nlocalnet.closed_form_S([0.4] * config.n, [0.3] * config.p, config.p)
         print(abs(result.s - s) <= 1e-12,
               sorted(m for m in sys.modules if m.split(".")[0] == "numpy"
-                     or m == "nlocalnet.quantum"))
+                     or m == "nlocalnet.correlators"))
     """
     done = run_fresh(code, kind, *map(str, args))
     assert done.returncode == 0, done.stderr

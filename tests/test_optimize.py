@@ -199,8 +199,10 @@ def test_sweep_holds_no_table_and_writes_in_blocks():
     (build_chain(3), [0.2, 0.3, -math.inf], InvalidParameterError),
     (build_chain(3), [], InvalidParameterError),
     (NetworkConfig(n=2, m=2, p=0, edges={}), [0.2], InvalidParameterError),
+    (NetworkConfig(n=0, m=2, p=2, edges={}), [0.1], InvalidParameterError),
+    (NetworkConfig(n=3, m=2, p=1, edges={}), [0.1], InvalidParameterError),
     (build_chain(6), [0.1 * k for k in range(11)], ResourceLimitError),
-], ids=["nan", "inf", "empty", "p0", "cap"])
+], ids=["nan", "inf", "empty", "p0", "n0", "no-edges", "cap"])
 def test_sweep_checks_before_the_first_byte(config, grid, error):
     sink = io.StringIO()
     with pytest.raises(error):

@@ -15,14 +15,14 @@ from nlocalnet import (AttachmentMap, BlochObservable, EvaluationResult, LHVMode
 
 # The public names, by the module that defines them.
 HOMES = {
+    "correlators": ["BlochObservable", "PAULI_X", "PAULI_Z", "SettingAssignment",
+                    "concurrence", "evaluate_S_from_correlator",
+                    "extremal_observable", "pair_expectation"],
     "errors": ["InvalidParameterError", "NlocalError", "ResourceLimitError"],
     "inequality": ["EvaluationResult", "VIOLATION_TOLERANCE", "closed_form_S",
-                   "closed_form_smax", "evaluate_S", "evaluate_S_from_correlator",
-                   "sweep"],
+                   "closed_form_smax", "evaluate_S", "sweep"],
     "lhv": ["LHVModel", "lhv_best_S", "lhv_distribution", "lhv_evaluate_S",
             "model_to_jsonable", "validate_model"],
-    "quantum": ["BlochObservable", "PAULI_X", "PAULI_Z", "SettingAssignment",
-                "concurrence", "extremal_observable", "pair_expectation"],
     "topology": ["AttachmentMap", "NetworkConfig", "NodeId", "attachments",
                  "build_chain", "build_star", "build_tree", "extremal_nodes",
                  "intermediate_nodes", "parse_config", "serialize_config",
