@@ -7,9 +7,9 @@ and evaluate classical hidden-variable models, including the vertex model
 that reaches the proved classical bound S <= 1.
 
 `import nlocalnet` loads no submodule: each public name is imported from its
-home module on first use.  The oracles (the Pauli settings, the correlator
-routes and the enumeration average) live in nlocalnet.correlators: its
-public names load it on first use, and the command line never does.
+home module on first use.  The package needs nothing outside the standard
+library; the correctness oracles the tests compare it with are in
+tests/oracles.py.
 """
 
 import importlib
@@ -18,14 +18,11 @@ __version__ = "0.1.0"
 
 # Every public name, by the submodule that defines it.
 _PUBLIC = {
-    "correlators": ("PAULI_X", "PAULI_Z", "BlochObservable", "SettingAssignment",
-                    "concurrence", "evaluate_S_from_correlator",
-                    "extremal_observable", "pair_expectation"),
     "errors": ("InvalidParameterError", "NlocalError", "ResourceLimitError"),
     "inequality": ("VIOLATION_TOLERANCE", "EvaluationResult", "closed_form_S",
                    "closed_form_smax", "evaluate_S", "sweep"),
-    "lhv": ("LHVModel", "lhv_best_S", "lhv_distribution", "lhv_evaluate_S",
-            "model_to_jsonable", "validate_model"),
+    "lhv": ("LHVModel", "lhv_best_S", "lhv_evaluate_S", "model_to_jsonable",
+            "validate_model"),
     "topology": ("AttachmentMap", "NetworkConfig", "NodeId", "attachments",
                  "build_chain", "build_star", "build_tree", "extremal_nodes",
                  "intermediate_nodes", "parse_config", "serialize_config",

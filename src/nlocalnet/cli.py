@@ -158,7 +158,7 @@ def _cmd_evaluate(args: SimpleNamespace) -> int:
 
 
 def _cmd_maximize(args: SimpleNamespace) -> int:
-    from .inequality import VIOLATION_TOLERANCE, closed_form_smax
+    from .inequality import closed_form_smax, violates
 
     config = _checked(_read_config(args.topology))
     thetas = _angles(args.theta, config.n, "theta")
@@ -166,7 +166,7 @@ def _cmd_maximize(args: SimpleNamespace) -> int:
     report = {
         "alpha_star": _nine_digits(alpha_star),
         "smax": smax,
-        "violated": smax > 1.0 + VIOLATION_TOLERANCE,
+        "violated": violates(smax),
     }
     _emit(_json_line(report), args.output)
     return EXIT_OK

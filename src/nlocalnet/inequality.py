@@ -1,7 +1,7 @@
 """The nonlinear witness built from input-averaged correlators: the answer path.
 
-This module holds evaluate_S, the closed forms, sweep and the angle checks;
-the oracles that check them are in correlators.
+This module holds evaluate_S, the closed forms, sweep, the angle checks and
+the verdict rule; the oracles that check them are in tests/oracles.py.
 
 For a layout with p extremal nodes, two ingredients average the full product
 correlator over all 2^p extremal input choices: I0 plainly, with all
@@ -22,14 +22,15 @@ product over sources, with input k at every intermediate end:
 
 Each factor has a closed form in s = sin(2 theta_r), as in Branciard et al.,
 PRA 85, 032119 (2012).  An intermediate end measures sigma_z in I0 and
-sigma_x in I1 (the fixed settings described in correlators), so a source
-between two intermediate nodes gives 1 to I0 and s to I1, and a source at
-B_j gives cos(alpha_j) to I0 and s sin(alpha_j) to I1.  Both ingredients are
+sigma_x in I1, and extremal node B_j measures cos(alpha_j) sigma_z +
+(-1)^y sin(alpha_j) sigma_x for input y, so a source between two
+intermediate nodes gives 1 to I0 and s to I1, and a source at B_j gives
+cos(alpha_j) to I0 and s sin(alpha_j) to I1.  Both ingredients are
 contracted in one pass over the sources, with no observable built.  The
-tests compare evaluate_S with the enumeration oracle
-correlators.signed_y_average, and lhv_evaluate_S with it over
-lhv_distribution.  Each contraction agrees with it to rounding (within
-1e-12), not bit for bit, because the arithmetic is done in a different order.
+tests compare evaluate_S, and lhv_evaluate_S, with an oracle that
+enumerates the 2^p inputs of a correlator (tests/oracles.py).  Each
+contraction agrees with it to rounding (within 1e-12), not bit for bit,
+because the arithmetic is done in a different order.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ _LN2 = math.log(2.0)
 _NORMAL_MIN = 2.0 ** -1022  # the smallest normal double
 
 Product = tuple[float, int]  # (m, e), worth m * 2**e
+
+
+def violates(s: float) -> bool:
+    """The verdict on a witness value: True when s exceeds the n-local
+    bound 1 by more than VIOLATION_TOLERANCE."""
+    return s > 1.0 + VIOLATION_TOLERANCE
 
 
 def _product(factors: Sequence[float], exponent: int = 0) -> Product:
@@ -96,7 +103,7 @@ class EvaluationResult(NamedTuple):
         x is (x, 0).  I0 and I1 are rounded to doubles, S is not."""
         s = _root(i0, p) + _root(i1, p)
         return cls(i0=math.ldexp(*i0), i1=math.ldexp(*i1), s=s,
-                   violated=s > 1.0 + VIOLATION_TOLERANCE)
+                   violated=violates(s))
 
 
 def _contract(config: NetworkConfig, thetas: Sequence[float],
@@ -133,8 +140,8 @@ def evaluate_S(config: NetworkConfig, thetas: Sequence[float],
 
     alphas lists the extremal angles of B1..Bp.  Validates the layout, then
     checks the angles, then contracts I0 and I1 in one pass (see the module
-    docstring): linear in the number of sources.  Agrees with
-    evaluate_S_from_correlator over correlator_factorized to rounding.
+    docstring): linear in the number of sources.  Agrees to rounding with
+    the tests' oracle, which enumerates the 2^p extremal inputs.
     """
     attach = attachments(config)  # validates the layout
     check_angles(config, thetas, alphas)
@@ -210,11 +217,11 @@ class _Table:
     def _values(self, head: Product) -> list[tuple[float, float, bool]]:
         """(alpha_star, smax, violated) of the rows whose head has this product."""
         m, e = head
-        p, threshold = self.p, 1.0 + VIOLATION_TOLERANCE
+        p = self.p
         values = []
         for s in self.sines:
             smax, alpha_star = _smax_at(_root(_product((m, s), e), p))
-            values.append((alpha_star, smax, smax > threshold))
+            values.append((alpha_star, smax, violates(smax)))
         return values
 
     def _by_product(self, heads: Iterable, make: Callable[[Product], list]
@@ -313,8 +320,8 @@ def _check_source_angles(thetas: Sequence[float]) -> None:
 def check_angles(config: NetworkConfig, thetas: Sequence[float],
                  alphas: Sequence[float]) -> None:
     """Raise InvalidParameterError unless thetas holds n source angles and
-    alphas p extremal angles, all finite (2 theta included).  Shared by
-    evaluate_S and the correlator oracles."""
+    alphas p extremal angles, all finite (2 theta included).  Used by
+    evaluate_S, and by the tests' correlator oracles."""
     if len(thetas) != config.n:
         raise InvalidParameterError(f"need {config.n} source angles, got {len(thetas)}")
     _check_source_angles(thetas)

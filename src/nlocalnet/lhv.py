@@ -12,8 +12,8 @@ signed average over extremal inputs factorizes per symbol tuple lam:
                          prod_{extremal j} g_kj(lam),
     g_kj(lam) = 1/2 sum_y (-1)^(k y) (-1)^(b_j(y, lam)),
 
-summed over the product of the weight supports.  lhv_distribution fed to
-evaluate_S_from_correlator enumerates every tuple and input: the oracle.
+summed over the product of the weight supports.  The tests check it
+against an oracle that enumerates every tuple and input (tests/oracles.py).
 
 The best classical witness has a closed form, so lhv_best_S returns the model
 that reaches it instead of searching.  Fix the weights and extremal tables.
@@ -39,23 +39,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .inequality import EvaluationResult
 from .topology import (AttachmentMap, NetworkConfig, NodeId, attachments,
                        extremal_nodes, intermediate_nodes)
 
-if TYPE_CHECKING:
-    from .correlators import SettingAssignment
-
 # Response-table cells a model built by lhv_best_S may hold: the intermediate
 # tables, 2 * c**m cells each, grow exponentially in m.
 MAX_MODEL_CELLS = 20_000_000
 # Symbol tuples _symbol_tuples may yield: the product of the support sizes.
 MAX_SUPPORT_TUPLES = 2 ** 20
-# Outcome bits l + p that lhv_distribution may key: it holds 2^(l+p) masses.
-MAX_OUTCOME_BITS = 16
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # table bits -> "0"/"1" text
 
 
@@ -112,41 +107,6 @@ def _symbol_code(sources: tuple[int, ...], symbols: Sequence[int], c: int) -> in
     return code
 
 
-def lhv_distribution(config: NetworkConfig, model: LHVModel,
-                     assignment: SettingAssignment
-                     ) -> dict[tuple[int, ...], float]:
-    """Outcome distribution of the model, factorized over independent sources.
-
-    Keys run over all {0,1}^(l+p) outcome tuples, intermediate nodes first.
-    Raises ResourceLimitError before storing a mass when l + p exceeds
-    MAX_OUTCOME_BITS or the supports exceed MAX_SUPPORT_TUPLES tuples.
-    """
-    attach = validate_model(config, model)
-    assignment.check(config)
-    outcome_bits = config.l + config.p
-    if outcome_bits > MAX_OUTCOME_BITS:
-        raise ResourceLimitError(
-            f"the distribution has 2^{outcome_bits} outcomes, above the cap "
-            f"2^{MAX_OUTCOME_BITS}")
-    tuples = _symbol_tuples(config, model)
-    inter = intermediate_nodes(config)
-    extr = extremal_nodes(config)
-    c = model.alphabet_size
-    masses = dict.fromkeys(itertools.product((0, 1), repeat=outcome_bits), 0.0)
-    for symbols in tuples:
-        weight = math.prod(model.weights[r][symbols[r - 1]]
-                           for r in range(1, config.n + 1))
-        bits = []
-        for node in inter:
-            code = _symbol_code(attach.intermediate[node], symbols, c)
-            bits.append(model.intermediate[node][assignment.x[node]][code])
-        for node in extr:
-            symbol = symbols[attach.extremal[node] - 1]
-            bits.append(model.extremal[node][assignment.y[node]][symbol])
-        masses[tuple(bits)] += weight
-    return masses
-
-
 def _symbol_tuples(config: NetworkConfig,
                    model: LHVModel) -> Iterator[tuple[int, ...]]:
     """Every tuple of nonzero-weight symbols, one per source, in lexicographic
@@ -165,9 +125,10 @@ def lhv_evaluate_S(config: NetworkConfig, model: LHVModel) -> EvaluationResult:
     """Witness of a classical model, contracted per symbol tuple.
 
     Sums the product of the module docstring over the weight supports, with
-    all intermediate inputs k in I_k.  Agrees with evaluate_S_from_correlator
-    over lhv_distribution to rounding.  Raises ResourceLimitError before the
-    sum when the supports span more than MAX_SUPPORT_TUPLES symbol tuples.
+    all intermediate inputs k in I_k.  Agrees to rounding with the tests'
+    oracle, which enumerates every symbol tuple and input.  Raises
+    ResourceLimitError before the sum when the supports span more than
+    MAX_SUPPORT_TUPLES symbol tuples.
     """
     return _contract(config, model, validate_model(config, model))
 

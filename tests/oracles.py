@@ -1,5 +1,7 @@
-"""The correctness oracles: the Pauli settings, three correlator routes and
-the enumeration average.  The only module that imports numpy.
+"""The correctness oracles that the tests hold the package to: the Pauli
+settings, three correlator routes, the enumeration average and the classical
+outcome distribution.  They use only public names of nlocalnet, and no code
+of the closed-form contractions they check.
 
 The settings are fixed but for p angles.  Every qubit of an intermediate
 node is measured in sigma_z for input 0 and in sigma_x for input 1, so the
@@ -14,11 +16,8 @@ sources), and a Born-rule outcome distribution whose signed sum recovers
 the correlator.  The global qubit convention is fixed by the layout: source
 r owns qubits 2(r-1) and 2(r-1)+1, assigned to its first and second edge
 endpoint.  signed_y_average and evaluate_S_from_correlator enumerate the 2^p
-extremal inputs of any correlator, quantum or classical; the tests check
-inequality.evaluate_S and lhv.lhv_evaluate_S against them.
-
-`import nlocalnet` and the CLI never load this module: inequality.evaluate_S
-has each source's factor in closed form and builds none of these objects.
+extremal inputs of any correlator, quantum or classical (lhv_distribution);
+the tests check inequality.evaluate_S and lhv.lhv_evaluate_S against them.
 """
 
 from __future__ import annotations
@@ -29,14 +28,18 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, ResourceLimitError
-from .inequality import EvaluationResult, check_angles
-from .topology import (INTERMEDIATE, NetworkConfig, NodeId, attachments,
-                       extremal_nodes, intermediate_nodes)
+from nlocalnet import (EvaluationResult, InvalidParameterError, LHVModel,
+                       NetworkConfig, NodeId, ResourceLimitError, attachments,
+                       extremal_nodes, intermediate_nodes, validate_model)
+from nlocalnet.inequality import check_angles
+from nlocalnet.lhv import MAX_SUPPORT_TUPLES
+from nlocalnet.topology import INTERMEDIATE
 
 STATEVECTOR_MAX_SOURCES = 6
 # The enumeration oracle visits 2^p extremal inputs; refuse layouts beyond this.
 ENUMERATION_MAX_EXTREMAL = 20
+# Outcome bits l + p that lhv_distribution may key: it holds 2^(l+p) masses.
+MAX_OUTCOME_BITS = 16
 
 
 class _BlochVector(NamedTuple):
@@ -250,6 +253,44 @@ def joint_distribution(config: NetworkConfig, thetas: Sequence[float],
         tuple((code >> (width - 1 - k)) & 1 for k in range(width)): float(masses[code])
         for code in range(2 ** width)
     }
+
+
+def lhv_distribution(config: NetworkConfig, model: LHVModel,
+                     assignment: SettingAssignment
+                     ) -> dict[tuple[int, ...], float]:
+    """Outcome distribution of a classical model, summed over every tuple of
+    nonzero-weight symbols; keys run over {0,1}^(l+p), intermediate nodes
+    first.  Raises ResourceLimitError before storing a mass when l + p exceeds
+    MAX_OUTCOME_BITS or the supports exceed lhv.MAX_SUPPORT_TUPLES tuples."""
+    attach = validate_model(config, model)
+    assignment.check(config)
+    outcome_bits = config.l + config.p
+    if outcome_bits > MAX_OUTCOME_BITS:
+        raise ResourceLimitError(
+            f"the distribution has 2^{outcome_bits} outcomes, above the cap "
+            f"2^{MAX_OUTCOME_BITS}")
+    supports = [[s for s, w in enumerate(model.weights[r]) if w != 0.0]
+                for r in range(1, config.n + 1)]
+    tuple_bits = sum(math.log2(len(support)) for support in supports)
+    if tuple_bits > math.log2(MAX_SUPPORT_TUPLES):
+        raise ResourceLimitError(
+            f"the source weights span 2^{tuple_bits:.6g} symbol tuples, above "
+            f"the cap 2^{math.log2(MAX_SUPPORT_TUPLES):.6g}")
+    c = model.alphabet_size
+    # (row of the node's table for its input, sources indexing the row)
+    rows = [(model.intermediate[node][assignment.x[node]], attach.intermediate[node])
+            for node in intermediate_nodes(config)]
+    rows += [(model.extremal[node][assignment.y[node]], (attach.extremal[node],))
+             for node in extremal_nodes(config)]
+    masses = dict.fromkeys(itertools.product((0, 1), repeat=outcome_bits), 0.0)
+    for symbols in itertools.product(*supports):
+        weight = math.prod(model.weights[r][symbols[r - 1]]
+                           for r in range(1, config.n + 1))
+        outcome = tuple(row[sum(symbols[r - 1] * c ** (len(sources) - 1 - k)
+                                for k, r in enumerate(sources))]
+                        for row, sources in rows)
+        masses[outcome] += weight
+    return masses
 
 
 def distribution_correlator(distribution: Mapping[tuple[int, ...], float]) -> float:

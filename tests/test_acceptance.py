@@ -10,11 +10,9 @@ import numpy as np
 
 from helpers import random_instance
 from nlocalnet import (build_chain, build_star, build_tree, closed_form_S,
-                       closed_form_smax, concurrence, evaluate_S, lhv_best_S,
-                       sweep, validate)
-from nlocalnet.correlators import (correlator_factorized,
-                                   correlator_statevector,
-                                   distribution_correlator, joint_distribution)
+                       closed_form_smax, evaluate_S, lhv_best_S, sweep, validate)
+from oracles import (concurrence, correlator_factorized, correlator_statevector,
+                     distribution_correlator, joint_distribution)
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)

@@ -590,10 +590,13 @@ def test_unwritable_output_prints_no_report(tmp_path, capsys, command):
 
 
 def test_import_pulls_in_no_scipy(tmp_path):
-    # numpy neither: only the nlocalnet.correlators oracles import it
+    """Nor numpy: with numpy made unimportable, every public name resolves
+    and every subcommand exits 0."""
     code = """if True:
         import contextlib, io, sys
+        sys.modules["numpy"] = None  # any import of numpy now raises ImportError
         import nlocalnet, nlocalnet.cli
+        resolved = {name: getattr(nlocalnet, name) for name in nlocalnet.__all__}
         topo, model = sys.argv[1:]
         angles = "0.25pi,0.25pi"
         runs = [["generate", "chain", "--n", "2", "--output", topo],
@@ -605,12 +608,13 @@ def test_import_pulls_in_no_scipy(tmp_path):
                 ["lhv", "--topology", topo, "--output", model]]
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [nlocalnet.cli.main(argv) for argv in runs]
-        print(codes, sorted(m for m in sys.modules
-                            if m.split(".")[0] in ("numpy", "scipy")))
+        print(len(resolved), codes, sorted(m for m, module in sys.modules.items()
+                                        if module is not None
+                                        and m.split(".")[0] in ("numpy", "scipy")))
     """
     done = run_fresh(code, str(tmp_path / "chain2.json"), str(tmp_path / "model.json"))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
+    assert done.stdout.strip() == "26 [0, 0, 0, 0, 0, 0] []"
 
 
 LAYOUT_MODULES = {"nlocalnet", "nlocalnet.cli", "nlocalnet.errors", "nlocalnet.topology"}

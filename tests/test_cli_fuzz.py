@@ -7,8 +7,9 @@ line to stderr.  Inputs stay small: layouts have at most four sources, and
 `lhv` builds the vertex model, whose size cap only a huge alphabet reaches.
 The raw-text topology documents are drawn rarely, so an explicit test also
 runs each of them through every subcommand that reads a topology.  The
-options sometimes come from an @FILE argument, whole or damaged; each kind
-is reported as a hypothesis event (pytest --hypothesis-show-statistics).
+options sometimes come from an @FILE argument, whole or damaged.  Each kind
+of topology damage and of argument file is reported as a hypothesis event
+(pytest --hypothesis-show-statistics).
 """
 
 import contextlib
@@ -64,9 +65,11 @@ def angle_list(draw, count: int, longest: int = 5) -> str:
 def topology_bytes(draw, config) -> bytes:
     """The layout as a topology file, sometimes damaged."""
     doc = json.loads(serialize_config(config))
-    if often(draw):
+    damage = "whole" if often(draw) else draw(st.sampled_from(
+        ["field", "edge", "text", "bytes"]))
+    event(f"topology damage: {damage}")
+    if damage == "whole":
         return json.dumps(doc).encode()
-    damage = draw(st.sampled_from(["field", "edge", "text", "bytes"]))
     if damage == "field":
         doc[draw(st.sampled_from(["n", "m", "p", "edges"]))] = draw(st.one_of(
             st.integers(-2, 6), st.sampled_from([10 ** 12, "3", None, 2.5, []])))

@@ -6,10 +6,9 @@ import pytest
 
 from helpers import random_instance
 from nlocalnet import (InvalidParameterError, NetworkConfig, ResourceLimitError,
-                       SettingAssignment, build_chain)
-from nlocalnet.correlators import (correlator_factorized,
-                                   correlator_statevector,
-                                   distribution_correlator, joint_distribution)
+                       build_chain, build_star)
+from oracles import (SettingAssignment, correlator_factorized, correlator_statevector,
+                     distribution_correlator, joint_distribution)
 
 PI = math.pi
 
@@ -73,6 +72,14 @@ def test_mixed_angles_match_hand_value():
     assert value == pytest.approx(0.75, abs=1e-12)
     assert correlator_statevector(config, [PI / 6, PI / 3], alphas, assignment) \
         == pytest.approx(0.75, abs=1e-10)
+
+
+def test_statevector_star3_all_zero_inputs():
+    # every extremal setting at pi/4 against sigma_z: cos(pi/4)^3 = 2^(-3/2)
+    config = build_star(3)
+    assignment = SettingAssignment.from_bits(config, [0], [0, 0, 0])
+    value = correlator_statevector(config, [PI / 4] * 3, [PI / 4] * 3, assignment)
+    assert abs(value - 2 ** -1.5) <= 1e-12
 
 
 def test_statevector_rejects_seven_sources():

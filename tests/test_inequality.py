@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from helpers import random_instance, run_fresh
 from nlocalnet import (InvalidParameterError, ResourceLimitError, build_chain,
                        build_star, build_tree, closed_form_S, closed_form_smax,
-                       evaluate_S, evaluate_S_from_correlator, parse_config)
+                       evaluate_S, parse_config)
 from nlocalnet.cli import main
-from nlocalnet.correlators import (ENUMERATION_MAX_EXTREMAL, correlator_factorized,
-                                   signed_y_average)
 from nlocalnet.topology import MAX_SOURCES
+from oracles import (ENUMERATION_MAX_EXTREMAL, correlator_factorized,
+                     evaluate_S_from_correlator, signed_y_average)
 
 PI = math.pi
 angles = st.floats(min_value=0.0, max_value=2 * PI,
@@ -233,8 +233,8 @@ def test_evaluate_rejects_non_finite_angles(bad):
 @pytest.mark.parametrize("kind, args", [("star", (5,)), ("tree", (7, 3))],
                          ids=["star5", "tree7_3"])
 def test_evaluate_S_builds_no_observable(kind, args):
-    """Each source's factor is plain arithmetic: evaluate_S loads neither
-    nlocalnet.correlators nor numpy, and its answer is the closed form's."""
+    """Each source's factor is plain arithmetic: evaluate_S loads no numpy,
+    and its answer is the closed form's."""
     code = """if True:
         import sys
         import nlocalnet
@@ -242,8 +242,7 @@ def test_evaluate_S_builds_no_observable(kind, args):
         result = nlocalnet.evaluate_S(config, [0.4] * config.n, [0.3] * config.p)
         s = nlocalnet.closed_form_S([0.4] * config.n, [0.3] * config.p, config.p)
         print(abs(result.s - s) <= 1e-12,
-              sorted(m for m in sys.modules if m.split(".")[0] == "numpy"
-                     or m == "nlocalnet.correlators"))
+              sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
     """
     done = run_fresh(code, kind, *map(str, args))
     assert done.returncode == 0, done.stderr

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from helpers import bits, brute_force_best_I, random_lhv_model
-from nlocalnet import (InvalidParameterError, LHVModel, NodeId,
-                       ResourceLimitError, SettingAssignment, attachments,
-                       build_chain, build_star, build_tree,
-                       evaluate_S_from_correlator, extremal_nodes, lhv_best_S,
-                       lhv_distribution, lhv_evaluate_S, model_to_jsonable,
-                       validate_model)
-from nlocalnet.correlators import distribution_correlator
-from nlocalnet.lhv import MAX_MODEL_CELLS, MAX_OUTCOME_BITS, MAX_SUPPORT_TUPLES
+from nlocalnet import (InvalidParameterError, LHVModel, NodeId, ResourceLimitError,
+                       attachments, build_chain, build_star, build_tree,
+                       extremal_nodes, lhv_best_S, lhv_evaluate_S,
+                       model_to_jsonable, validate_model)
+from nlocalnet.lhv import MAX_MODEL_CELLS, MAX_SUPPORT_TUPLES
+from oracles import (MAX_OUTCOME_BITS, SettingAssignment, distribution_correlator,
+                     evaluate_S_from_correlator, lhv_distribution)
 
 
 def point_mass_model(config, symbol=0, c=2):

@@ -9,20 +9,17 @@ import pytest
 
 import nlocalnet
 from helpers import run_fresh
-from nlocalnet import (AttachmentMap, BlochObservable, EvaluationResult, LHVModel,
-                       NetworkConfig, PAULI_X, SettingAssignment, attachments,
-                       build_chain, evaluate_S, lhv_best_S)
+from nlocalnet import (AttachmentMap, EvaluationResult, LHVModel, NetworkConfig,
+                       attachments, build_chain, evaluate_S, lhv_best_S)
+from oracles import PAULI_X, BlochObservable, SettingAssignment
 
 # The public names, by the module that defines them.
 HOMES = {
-    "correlators": ["BlochObservable", "PAULI_X", "PAULI_Z", "SettingAssignment",
-                    "concurrence", "evaluate_S_from_correlator",
-                    "extremal_observable", "pair_expectation"],
     "errors": ["InvalidParameterError", "NlocalError", "ResourceLimitError"],
     "inequality": ["EvaluationResult", "VIOLATION_TOLERANCE", "closed_form_S",
                    "closed_form_smax", "evaluate_S", "sweep"],
-    "lhv": ["LHVModel", "lhv_best_S", "lhv_distribution", "lhv_evaluate_S",
-            "model_to_jsonable", "validate_model"],
+    "lhv": ["LHVModel", "lhv_best_S", "lhv_evaluate_S", "model_to_jsonable",
+            "validate_model"],
     "topology": ["AttachmentMap", "NetworkConfig", "NodeId", "attachments",
                  "build_chain", "build_star", "build_tree", "extremal_nodes",
                  "intermediate_nodes", "parse_config", "serialize_config",
@@ -32,7 +29,7 @@ PUBLIC = sorted(name for names in HOMES.values() for name in names)
 
 
 def test_all_lists_the_pinned_public_names():
-    assert len(PUBLIC) == 35
+    assert len(PUBLIC) == 26
     assert sorted(nlocalnet.__all__) == PUBLIC
 
 
@@ -77,6 +74,8 @@ def test_import_loads_a_submodule_only_on_first_use():
 
 
 def _instances() -> dict:
+    """One value of each pinned type; BlochObservable and SettingAssignment
+    are the value types of the tests' oracles."""
     config = build_chain(3)
     return {
         NetworkConfig: (config, ("n", "m", "p", "edges")),
@@ -119,3 +118,17 @@ def test_no_module_imports_a_private_name_of_another():
                  and (node.level or (node.module or "").split(".")[0] == "nlocalnet")
                  for alias in node.names if alias.name.startswith("_")]
     assert crossings == []
+
+
+def test_no_module_imports_numpy():
+    """The package runs on the standard library alone; only the tests'
+    oracles use numpy."""
+    package = Path(nlocalnet.__file__).parent
+    imports = [f"{path.name}: {name}"
+               for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for name in ([alias.name for alias in node.names]
+                            if isinstance(node, ast.Import) else [node.module or ""])
+               if name.split(".")[0] == "numpy"]
+    assert imports == []

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlocalnet import (BlochObservable, InvalidParameterError, PAULI_X, PAULI_Z,
-                       concurrence, extremal_observable, pair_expectation)
-from nlocalnet.correlators import bloch_matrix, source_state
+from nlocalnet import InvalidParameterError
+from oracles import (PAULI_X, PAULI_Z, BlochObservable, bloch_matrix, concurrence,
+                     extremal_observable, pair_expectation, source_state)
 
 angles = st.floats(min_value=-20.0, max_value=20.0,
                    allow_nan=False, allow_infinity=False)

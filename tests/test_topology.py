@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from helpers import run_fresh
 from nlocalnet import (InvalidParameterError, NetworkConfig, NodeId,
                        ResourceLimitError, attachments, build_chain,
-                       build_star, build_tree, evaluate_S_from_correlator,
-                       intermediate_nodes, parse_config, serialize_config,
-                       validate)
+                       build_star, build_tree, intermediate_nodes, parse_config,
+                       serialize_config, validate)
 from nlocalnet.cli import main
 from nlocalnet.topology import EXTREMAL, INTERMEDIATE, MAX_SOURCES
+from oracles import evaluate_S_from_correlator
 
 
 def incidence_graph(config):
