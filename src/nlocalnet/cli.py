@@ -4,6 +4,8 @@ run grid sweeps, and build the classical model on the bound.
 Exit codes: 0 success, 2 bad input, 3 expected violation absent, 4 resource
 cap hit.  Angles are radians, or multiples of pi with a "pi" suffix
 ("0.25pi").  Reports are single-line JSON on stdout; sweeps are CSV.
+generate and sweep write --output, or else stdout, through _write once every
+check has passed; files are read through _read_text, capped at MAX_FILE_BYTES.
 
 Options are parsed by getopt.gnu_getopt from one table, _COMMANDS, which
 also prints the help.  Every command reads or builds a layout, so topology
@@ -15,13 +17,14 @@ from __future__ import annotations
 
 import errno
 import getopt
+import io
 import json
 import math
 import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence, TextIO
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .topology import (NetworkConfig, attachments, build_chain, build_star,
@@ -32,6 +35,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EXPECTATION = 3
 EXIT_RESOURCE = 4
+# generate writes under 10 MB for a chain, star or tree at MAX_SOURCES.
+MAX_FILE_BYTES = 64 << 20
 
 
 def parse_angle(token: str) -> float:
@@ -66,9 +71,20 @@ def _json_line(report: dict) -> str:
     return json.dumps(report, allow_nan=False) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """The file as open() in text mode reads it (UTF-8, universal newlines);
+    ResourceLimitError once MAX_FILE_BYTES + 1 bytes are read."""
+    with open(path, "rb") as file:
+        data = file.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise ResourceLimitError(
+            f"file {path!r} is larger than the cap of {MAX_FILE_BYTES} bytes")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
 def _read_config(path: str) -> NetworkConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read_text(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read topology file: {exc}") from None
     return parse_config(text)
@@ -77,6 +93,15 @@ def _read_config(path: str) -> NetworkConfig:
 def _checked(config: NetworkConfig) -> NetworkConfig:
     attachments(config)  # raises InvalidParameterError on an invalid layout
     return config
+
+
+def _write(output: str | None, write: Callable[[TextIO], object]) -> None:
+    """write(the --output file, opened for writing), or write(stdout)."""
+    if output:
+        with open(output, "w", encoding="utf-8", newline="") as file:
+            write(file)
+    else:
+        write(sys.stdout)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -105,10 +130,7 @@ def _cmd_generate(args: SimpleNamespace) -> int:
         config = _checked(config_from_doc(
             {"n": args.n, "m": args.m, "p": args.p, "edges": edges_doc}))
     text = serialize_config(config)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(args.output, lambda sink: sink.write(text))
     return EXIT_OK
 
 
@@ -172,40 +194,11 @@ def _cmd_maximize(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-class _OpenedOnFirstWrite:
-    """Text sink that opens its file, truncating it, at the first write.
-
-    sweep writes nothing before its checks pass, so a sweep that fails them
-    leaves an existing --output file as it was.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.file = None
-
-    def write(self, text: str) -> int:
-        if self.file is None:
-            self.file = open(self.path, "w", encoding="utf-8", newline="")
-        return self.file.write(text)
-
-    def close(self) -> None:
-        if self.file is not None:
-            self.file.close()
-
-
 def _cmd_sweep(args: SimpleNamespace) -> int:
     from .inequality import sweep
 
     config = _read_config(args.topology)  # sweep validates it
-    grid = parse_angle_list(args.grid)
-    if args.output:
-        sink = _OpenedOnFirstWrite(args.output)
-        try:
-            sweep(config, grid, sink)
-        finally:
-            sink.close()
-    else:
-        sweep(config, grid, sys.stdout)
+    _write(args.output, sweep(config, parse_angle_list(args.grid)).write)
     return EXIT_OK
 
 
@@ -284,6 +277,8 @@ as in 0.25pi.
 # No command needs more than a few arguments, and getopt copies the rest of
 # the list at each one: time quadratic in their number.
 _MAX_ARGS = 1000
+# Where str.splitlines breaks a line.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _help(command: str | None) -> str:
@@ -300,26 +295,32 @@ def _help(command: str | None) -> str:
 
 
 def _expand_files(argv: Sequence[str]) -> list[str]:
-    """argv with each @FILE argument replaced by the lines of FILE, read as
-    UTF-8; a line that starts with @ is kept as it is."""
-    expanded = []
+    """argv with each @FILE argument replaced by the lines of FILE, read by
+    _read_text; a line that starts with @ is kept as it is.  More than
+    _MAX_ARGS arguments in all is a usage error, counted from the line breaks
+    before any file is split into a list."""
+    texts = {}
+    count = 0
     for arg in argv:
         if not arg.startswith("@"):
-            expanded.append(arg)
+            count += 1
             continue
         try:
-            expanded += Path(arg[1:]).read_text(encoding="utf-8").splitlines()
+            text = texts[arg] = _read_text(arg[1:])
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8
             _usage(f"cannot read argument file {arg[1:]!r}: {exc}")
-    return expanded
+        # len(text.splitlines()): a last line needs no line break
+        count += sum(map(text.count, _LINE_BREAKS)) + (text[-1:] not in _LINE_BREAKS)
+    if count > _MAX_ARGS:
+        _usage(f"{count} arguments, above the cap {_MAX_ARGS}")
+    return [line for arg in argv
+            for line in (texts[arg].splitlines() if arg in texts else [arg])]
 
 
 def _parse(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int],
                                          SimpleNamespace]:
     """The handler and its arguments; a usage error exits 2, help exits 0."""
     argv = _expand_files(argv)
-    if len(argv) > _MAX_ARGS:
-        _usage(f"{len(argv)} arguments, above the cap {_MAX_ARGS}")
     command = argv[0] if argv else None
     if command in ("-h", "--help"):
         sys.stdout.write(_help(None))

@@ -266,8 +266,7 @@ class _Table:
             sink.write(block)
 
 
-def sweep(config: NetworkConfig, theta_grid: Sequence[float],
-          sink: TextIO | None = None) -> _Table:
+def sweep(config: NetworkConfig, theta_grid: Sequence[float]) -> _Table:
     """Tabulate the best equal-angle witness over a Cartesian grid of source angles.
 
     Returns a sized, re-iterable table of rows in grid order (odometer order,
@@ -275,18 +274,16 @@ def sweep(config: NetworkConfig, theta_grid: Sequence[float],
     made, and each iteration makes the rows again; for a list, use
     list(sweep(...)).  A row holds the source-angle tuple, the optimal common
     extremal angle, the witness value, and whether it clears the bound, and
-    equals closed_form_smax on its angle tuple, bit for bit.  A sink, if
-    given, gets the table as CSV before sweep returns, with the header
+    equals closed_form_smax on its angle tuple, bit for bit.  The table's
+    write(sink) writes it as CSV, with the header
     theta_1,...,theta_n,alpha_star,smax,violated and every number as "%.9g".
 
-    Every check comes before the header: an invalid layout, an empty grid or
-    a non-finite angle raise InvalidParameterError, and a grid of more than
-    MAX_SWEEP_ROWS combinations raises ResourceLimitError, with nothing
-    written to the sink.
+    Every check runs before sweep returns, so a caller that opens a file for
+    the table's write opens none for a failed sweep: an invalid layout, an
+    empty grid or a non-finite angle raise InvalidParameterError, and more
+    than MAX_SWEEP_ROWS combinations raise ResourceLimitError.
     """
     attachments(config)  # validates the layout
-    if not theta_grid:
-        raise InvalidParameterError("theta grid must not be empty")
     n = config.n
     if len(theta_grid) ** n > MAX_SWEEP_ROWS:
         raise ResourceLimitError(
@@ -294,10 +291,7 @@ def sweep(config: NetworkConfig, theta_grid: Sequence[float],
             f"needs {len(theta_grid)}^{n} rows, above the cap "
             f"{MAX_SWEEP_ROWS}")
     _check_source_angles(theta_grid)
-    table = _Table(theta_grid, n, config.p)
-    if sink is not None:
-        table.write(sink)
-    return table
+    return _Table(theta_grid, n, config.p)
 
 
 def check_finite(label: str, values: Iterable[float]) -> None:
@@ -308,8 +302,10 @@ def check_finite(label: str, values: Iterable[float]) -> None:
 
 
 def _check_source_angles(thetas: Sequence[float]) -> None:
-    """check_finite for source angles, which also refuses a theta whose
-    2 theta overflows: sin(2 theta) would raise a bare ValueError on it."""
+    """check_finite for source angles that also refuses no angle at all and
+    a theta whose 2 theta overflows, where sin(2 theta) raises ValueError."""
+    if len(thetas) == 0:
+        raise InvalidParameterError("need at least one source angle, got none")
     check_finite("source", thetas)
     for theta in thetas:
         if not math.isfinite(2.0 * theta):

@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
+import nlocalnet.cli
 import nlocalnet.topology
 from helpers import run_fresh
 from nlocalnet import build_chain, closed_form_S, parse_config, serialize_config
@@ -206,18 +208,21 @@ def test_sweep_command(tmp_path):
 
 
 def test_sweep_prints_the_bytes_that_it_writes_to_output(tmp_path):
+    # generate and sweep write --output and stdout through one writer.
     topo = tmp_path / "chain3.json"
-    main(["generate", "chain", "--n", "3", "--output", str(topo)])
+    generate = ["generate", "chain", "--n", "3"]
+    assert main([*generate, "--output", str(topo)]) == 0
     out = tmp_path / "sweep.csv"
     # 15 625 rows, more than one block of writes.
     grid = ",".join(["-0.0", "2"] + [f"{0.13 * k - 1:.2f}" for k in range(23)])
-    argv = ["sweep", "--topology", str(topo), "--grid", grid]
-    assert main([*argv, "--output", str(out)]) == 0
-    done = subprocess.run([sys.executable, "-m", "nlocalnet", *argv],
-                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
-                          capture_output=True, timeout=60)
-    assert (done.returncode, done.stderr) == (0, b"")
-    assert done.stdout == out.read_bytes()
+    sweep = ["sweep", "--topology", str(topo), "--grid", grid]
+    assert main([*sweep, "--output", str(out)]) == 0
+    for argv, written in ((generate, topo), (sweep, out)):
+        done = subprocess.run([sys.executable, "-m", "nlocalnet", *argv],
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                              capture_output=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b""), argv
+        assert done.stdout == written.read_bytes(), argv
     assert done.stdout.count(b"\n") == 25 ** 3 + 1
 
 
@@ -511,6 +516,59 @@ def test_a_bad_argument_file_is_one_line_exit_2(tmp_path, capsys, content):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--topology", "/dev/zero"],
+    ["evaluate", "@/dev/zero"],
+], ids=["topology", "argument-file"])
+def test_an_endless_input_file_is_one_line_exit_4(argv):
+    # The child's address space is capped at 400 MB, so reading all of
+    # /dev/zero would end in a MemoryError traceback, exit 1.
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+            "from nlocalnet.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    done = run_fresh(code, *argv)
+    assert (done.returncode, done.stdout) == (4, ""), done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("resource limit: ")
+
+
+def test_input_files_are_read_up_to_the_cap(tmp_path, capsys, monkeypatch):
+    topo = tmp_path / "chain2.json"
+    main(["generate", "chain", "--n", "2", "--output", str(topo)])
+    args = tmp_path / "theta.args"
+    args.write_text("--theta\n0.1,0.2\n", encoding="utf-8")
+    argv = ["maximize", "--topology", str(topo), f"@{args}"]
+    monkeypatch.setattr(nlocalnet.cli, "MAX_FILE_BYTES",
+                        max(topo.stat().st_size, args.stat().st_size))
+    assert main(argv) == 0
+    capsys.readouterr()
+    for path in (topo, args):
+        monkeypatch.setattr(nlocalnet.cli, "MAX_FILE_BYTES", path.stat().st_size - 1)
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("resource limit: ")
+        assert len(captured.err.splitlines()) == 1 and str(path) in captured.err
+
+
+def test_a_long_argument_file_is_refused_before_it_is_split(tmp_path, capsys,
+                                                           monkeypatch):
+    # 10^6 line breaks: split into lines, a list of 8 MB.  The reader's buffer
+    # is sized from the cap, so a small cap keeps it out of the peak.
+    args = tmp_path / "breaks.args"
+    args.write_bytes(b"\n" * 10 ** 6)
+    monkeypatch.setattr(nlocalnet.cli, "MAX_FILE_BYTES", 2 * 10 ** 6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as info:
+            main(["maximize", f"@{args}"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.code == 2 and peak < 4_000_000
+    assert capsys.readouterr().err == "error: 1000001 arguments, above the cap 1000\n"
 
 
 def test_size_caps_exit_4(tmp_path, capsys):

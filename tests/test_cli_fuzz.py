@@ -5,11 +5,11 @@ exception.  Stdout must be strict JSON (no NaN or Infinity), a CSV table of
 finite numbers, or the validate report; a failure (2 or 4) writes exactly one
 line to stderr.  Inputs stay small: layouts have at most four sources, and
 `lhv` builds the vertex model, whose size cap only a huge alphabet reaches.
-The raw-text topology documents are drawn rarely, so an explicit test also
-runs each of them through every subcommand that reads a topology.  The
-options sometimes come from an @FILE argument, whole or damaged.  Each kind
-of topology damage and of argument file is reported as a hypothesis event
-(pytest --hypothesis-show-statistics).
+The raw-text topology documents, the edge actions and the byte prefix are
+drawn rarely, so explicit tests also run each of them through every
+subcommand that reads a topology.  The options sometimes come from an @FILE
+argument, whole or damaged.  Each kind of topology damage and of argument
+file is reported as a hypothesis event (pytest --hypothesis-show-statistics).
 """
 
 import contextlib
@@ -40,6 +40,9 @@ RAW_TEXT = ["", "{", "[]", "null", '{"n": 2}', "NaN", "[" * 5000,
             '{"n": NaN, "m": 2, "p": 2, "edges": []}',
             '{"n": %s, "m": 2, "p": 2, "edges": []}' % ("1" * 5000)]
 LONG_NAME = "A" + "1" * 5000
+END_NAMES = ["A1", "A2", "B1", "B9", "A0", "X1", "B99999999999", LONG_NAME, 3, None]
+SOURCE_NUMBERS = [0, -1, 7, "1", None, True]
+BAD_PREFIX = b"\xff\xfe"  # not UTF-8
 ARGUMENT_FILES = ["whole", "missing", "empty", "non-utf8", "nested"]
 
 
@@ -74,24 +77,32 @@ def topology_bytes(draw, config) -> bytes:
         doc[draw(st.sampled_from(["n", "m", "p", "edges"]))] = draw(st.one_of(
             st.integers(-2, 6), st.sampled_from([10 ** 12, "3", None, 2.5, []])))
     elif damage == "edge":
-        edges = doc["edges"]
-        index = draw(st.integers(0, len(edges) - 1))
+        index = draw(st.integers(0, len(doc["edges"]) - 1))
         action = draw(st.sampled_from(["drop", "copy", "end", "source"]))
-        if action == "drop":
-            del edges[index]
-        elif action == "copy":
-            edges.append(edges[index])
-        elif action == "end":
-            edges[index]["ends"][draw(st.integers(0, 1))] = draw(st.sampled_from(
-                ["A1", "A2", "B1", "B9", "A0", "X1", "B99999999999", LONG_NAME,
-                 3, None]))
-        else:
-            edges[index]["source"] = draw(st.sampled_from([0, -1, 7, "1", None, True]))
+        value, end = None, 0
+        if action == "end":  # the name is drawn before the end it replaces
+            value = draw(st.sampled_from(END_NAMES))
+            end = draw(st.integers(0, 1))
+        elif action == "source":
+            value = draw(st.sampled_from(SOURCE_NUMBERS))
+        damage_edge(doc["edges"], index, action, value, end)
     elif damage == "text":
         return draw(st.sampled_from(RAW_TEXT)).encode()
     else:
-        return b"\xff\xfe" + json.dumps(doc).encode()
+        return BAD_PREFIX + json.dumps(doc).encode()
     return json.dumps(doc).encode()
+
+
+def damage_edge(edges: list, index: int, action: str, value=None, end: int = 0) -> None:
+    """Drop or copy edge index, or set one of its ends or its source to value."""
+    if action == "drop":
+        del edges[index]
+    elif action == "copy":
+        edges.append(edges[index])
+    elif action == "end":
+        edges[index]["ends"][end] = value
+    else:
+        edges[index]["source"] = value
 
 
 def through_a_file(draw, work: Path, argv: list[str]) -> list[str]:
@@ -209,6 +220,39 @@ def test_every_raw_topology_text_is_one_line_exit_2(tmp_path, document, command)
     code, out, err = run(argv)
     assert code == 2, (argv, err)
     assert out == "" and len(err.splitlines()) == 1, (argv, out, err)
+
+
+# chain(2)'s first edge joins B1 to A1.  Any other first end leaves B1 with no
+# source, and any other source number repeats 2, is out of range or is no int.
+EDGE_DAMAGE = [("drop", None), ("copy", None),
+               *(("end", name) for name in END_NAMES if name != "B1"),
+               *(("source", number) for number in SOURCE_NUMBERS)]
+
+
+@pytest.mark.parametrize("damage", [*EDGE_DAMAGE, "bytes"], ids=lambda damage: (
+    damage if isinstance(damage, str)
+    else f"{damage[0]}-{damage[1]!r}"[:24]))
+@pytest.mark.parametrize("command", TOPOLOGY_READERS, ids=lambda argv: argv[0])
+def test_every_edge_and_byte_damage_is_one_line_exit_2(tmp_path, damage, command):
+    """Each edge action and the byte prefix, which the draws above seldom make.
+
+    validate prints the issues of a layout that parses, one a line, on stdout.
+    """
+    doc = json.loads(serialize_config(build_chain(2)))
+    if damage == "bytes":
+        document = BAD_PREFIX + json.dumps(doc).encode()
+    else:
+        damage_edge(doc["edges"], 0, *damage)
+        document = json.dumps(doc).encode()
+    topology = tmp_path / "topology.json"
+    topology.write_bytes(document)
+    argv = [command[0], "--topology", str(topology), *command[1:]]
+    code, out, err = run(argv)
+    assert code == 2 and len(err.splitlines()) == 1, (argv, err)
+    if command[0] == "validate" and out:
+        assert err == f"error: invalid topology: {len(out.splitlines())} issue(s)\n"
+    else:
+        assert out == "", (argv, out)
 
 
 ANGLE_READERS = [

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import itertools
 import math
@@ -81,6 +82,18 @@ def test_library_entry_points_reject_non_finite_angles(call):
         call()
 
 
+def test_closed_forms_refuse_a_network_with_no_source():
+    # An empty product is 1, which would read as a violation: sqrt(2) and 1.409.
+    with pytest.raises(InvalidParameterError, match="at least one source angle"):
+        closed_form_smax([], 2)
+    with pytest.raises(InvalidParameterError, match="at least one source angle"):
+        closed_form_S([], [0.7, 0.7], 2)
+
+
+def test_sweep_returns_the_table_and_takes_no_sink():
+    assert list(inspect.signature(sweep).parameters) == ["config", "theta_grid"]
+
+
 def test_sweep_row_cap_accepts_the_benchmark_size_and_rejects_more():
     grid = [0.1 * k for k in range(10)]
     with pytest.raises(ResourceLimitError, match=r"needs 10\^10 rows"):
@@ -93,7 +106,8 @@ def test_sweep_rows_and_csv():
     config = build_chain(2)
     grid = [0.0, PI / 8, PI / 4]
     sink = io.StringIO()
-    rows = sweep(config, grid, sink)
+    rows = sweep(config, grid)
+    rows.write(sink)
     assert len(rows) == 9
     by_combo = {combo: (alpha, smax, violated)
                 for combo, alpha, smax, violated in rows}
@@ -118,6 +132,8 @@ def test_sweep_row_order_is_grid_order():
     rows = sweep(config, [0.1, 0.2])
     combos = [combo for combo, *_ in rows]
     assert combos == [(0.1, 0.1), (0.1, 0.2), (0.2, 0.1), (0.2, 0.2)]
+    # an array, which has no truth value, is a grid as well
+    assert list(sweep(config, np.array([0.1, 0.2]))) == list(rows)
 
 
 # A float zero and a negative zero, negative angles, pi/4, a repeated value
@@ -146,7 +162,8 @@ def permuted_heads_differ(grid):
 def test_sweep_is_closed_form_smax_row_by_row(config, grid):
     assert permuted_heads_differ(grid)
     sink = io.StringIO()
-    rows = sweep(config, grid, sink)
+    rows = sweep(config, grid)
+    rows.write(sink)
     expected = []
     for combo in itertools.product(grid, repeat=config.n):
         smax, alpha = closed_form_smax(combo, config.p)
@@ -183,14 +200,14 @@ def test_sweep_holds_no_table_and_writes_in_blocks():
     sink = CountingSink()
     tracemalloc.start()
     try:
-        sweep(config, grid, sink)
+        sweep(config, grid).write(sink)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
     assert sink.writes <= 10 ** 5 // 1000 + 2
     text = io.StringIO()
-    sweep(config, grid, text)
+    sweep(config, grid).write(text)
     assert sink.chars == len(text.getvalue())
 
 
@@ -204,7 +221,7 @@ def test_sweep_holds_no_table_and_writes_in_blocks():
     (build_chain(6), [0.1 * k for k in range(11)], ResourceLimitError),
 ], ids=["nan", "inf", "empty", "p0", "n0", "no-edges", "cap"])
 def test_sweep_checks_before_the_first_byte(config, grid, error):
-    sink = io.StringIO()
+    """sweep runs every check before it returns the table, so nothing can
+    fail once a caller opens a file to write the table to."""
     with pytest.raises(error):
-        sweep(config, grid, sink)
-    assert sink.getvalue() == ""
+        sweep(config, grid)
