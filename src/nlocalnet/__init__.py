@@ -18,15 +18,14 @@ __version__ = "0.1.0"
 
 # Every public name, by the submodule that defines it.
 _PUBLIC = {
+    "builders": ("build_chain", "build_star", "build_tree", "serialize_config"),
     "errors": ("InvalidParameterError", "NlocalError", "ResourceLimitError"),
     "inequality": ("VIOLATION_TOLERANCE", "EvaluationResult", "closed_form_S",
                    "closed_form_smax", "evaluate_S", "sweep"),
     "lhv": ("LHVModel", "lhv_best_S", "lhv_evaluate_S", "model_to_jsonable",
             "validate_model"),
     "topology": ("AttachmentMap", "NetworkConfig", "NodeId", "attachments",
-                 "build_chain", "build_star", "build_tree", "extremal_nodes",
-                 "intermediate_nodes", "parse_config", "serialize_config",
-                 "validate"),
+                 "extremal_nodes", "intermediate_nodes", "parse_config", "validate"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 

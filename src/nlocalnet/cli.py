@@ -7,29 +7,27 @@ cap hit.  Angles are radians, or multiples of pi with a "pi" suffix
 generate and sweep write --output, or else stdout, through _write once every
 check has passed; files are read through _read_text, capped at MAX_FILE_BYTES.
 
-Options are parsed by getopt.gnu_getopt from one table, _COMMANDS, which
-also prints the help.  Every command reads or builds a layout, so topology
-is imported here; each command imports the rest of what it calls in its own
-body, so it loads only the modules it runs.
+Options are parsed in one pass by _options, with the grammar of
+getopt.gnu_getopt, from one table, _COMMANDS, which also prints the help.
+Every command reads or builds a layout, so topology is imported here; each
+command imports the rest of what it calls in its own body, so it loads and
+compiles only the modules it runs.
 """
 
 from __future__ import annotations
 
 import errno
-import getopt
 import io
 import json
 import math
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NoReturn, Sequence, TextIO
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .topology import (NetworkConfig, attachments, build_chain, build_star,
-                       build_tree, config_from_doc, parse_config,
-                       serialize_config, validate)
+from .topology import (NetworkConfig, attachments, config_from_doc, parse_config,
+                       validate)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -107,11 +105,13 @@ def _write(output: str | None, write: Callable[[TextIO], object]) -> None:
 def _emit(text: str, output: str | None) -> None:
     # The file first: an unwritable path fails before anything is printed.
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        _write(output, lambda sink: sink.write(text))
     sys.stdout.write(text)
 
 
 def _cmd_generate(args: SimpleNamespace) -> int:
+    from .builders import build_chain, build_star, build_tree, serialize_config
+
     if args.kind == "chain":
         _require_params(args, "n")
         config = build_chain(args.n)
@@ -214,9 +214,8 @@ def _cmd_lhv(args: SimpleNamespace) -> int:
         "weight_grid_steps": args.grid_steps,
     }
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(model_to_jsonable(model), indent=2, allow_nan=False) + "\n",
-            encoding="utf-8")
+        text = json.dumps(model_to_jsonable(model), indent=2, allow_nan=False) + "\n"
+        _write(args.output, lambda sink: sink.write(text))
     sys.stdout.write(_json_line(report))
     return EXIT_OK
 
@@ -274,8 +273,8 @@ shortened to a unique prefix and takes its value as --opt VALUE or
 of FILE, one argument per line.  An angle is in radians, or a multiple of pi
 as in 0.25pi.
 """
-# No command needs more than a few arguments, and getopt copies the rest of
-# the list at each one: time quadratic in their number.
+# No command needs more than a few arguments; an @FILE of millions of lines
+# is refused before it is split into a list.
 _MAX_ARGS = 1000
 # Where str.splitlines breaks a line.
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -317,6 +316,39 @@ def _expand_files(argv: Sequence[str]) -> list[str]:
             for line in (texts[arg].splitlines() if arg in texts else [arg])]
 
 
+def _options(args: Sequence[str], valued: dict[str, bool]
+             ) -> tuple[list[tuple[str, str]], list[str]]:
+    """getopt.gnu_getopt(args, "h", [name + "=" * valued[name] for name in
+    valued]) in one pass, POSIXLY_CORRECT aside; its errors are usage errors.
+    A long option is its exact name, or else the one name it is a prefix of."""
+    opts, rest, args = [], [], iter(args)
+    for arg in args:
+        if arg == "--":
+            rest.extend(args)
+        elif arg.startswith("--"):
+            given, equals, value = arg[2:].partition("=")
+            names = [given] if given in valued else [
+                name for name in valued if name.startswith(given)]
+            if len(names) != 1:
+                _usage(f"option --{given} not {'a unique prefix' if names else 'recognized'}")
+            name = names[0]
+            if valued[name] and not equals:
+                value = next(args, None)
+                if value is None:
+                    _usage(f"option --{name} requires argument")
+            elif equals and not valued[name]:
+                _usage(f"option --{name} must not have an argument")
+            opts.append(("--" + name, value))
+        elif arg.startswith("-") and arg != "-":
+            for char in arg[1:]:
+                if char != "h":
+                    _usage(f"option -{char} not recognized")
+                opts.append(("-h", ""))
+        else:
+            rest.append(arg)
+    return opts, rest
+
+
 def _parse(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int],
                                          SimpleNamespace]:
     """The handler and its arguments; a usage error exits 2, help exits 0."""
@@ -329,11 +361,8 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int],
         what = f"unknown command {command!r}" if argv else "no command"
         _usage(f"{what}; the commands are {', '.join(_COMMANDS)}")
     run, _, positional, options = _COMMANDS[command]
-    try:
-        opts, rest = getopt.gnu_getopt(argv[1:], "h", ["help", *(
-            name + "=" * (spec[1] is not bool) for name, spec in options.items())])
-    except getopt.GetoptError as exc:
-        _usage(exc.msg)
+    opts, rest = _options(argv[1:], {"help": False, **{
+        name: spec[1] is not bool for name, spec in options.items()}})
     values = {name: spec[2] for name, spec in options.items()}
     for opt, value in opts:
         if opt in ("-h", "--help"):
@@ -388,6 +417,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:  # a file under MAX_FILE_BYTES can still parse to too much
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
 
 

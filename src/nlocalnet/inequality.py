@@ -35,18 +35,17 @@ because the arithmetic is done in a different order.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .topology import AttachmentMap, NetworkConfig, attachments
 
+if TYPE_CHECKING:
+    from .table import Table
+
 VIOLATION_TOLERANCE = 1e-9
 MAX_SWEEP_ROWS = 1_000_000
-# Rows gathered into one write to a sweep's sink.
-_BLOCK_ROWS = 8192
 _LN2 = math.log(2.0)
 _NORMAL_MIN = 2.0 ** -1022  # the smallest normal double
 
@@ -59,8 +58,9 @@ def violates(s: float) -> bool:
     return s > 1.0 + VIOLATION_TOLERANCE
 
 
-def _product(factors: Sequence[float], exponent: int = 0) -> Product:
-    """2**exponent times the product of factors, each of magnitude at most 1.
+def exact_product(factors: Sequence[float], exponent: int = 0) -> Product:
+    """2**exponent times the product of factors, each of magnitude at most 1,
+    as (m, e); outside this module, an opaque key: equal keys, equal products.
 
     No partial product is smaller than the whole, so a normal math.prod lost
     nothing to underflow and is returned as it is.  Only when it is zero or
@@ -131,7 +131,7 @@ def _contract(config: NetworkConfig, thetas: Sequence[float],
             q = s * math.sin(alpha)
             i0.append(c)
             i1.append(0.5 * ((z + q) - (z - q)))
-    return _product(i0), _product(i1)
+    return exact_product(i0), exact_product(i1)
 
 
 def evaluate_S(config: NetworkConfig, thetas: Sequence[float],
@@ -161,10 +161,11 @@ def closed_form_S(thetas: Sequence[float], alphas: Sequence[float],
             f"need exactly p = {p} extremal angles, got {len(alphas)}")
     _check_source_angles(thetas)
     check_finite("extremal", alphas)
-    cos_term = _product([math.cos(a) for a in alphas])
-    sin_alpha = _product([math.sin(a) for a in alphas])
-    sin_theta = _product([math.sin(2.0 * t) for t in thetas])
-    sin_term = _product((sin_alpha[0], sin_theta[0]), sin_alpha[1] + sin_theta[1])
+    cos_term = exact_product([math.cos(a) for a in alphas])
+    sin_alpha = exact_product([math.sin(a) for a in alphas])
+    sin_theta = exact_product([math.sin(2.0 * t) for t in thetas])
+    sin_term = exact_product((sin_alpha[0], sin_theta[0]),
+                             sin_alpha[1] + sin_theta[1])
     return _root(cos_term, p) + _root(sin_term, p)
 
 
@@ -181,92 +182,29 @@ def closed_form_smax(thetas: Sequence[float], p: int) -> tuple[float, float]:
     if p < 1:
         raise InvalidParameterError(f"extremal node count p must be positive, got {p}")
     _check_source_angles(thetas)
-    return _smax_at(_root(_product([math.sin(2.0 * t) for t in thetas]), p))
+    return _smax_at(_root(exact_product([math.sin(2.0 * t) for t in thetas]), p))
 
 
 def _smax_at(k_value: float) -> tuple[float, float]:
     """(smax, alpha_star) = (sqrt(1 + K^2), atan(K)): the one copy of the
-    formula, shared by closed_form_smax and sweep."""
+    formula, shared by closed_form_smax and smax_rows."""
     return math.sqrt(1.0 + k_value * k_value), math.atan(k_value)
 
 
-class _Table:
-    """The rows of a sweep, in grid order; each iteration makes them again.
-
-    A row's first n - 1 angles, its head, reach it only through the product
-    of their sines, so the rows of each distinct product are made once, keyed
-    by _product's exact (m, e): permuted heads can multiply to another last bit.
-    """
-
-    def __init__(self, grid: Sequence[float], n: int, p: int) -> None:
-        self.grid = tuple(grid)
-        self.n = n
-        self.p = p
-        self.sines = [math.sin(2.0 * t) for t in self.grid]
-
-    def __len__(self) -> int:
-        return len(self.grid) ** self.n
-
-    def __iter__(self) -> Iterator[tuple[tuple[float, ...], float, float, bool]]:
-        last = [(t,) for t in self.grid]
-        heads = itertools.product(self.grid, repeat=self.n - 1)
-        for head, values in self._by_product(heads, self._values):
-            for t, (alpha_star, smax, violated) in zip(last, values):
-                yield head + t, alpha_star, smax, violated
-
-    def _values(self, head: Product) -> list[tuple[float, float, bool]]:
-        """(alpha_star, smax, violated) of the rows whose head has this product."""
-        m, e = head
-        p = self.p
-        values = []
-        for s in self.sines:
-            smax, alpha_star = _smax_at(_root(_product((m, s), e), p))
-            values.append((alpha_star, smax, violates(smax)))
-        return values
-
-    def _by_product(self, heads: Iterable, make: Callable[[Product], list]
-                    ) -> Iterator[tuple]:
-        """Pair each head, in grid order, with make(the product of its sines).
-
-        make runs once per distinct product, and its result is kept only
-        until the last head with that product.  0.0 and -0.0 share a key,
-        harmless as a row reads only |product * last sine|.
-        """
-        left = Counter(map(_product, itertools.product(self.sines, repeat=self.n - 1)))
-        made: dict[Product, list] = {}
-        products = map(_product, itertools.product(self.sines, repeat=self.n - 1))
-        for head, product in zip(heads, products):
-            result = made.get(product)
-            if result is None:
-                result = made[product] = make(product)
-            left[product] -= 1
-            if not left[product]:
-                del made[product]
-            yield head, result
-
-    def write(self, sink: TextIO) -> None:
-        """Write the header, then the rows as CSV, each write but the last
-        holding _BLOCK_ROWS rows or more.  A head's text is joined from its
-        n - 1 fields: prefix texts would cost n^2 on a one-point grid."""
-        sink.write(",".join([f"theta_{r}" for r in range(1, self.n + 1)]
-                            + ["alpha_star", "smax", "violated"]) + "\n")
-        fields = [f"{t:.9g}," for t in self.grid]
-
-        def tails(product: Product) -> list[str]:
-            return [f"{field}{alpha_star:.9g},{smax:.9g},"
-                    f"{'true' if violated else 'false'}\n"
-                    for field, (alpha_star, smax, violated)
-                    in zip(fields, self._values(product))]
-
-        texts = map("".join, itertools.product(fields, repeat=self.n - 1))
-        heads = (text + text.join(row_tails)
-                 for text, row_tails in self._by_product(texts, tails))
-        heads_per_block = math.ceil(_BLOCK_ROWS / len(fields))
-        for block in iter(lambda: "".join(itertools.islice(heads, heads_per_block)), ""):
-            sink.write(block)
+def smax_rows(head: Product, sines: Sequence[float],
+              p: int) -> list[tuple[float, float, bool]]:
+    """(alpha_star, smax, violated) of the sweep row whose head of n - 1 angles
+    has the exact_product head of sines, for each last sine: closed_form_smax
+    on that row, bit for bit."""
+    m, e = head
+    values = []
+    for s in sines:
+        smax, alpha_star = _smax_at(_root(exact_product((m, s), e), p))
+        values.append((alpha_star, smax, violates(smax)))
+    return values
 
 
-def sweep(config: NetworkConfig, theta_grid: Sequence[float]) -> _Table:
+def sweep(config: NetworkConfig, theta_grid: Sequence[float]) -> Table:
     """Tabulate the best equal-angle witness over a Cartesian grid of source angles.
 
     Returns a sized, re-iterable table of rows in grid order (odometer order,
@@ -291,7 +229,9 @@ def sweep(config: NetworkConfig, theta_grid: Sequence[float]) -> _Table:
             f"needs {len(theta_grid)}^{n} rows, above the cap "
             f"{MAX_SWEEP_ROWS}")
     _check_source_angles(theta_grid)
-    return _Table(theta_grid, n, config.p)
+    from .table import Table
+
+    return Table(theta_grid, n, config.p)
 
 
 def check_finite(label: str, values: Iterable[float]) -> None:

@@ -19,16 +19,12 @@ source receives qubit 0 of that source's pair.
 from __future__ import annotations
 
 import json
-import re
-from collections import deque
 from typing import Mapping, NamedTuple
 
 from .errors import InvalidParameterError, ResourceLimitError
 
 INTERMEDIATE = "intermediate"
 EXTREMAL = "extremal"
-
-_NODE_NAME = re.compile(r"([AB])([1-9][0-9]*)")
 
 # Largest source count accepted from a file or a constructor, checked before
 # anything of size n is allocated.
@@ -56,16 +52,18 @@ class NodeId(NamedTuple):
 
     @classmethod
     def parse(cls, name: str) -> "NodeId":
-        match = _NODE_NAME.fullmatch(name.strip()) if isinstance(name, str) else None
-        if match is None:
+        text = name.strip() if isinstance(name, str) else ""
+        digits = text[1:]
+        if not (text[:1] in ("A", "B") and digits.isascii() and digits.isdigit()
+                and digits[0] != "0"):
             raise InvalidParameterError(
                 f"node name {name!r} must look like 'A3' or 'B1'")
-        kind = INTERMEDIATE if match.group(1) == "A" else EXTREMAL
+        kind = INTERMEDIATE if text[0] == "A" else EXTREMAL
         try:
-            index = int(match.group(2))
+            index = int(digits)
         except ValueError:  # more digits than int() converts
             raise InvalidParameterError(
-                f"node name index has {len(match.group(2))} digits, too many to read"
+                f"node name index has {len(digits)} digits, too many to read"
             ) from None
         return cls(kind, index)
 
@@ -112,69 +110,11 @@ def extremal_nodes(config: NetworkConfig) -> list[NodeId]:
     return [NodeId.extremal(j) for j in range(1, config.p + 1)]
 
 
-def _check_source_count(n: int) -> None:
+def check_source_count(n: int) -> None:
+    """Raise ResourceLimitError when a layout of n sources is above MAX_SOURCES."""
     if n > MAX_SOURCES:
         raise ResourceLimitError(
             f"layout has {n} sources, above the cap {MAX_SOURCES}")
-
-
-def build_chain(n: int) -> NetworkConfig:
-    """Chain layout (n, 2, 2): B1 - A1 - ... - A(n-1) - B2, one source per link."""
-    if n < 2:
-        raise InvalidParameterError(f"chain needs at least 2 sources, got {n}")
-    _check_source_count(n)
-    edges: dict[int, tuple[NodeId, NodeId]] = {}
-    left = NodeId.extremal(1)
-    for r in range(1, n):
-        right = NodeId.intermediate(r)
-        edges[r] = (left, right)
-        left = right
-    edges[n] = (left, NodeId.extremal(2))
-    return NetworkConfig(n=n, m=2, p=2, edges=edges)
-
-
-def build_star(n: int) -> NetworkConfig:
-    """Star layout (n, n, n): one hub holding a qubit of every source; the
-    tree with m = n."""
-    if n < 2:
-        raise InvalidParameterError(f"star needs at least 2 sources, got {n}")
-    return build_tree(n, n)
-
-
-def build_tree(n: int, m: int) -> NetworkConfig:
-    """Layered tree layout (n, m, n - (n-m)/(m-1)), built leaves-first.
-
-    Extremal leaves B1..Bp hold one end of sources 1..p.  Each intermediate
-    node consumes the m-1 oldest dangling source ends plus one fresh source
-    whose far end dangles for a later layer; the root consumes the last m.
-    For m = 2 this reproduces the chain shape, for m = n the star.
-    """
-    if m < 2:
-        raise InvalidParameterError(f"tree needs m >= 2, got {m}")
-    if n < m:
-        raise InvalidParameterError(f"tree needs n >= m, got n={n}, m={m}")
-    if (n - m) % (m - 1) != 0:
-        raise InvalidParameterError(
-            f"tree needs (n - m) divisible by (m - 1); got n={n}, m={m}")
-    _check_source_count(n)
-    p = n - (n - m) // (m - 1)
-    l = (2 * n - p) // m
-    lower_end = {r: NodeId.extremal(r) for r in range(1, p + 1)}
-    dangling = deque(range(1, p + 1))
-    edges: dict[int, tuple[NodeId, NodeId]] = {}
-    for t in range(1, l):
-        node = NodeId.intermediate(t)
-        for _ in range(m - 1):
-            r = dangling.popleft()
-            edges[r] = (lower_end[r], node)
-        fresh = p + t
-        lower_end[fresh] = node
-        dangling.append(fresh)
-    root = NodeId.intermediate(l)
-    while dangling:
-        r = dangling.popleft()
-        edges[r] = (lower_end[r], root)
-    return NetworkConfig(n=n, m=m, p=p, edges=edges)
 
 
 def validate(config: NetworkConfig) -> list[str]:
@@ -277,21 +217,6 @@ def attachments(config: NetworkConfig) -> AttachmentMap:
                   if node.kind == EXTREMAL})
 
 
-def serialize_config(config: NetworkConfig) -> str:
-    """Render the layout as JSON with a fixed key order, for diff-stable files."""
-    doc = {
-        "n": config.n,
-        "m": config.m,
-        "p": config.p,
-        "edges": [
-            {"source": r,
-             "ends": [config.edges[r][0].name, config.edges[r][1].name]}
-            for r in sorted(config.edges)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def parse_config(text: str) -> NetworkConfig:
     """Inverse of serialize_config; structural problems raise InvalidParameterError."""
     try:
@@ -311,7 +236,7 @@ def config_from_doc(doc: object) -> NetworkConfig:
     for key in ("n", "m", "p"):
         if not isinstance(doc[key], int) or isinstance(doc[key], bool):
             raise InvalidParameterError(f"topology key {key!r} must be an integer")
-    _check_source_count(doc["n"])
+    check_source_count(doc["n"])
     if not isinstance(doc["edges"], list):
         raise InvalidParameterError("topology key 'edges' must be a list")
     edges: dict[int, tuple[NodeId, NodeId]] = {}

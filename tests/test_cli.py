@@ -535,6 +535,20 @@ def test_an_endless_input_file_is_one_line_exit_4(argv):
     assert done.stderr.startswith("resource limit: ")
 
 
+def test_a_topology_that_parses_to_too_much_is_one_line_exit_4(tmp_path):
+    # 15 MB, under MAX_FILE_BYTES, decodes to 5 million dicts: more than the
+    # child's 256 MiB address space holds, a MemoryError inside json.loads.
+    topo = tmp_path / "dicts.json"
+    topo.write_text("[" + "{}," * 5_000_000 + "{}]", encoding="utf-8")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            "from nlocalnet.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    done = run_fresh(code, "validate", "--topology", str(topo))
+    assert (done.returncode, done.stdout) == (4, ""), done.stderr
+    assert done.stderr == "resource limit: out of memory\n"
+
+
 def test_input_files_are_read_up_to_the_cap(tmp_path, capsys, monkeypatch):
     topo = tmp_path / "chain2.json"
     main(["generate", "chain", "--n", "2", "--output", str(topo)])
@@ -680,12 +694,12 @@ WITNESS_MODULES = LAYOUT_MODULES | {"nlocalnet.inequality"}
 
 
 @pytest.mark.parametrize("argv, modules", [
-    (["generate", "chain", "--n", "3"], LAYOUT_MODULES),
+    (["generate", "chain", "--n", "3"], LAYOUT_MODULES | {"nlocalnet.builders"}),
     (["validate"], LAYOUT_MODULES),
     (["evaluate", "--theta", "0.25pi,0.25pi,0.25pi", "--alpha", "0.25pi,0.25pi"],
      WITNESS_MODULES),
     (["maximize", "--theta", "0.25pi,0.25pi,0.25pi"], WITNESS_MODULES),
-    (["sweep", "--grid", "0,0.25pi"], WITNESS_MODULES),
+    (["sweep", "--grid", "0,0.25pi"], WITNESS_MODULES | {"nlocalnet.table"}),
     (["lhv"], WITNESS_MODULES | {"nlocalnet.lhv"}),
 ], ids=["generate", "validate", "evaluate", "maximize", "sweep", "lhv"])
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
@@ -709,7 +723,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules)
     assert exit_code == 0
     assert {m for m in loaded if m.split(".")[0] == "nlocalnet"} == modules
     assert [m for m in loaded if m.split(".")[0] in (
-        "argparse", "dataclasses", "locale", "numpy", "scipy")] == []
+        "argparse", "dataclasses", "gettext", "getopt", "locale", "numpy", "pathlib",
+        "scipy")] == []
 
 
 @pytest.mark.parametrize("stdout", ["closed-pipe", "closed-fd"])

@@ -10,22 +10,26 @@ drawn rarely, so explicit tests also run each of them through every
 subcommand that reads a topology.  The options sometimes come from an @FILE
 argument, whole or damaged.  Each kind of topology damage and of argument
 file is reported as a hypothesis event (pytest --hypothesis-show-statistics).
+A second property compares the option parser with getopt.gnu_getopt.
 """
 
 import contextlib
 import csv
+import getopt
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nlocalnet import build_chain, build_star, build_tree, serialize_config
-from nlocalnet.cli import main
+from nlocalnet.cli import _COMMANDS, _options, main
 
 LAYOUTS = [build_chain(2), build_chain(3), build_chain(4), build_star(3),
            build_star(4), build_tree(3, 3), build_tree(4, 2)]
@@ -197,6 +201,60 @@ def test_cli_never_escapes_the_documented_exit_codes(data):
     check_stdout(argv[0], code, out)
     if code in (2, 4):
         assert len(err.splitlines()) == 1, (argv, err)
+
+
+# Per table: the command it comes from, or None, and whether each long option
+# takes a value.  The made-up names are prefixes of one another, which no
+# command's are, so an exact name must beat a longer name it is a prefix of.
+OPTION_TABLES = st.one_of(
+    st.sampled_from([(command, {"help": False, **{
+        name: spec[1] is not bool for name, spec in options.items()}})
+        for command, (_, _, _, options) in _COMMANDS.items()]),
+    st.dictionaries(st.sampled_from(["a", "ab", "abc", "b", "ba", "help"]),
+                    st.booleans(), min_size=1).map(lambda table: (None, table)))
+OPTION_VALUES = st.sampled_from(["0.1", "-0.25pi,0.25pi", "-", "--", "-h", "--a", "x=y", ""])
+
+
+@st.composite
+def getopt_argv(draw, names) -> list[str]:
+    """Option names, their prefixes and "=" forms, values that start with a
+    minus sign, "--", and short options, "-h" among them."""
+    prefix = st.tuples(st.sampled_from(names), st.integers(0, 16)).map(
+        lambda pair: pair[0][:pair[1]])
+    token = st.one_of(
+        prefix.map(lambda text: "--" + text),
+        st.tuples(prefix, OPTION_VALUES).map(lambda pair: f"--{pair[0]}={pair[1]}"),
+        OPTION_VALUES,
+        st.sampled_from(["--", "-", "-h", "-hh", "-x", "-hx", "--zz", "---", "chain"]))
+    return draw(st.lists(token, max_size=8))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(data=st.data())
+def test_the_option_parser_agrees_with_gnu_getopt(data):
+    """Same options and values as gnu_getopt, or its error as one line, exit 2.
+    Caught by hand mutations: a prefix match beating an exact match, a flag
+    taking "=V", a value that starts with "-" refused."""
+    command, table = data.draw(OPTION_TABLES)
+    argv = data.draw(getopt_argv(list(table)))
+    with mock.patch.dict(os.environ):
+        os.environ.pop("POSIXLY_CORRECT", None)
+        try:
+            expected = getopt.gnu_getopt(argv, "h", [name + "=" * valued
+                                                     for name, valued in table.items()])
+        except getopt.GetoptError as exc:
+            runs = [lambda: _options(argv, table)]
+            if command is not None:
+                runs.append(lambda: main([command, *argv]))
+            for parse in runs:
+                err = io.StringIO()
+                with pytest.raises(SystemExit) as info, contextlib.redirect_stderr(err):
+                    parse()
+                assert (info.value.code, err.getvalue()) == (2, f"error: {exc.msg}\n")
+            event("rejected: " + exc.msg.split()[-1])
+        else:
+            event("accepted")
+            assert _options(argv, table) == expected
 
 
 LONG_NAME_DOC = serialize_config(build_chain(2)).replace('"A1"', json.dumps(LONG_NAME), 1)

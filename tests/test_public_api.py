@@ -15,15 +15,14 @@ from oracles import PAULI_X, BlochObservable, SettingAssignment
 
 # The public names, by the module that defines them.
 HOMES = {
+    "builders": ["build_chain", "build_star", "build_tree", "serialize_config"],
     "errors": ["InvalidParameterError", "NlocalError", "ResourceLimitError"],
     "inequality": ["EvaluationResult", "VIOLATION_TOLERANCE", "closed_form_S",
                    "closed_form_smax", "evaluate_S", "sweep"],
     "lhv": ["LHVModel", "lhv_best_S", "lhv_evaluate_S", "model_to_jsonable",
             "validate_model"],
     "topology": ["AttachmentMap", "NetworkConfig", "NodeId", "attachments",
-                 "build_chain", "build_star", "build_tree", "extremal_nodes",
-                 "intermediate_nodes", "parse_config", "serialize_config",
-                 "validate"],
+                 "extremal_nodes", "intermediate_nodes", "parse_config", "validate"],
 }
 PUBLIC = sorted(name for names in HOMES.values() for name in names)
 

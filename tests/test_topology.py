@@ -282,6 +282,19 @@ def test_node_id_parse_and_name():
         NodeId.parse("C2")
 
 
+@settings(derandomize=True, max_examples=500)
+@given(st.text(st.sampled_from("AB019 \t\n\u00a0\u0662\u00b2C"), max_size=6))
+def test_node_id_parse_accepts_what_the_name_pattern_accepts(name):
+    """The grammar NodeId.parse had as a regular expression: A or B, then
+    ASCII digits with no leading zero, once whitespace is stripped."""
+    match = re.fullmatch(r"([AB])([1-9][0-9]*)", name.strip())
+    if match:
+        assert NodeId.parse(name).name == match.group(1) + str(int(match.group(2)))
+    else:
+        with pytest.raises(InvalidParameterError, match="must look like 'A3' or 'B1'"):
+            NodeId.parse(name)
+
+
 @pytest.mark.parametrize("build", [
     build_chain, build_star, lambda n: build_tree(n, n),
 ], ids=["chain", "star", "tree"])
