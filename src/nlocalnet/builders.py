@@ -1,8 +1,6 @@
 """Layout constructors and the JSON writer.  Of the commands, only
 `nlocalnet generate` loads this module."""
 
-from __future__ import annotations
-
 import json
 from collections import deque
 

@@ -14,8 +14,6 @@ command imports the rest of what it calls in its own body, so it loads and
 compiles only the modules it runs.
 """
 
-from __future__ import annotations
-
 import errno
 import io
 import json

@@ -25,21 +25,25 @@ PRA 85, 032119 (2012).  An intermediate end measures sigma_z in I0 and
 sigma_x in I1, and extremal node B_j measures cos(alpha_j) sigma_z +
 (-1)^y sin(alpha_j) sigma_x for input y, so a source between two
 intermediate nodes gives 1 to I0 and s to I1, and a source at B_j gives
-cos(alpha_j) to I0 and s sin(alpha_j) to I1.  Both ingredients are
-contracted in one pass over the sources, with no observable built.  The
-tests compare evaluate_S, and lhv_evaluate_S, with an oracle that
-enumerates the 2^p inputs of a correlator (tests/oracles.py).  Each
-contraction agrees with it to rounding (within 1e-12), not bit for bit,
-because the arithmetic is done in a different order.
-"""
+cos(alpha_j) to I0 and s sin(alpha_j) to I1.  The product therefore
+regroups into
 
-from __future__ import annotations
+    I0 = prod_j cos(alpha_j),    I1 = prod_j sin(alpha_j) * prod_r sin(2 theta_r):
+
+the layout enters only through its validity and p.  evaluate_S validates
+the layout, checks the angles and returns this closed form, the arithmetic
+of closed_form_S, so the two agree bit for bit, and valid layouts with the
+same n and p give the same bits.  The tests compare evaluate_S, and
+lhv_evaluate_S, with an oracle that enumerates the 2^p inputs of a
+correlator (tests/oracles.py); each agrees with it to rounding (within
+1e-12).
+"""
 
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .topology import AttachmentMap, NetworkConfig, attachments
+from .topology import NetworkConfig, attachments
 
 if TYPE_CHECKING:
     from .table import Table
@@ -98,7 +102,7 @@ class EvaluationResult(NamedTuple):
     violated: bool
 
     @classmethod
-    def from_ingredients(cls, p: int, i0: Product, i1: Product) -> EvaluationResult:
+    def from_ingredients(cls, p: int, i0: Product, i1: Product) -> "EvaluationResult":
         """The result on p extremal nodes of I0 and I1 given as (m, e); a double
         x is (x, 0).  I0 and I1 are rounded to doubles, S is not."""
         s = _root(i0, p) + _root(i1, p)
@@ -106,32 +110,15 @@ class EvaluationResult(NamedTuple):
                    violated=violates(s))
 
 
-def _contract(config: NetworkConfig, thetas: Sequence[float],
-              alphas: Sequence[float], attach: AttachmentMap) -> tuple[Product, Product]:
-    """(I0, I1) in one pass, each a product of one factor per source.
-
-    extremal[r - 1] holds the angle of source r's extremal end; a source
-    without one joins two intermediate nodes.  The I1 factors keep the
-    operation order of the pair expectations they stand for, so a zero
-    factor keeps its sign; the I0 factor cos(alpha), which is never zero,
-    equals that order's 1/2 (cos(alpha) + cos(alpha)) exactly.
-    """
-    extremal: list[float | None] = [None] * config.n
-    for node, r in attach.extremal.items():
-        extremal[r - 1] = alphas[node.index - 1]
-    i0: list[float] = []  # the factors of I0 and of I1
-    i1: list[float] = []
-    for theta, alpha in zip(thetas, extremal):
-        s = math.sin(2.0 * theta)
-        if alpha is None:  # both ends intermediate; the I0 factor is 1
-            i1.append(0.0 + s)
-        else:  # one extremal end: a valid layout has no source with two
-            c = math.cos(alpha)
-            z = 0.0 * c
-            q = s * math.sin(alpha)
-            i0.append(c)
-            i1.append(0.5 * ((z + q) - (z - q)))
-    return exact_product(i0), exact_product(i1)
+def _witness(thetas: Sequence[float], alphas: Sequence[float],
+             p: int) -> EvaluationResult:
+    """The result from I0 = prod cos(alpha_j) and
+    I1 = prod sin(alpha_j) * prod sin(2 theta_r), each an exact_product."""
+    i0 = exact_product([math.cos(a) for a in alphas])
+    sin_alpha = exact_product([math.sin(a) for a in alphas])
+    sin_theta = exact_product([math.sin(2.0 * t) for t in thetas])
+    i1 = exact_product((sin_alpha[0], sin_theta[0]), sin_alpha[1] + sin_theta[1])
+    return EvaluationResult.from_ingredients(p, i0, i1)
 
 
 def evaluate_S(config: NetworkConfig, thetas: Sequence[float],
@@ -139,34 +126,29 @@ def evaluate_S(config: NetworkConfig, thetas: Sequence[float],
     """Witness with all-zero intermediate inputs in I0 and all-one in I1.
 
     alphas lists the extremal angles of B1..Bp.  Validates the layout, then
-    checks the angles, then contracts I0 and I1 in one pass (see the module
+    checks the angles, then returns the closed form (see the module
     docstring): linear in the number of sources.  Agrees to rounding with
     the tests' oracle, which enumerates the 2^p extremal inputs.
     """
-    attach = attachments(config)  # validates the layout
+    attachments(config)  # validates the layout
     check_angles(config, thetas, alphas)
-    return EvaluationResult.from_ingredients(
-        config.p, *_contract(config, thetas, alphas, attach))
+    return _witness(thetas, alphas, config.p)
 
 
 def closed_form_S(thetas: Sequence[float], alphas: Sequence[float],
                   p: int) -> float:
-    """Witness by direct arithmetic.
+    """Witness by direct arithmetic, with no layout.
 
     |prod cos(alpha_j)|^(1/p) + |prod sin(alpha_j) prod sin(2 theta_r)|^(1/p);
-    must agree with evaluate_S.
+    evaluate_S(config, thetas, alphas).s on any valid layout with p extremal
+    nodes, bit for bit.
     """
     if p < 1 or len(alphas) != p:
         raise InvalidParameterError(
             f"need exactly p = {p} extremal angles, got {len(alphas)}")
     _check_source_angles(thetas)
     check_finite("extremal", alphas)
-    cos_term = exact_product([math.cos(a) for a in alphas])
-    sin_alpha = exact_product([math.sin(a) for a in alphas])
-    sin_theta = exact_product([math.sin(2.0 * t) for t in thetas])
-    sin_term = exact_product((sin_alpha[0], sin_theta[0]),
-                             sin_alpha[1] + sin_theta[1])
-    return _root(cos_term, p) + _root(sin_term, p)
+    return _witness(thetas, alphas, p).s
 
 
 def closed_form_smax(thetas: Sequence[float], p: int) -> tuple[float, float]:
@@ -204,7 +186,7 @@ def smax_rows(head: Product, sines: Sequence[float],
     return values
 
 
-def sweep(config: NetworkConfig, theta_grid: Sequence[float]) -> Table:
+def sweep(config: NetworkConfig, theta_grid: Sequence[float]) -> "Table":
     """Tabulate the best equal-angle witness over a Cartesian grid of source angles.
 
     Returns a sized, re-iterable table of rows in grid order (odometer order,

@@ -35,8 +35,6 @@ the tests check the product formula against a brute-force maximum over
 intermediate tables on small layouts.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from typing import Iterator, Mapping, NamedTuple, Sequence

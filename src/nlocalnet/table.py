@@ -1,8 +1,6 @@
 """The table that sweep returns, loaded only once sweep's checks pass.  The
 products that key it are made and read by inequality; here they are opaque."""
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import Counter

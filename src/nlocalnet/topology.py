@@ -16,8 +16,6 @@ endpoint order is meaningful downstream: the first listed endpoint of a
 source receives qubit 0 of that source's pair.
 """
 
-from __future__ import annotations
-
 import json
 from typing import Mapping, NamedTuple
 

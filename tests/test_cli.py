@@ -168,6 +168,28 @@ def test_evaluate_command(tmp_path, capsys):
                  "--theta", "0.25pi,0.25pi", "--alpha", "0.25pi"]) == 2
 
 
+# chain(3) written through `generate custom` with its sources, A's and B's
+# renumbered and two sources' endpoints swapped.
+RELABELLED_CHAIN3 = ('[{"source":1,"ends":["A2","B2"]},{"source":2,"ends":["A1","A2"]},'
+                     '{"source":3,"ends":["B1","A1"]}]')
+
+
+def test_evaluate_prints_the_same_bytes_on_a_relabelled_layout(tmp_path, capsys):
+    chain = tmp_path / "chain3.json"
+    custom = tmp_path / "custom.json"
+    assert main(["generate", "chain", "--n", "3", "--output", str(chain)]) == 0
+    assert main(["generate", "custom", "--n", "3", "--m", "2", "--p", "2",
+                 "--edges", RELABELLED_CHAIN3,
+                 "--output", str(custom)]) == 0
+    capsys.readouterr()
+    outputs = []
+    for topo in (chain, custom):
+        assert main(["evaluate", "--topology", str(topo),
+                     "--theta", "0.1,0.2,0.3", "--alpha", "0.4,0.5"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_evaluate_checks_the_layout_before_the_angle_counts(tmp_path, capsys):
     # evaluate_S validates the layout before it counts the angles, so an
     # invalid layout is reported as such, with the line maximize prints.
@@ -723,8 +745,8 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules)
     assert exit_code == 0
     assert {m for m in loaded if m.split(".")[0] == "nlocalnet"} == modules
     assert [m for m in loaded if m.split(".")[0] in (
-        "argparse", "dataclasses", "gettext", "getopt", "locale", "numpy", "pathlib",
-        "scipy")] == []
+        "__future__", "argparse", "dataclasses", "gettext", "getopt", "locale", "numpy",
+        "pathlib", "scipy")] == []
 
 
 @pytest.mark.parametrize("stdout", ["closed-pipe", "closed-fd"])

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance, run_fresh
-from nlocalnet import (InvalidParameterError, ResourceLimitError, build_chain,
-                       build_star, build_tree, closed_form_S, closed_form_smax,
-                       evaluate_S, parse_config)
+from helpers import random_config, random_instance, run_fresh
+from nlocalnet import (InvalidParameterError, NetworkConfig, NodeId,
+                       ResourceLimitError, build_chain, build_star, build_tree,
+                       closed_form_S, closed_form_smax, evaluate_S, parse_config,
+                       validate)
 from nlocalnet.cli import main
-from nlocalnet.topology import MAX_SOURCES
+from nlocalnet.topology import EXTREMAL, INTERMEDIATE, MAX_SOURCES
 from oracles import (ENUMERATION_MAX_EXTREMAL, correlator_factorized,
                      evaluate_S_from_correlator, signed_y_average)
 
@@ -233,7 +234,7 @@ def test_evaluate_rejects_non_finite_angles(bad):
 @pytest.mark.parametrize("kind, args", [("star", (5,)), ("tree", (7, 3))],
                          ids=["star5", "tree7_3"])
 def test_evaluate_S_builds_no_observable(kind, args):
-    """Each source's factor is plain arithmetic: evaluate_S loads no numpy,
+    """The closed form is plain arithmetic: evaluate_S loads no numpy,
     and its answer is the closed form's."""
     code = """if True:
         import sys
@@ -253,9 +254,9 @@ def test_evaluate_S_builds_no_observable(kind, args):
 PINNED_BITS = {
     "chain3": ("-0x1.8a0423a83c833p-5", "0x1.2543137642902p-2",
                "0x1.8249353e04caep-1"),
-    "star4": ("-0x1.80cd63b403bb1p-4", "0x1.efa3ed35ca5a1p-10",
+    "star4": ("-0x1.80cd63b403bb1p-4", "0x1.efa3ed35ca5a0p-10",
               "0x1.86390ec617a9fp-1"),
-    "tree7_3": ("-0x1.d697c16336df3p-8", "0x1.32780b7029375p-11",
+    "tree7_3": ("-0x1.d697c16336df3p-8", "0x1.32780b7029376p-11",
                 "0x1.3247d19f41debp-1"),
 }
 
@@ -286,8 +287,8 @@ RELABELLED_BITS = ("-0x1.d697c16336df3p-8", "0x1.32780b7029376p-11",
 
 
 def test_evaluate_S_bits_are_pinned_on_a_relabelled_layout(tmp_path):
-    """S does not depend on which source each alpha meets, only the order of
-    the product does: these bits are what shows a mix-up of B_j's source."""
+    """The layout enters only through its validity and p: these bits are
+    tree7_3's in PINNED_BITS."""
     topo = tmp_path / "relabelled.json"
     assert main(["generate", "custom", "--n", "7", "--m", "3", "--p", "5",
                  "--edges", json.dumps(RELABELLED_EDGES), "--output", str(topo)]) == 0
@@ -298,6 +299,52 @@ def test_evaluate_S_bits_are_pinned_on_a_relabelled_layout(tmp_path):
     result = evaluate_S(config, thetas, alphas)
     assert (result.i0.hex(), result.i1.hex(), result.s.hex()) == RELABELLED_BITS
     assert not result.violated
+
+
+def relabelled(config, rng):
+    """config with its sources, A's and B's renumbered at random and the two
+    ends of about half its sources swapped."""
+    sources = (rng.permutation(config.n) + 1).tolist()
+    labels = {INTERMEDIATE: (rng.permutation(config.l) + 1).tolist(),
+              EXTREMAL: (rng.permutation(config.p) + 1).tolist()}
+    edges = {}
+    for r, ends in config.edges.items():
+        ends = tuple(NodeId(node.kind, labels[node.kind][node.index - 1])
+                     for node in ends)
+        edges[sources[r - 1]] = ends[::-1] if rng.integers(2) else ends
+    return config._replace(edges=edges)
+
+
+# tree(7, 3) joins its three A's at A3; here they form a path A1 - A2 - A3.
+PATH_7_3_5 = NetworkConfig(n=7, m=3, p=5, edges={
+    1: (NodeId.extremal(1), NodeId.intermediate(1)),
+    2: (NodeId.extremal(2), NodeId.intermediate(1)),
+    3: (NodeId.intermediate(1), NodeId.intermediate(2)),
+    4: (NodeId.extremal(3), NodeId.intermediate(2)),
+    5: (NodeId.intermediate(2), NodeId.intermediate(3)),
+    6: (NodeId.extremal(4), NodeId.intermediate(3)),
+    7: (NodeId.extremal(5), NodeId.intermediate(3))})
+
+
+def test_evaluate_S_is_the_closed_form_on_every_layout():
+    """On a valid layout, evaluate_S is closed_form_S bit for bit, and two
+    layouts with the same n and p give the same bits: relabelled copies of
+    random layouts, and tree(7, 3) against a layout of another shape."""
+    rng = np.random.default_rng(2012)
+    pairs = [(build_tree(7, 3), PATH_7_3_5)]
+    for _ in range(100):
+        config = random_config(rng, max_n=6)
+        pairs.append((config, relabelled(config, rng)))
+    for config, other in pairs:
+        assert validate(other) == []
+        assert (other.n, other.p) == (config.n, config.p)
+        for _ in range(3):
+            thetas = rng.uniform(-2.0 * PI, 2.0 * PI, size=config.n).tolist()
+            alphas = rng.uniform(-2.0 * PI, 2.0 * PI, size=config.p).tolist()
+            result = evaluate_S(config, thetas, alphas)
+            assert result.s == closed_form_S(thetas, alphas, config.p)
+            assert ([x.hex() for x in evaluate_S(other, thetas, alphas)[:3]]
+                    == [x.hex() for x in result[:3]])
 
 
 # Layouts whose I0 and I1 fall far below the double range (2^-1022).
