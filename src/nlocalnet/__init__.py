@@ -24,8 +24,8 @@ _PUBLIC = {
                    "closed_form_smax", "evaluate_S", "sweep"),
     "lhv": ("LHVModel", "lhv_best_S", "lhv_evaluate_S", "model_to_jsonable",
             "validate_model"),
-    "topology": ("AttachmentMap", "NetworkConfig", "NodeId", "attachments",
-                 "extremal_nodes", "intermediate_nodes", "parse_config", "validate"),
+    "topology": ("NetworkConfig", "NodeId", "attachments", "extremal_nodes",
+                 "intermediate_nodes", "parse_config", "validate"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 

@@ -86,11 +86,6 @@ def _read_config(path: str) -> NetworkConfig:
     return parse_config(text)
 
 
-def _checked(config: NetworkConfig) -> NetworkConfig:
-    attachments(config)  # raises InvalidParameterError on an invalid layout
-    return config
-
-
 def _write(output: str | None, write: Callable[[TextIO], object]) -> None:
     """write(the --output file, opened for writing), or write(stdout)."""
     if output:
@@ -125,8 +120,9 @@ def _cmd_generate(args: SimpleNamespace) -> int:
             edges_doc = json.loads(args.edges)
         except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or too many digits
             raise InvalidParameterError(f"--edges is not valid JSON: {exc}") from None
-        config = _checked(config_from_doc(
-            {"n": args.n, "m": args.m, "p": args.p, "edges": edges_doc}))
+        config = config_from_doc(
+            {"n": args.n, "m": args.m, "p": args.p, "edges": edges_doc})
+        attachments(config)  # validates the layout
     text = serialize_config(config)
     _write(args.output, lambda sink: sink.write(text))
     return EXIT_OK
@@ -180,7 +176,8 @@ def _cmd_evaluate(args: SimpleNamespace) -> int:
 def _cmd_maximize(args: SimpleNamespace) -> int:
     from .inequality import closed_form_smax, violates
 
-    config = _checked(_read_config(args.topology))
+    config = _read_config(args.topology)
+    attachments(config)  # validates the layout
     thetas = _angles(args.theta, config.n, "theta")
     smax, alpha_star = closed_form_smax(thetas, config.p)
     report = {

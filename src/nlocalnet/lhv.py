@@ -4,9 +4,10 @@ A model gives each source a probability vector over a finite symbol alphabet
 and each node a deterministic binary response table.  The joint outcome
 distribution factorizes over sources.
 
-lhv_evaluate_S is the classical twin of inequality.evaluate_S.  Every
-extremal node touches one source and no source touches two of them, so the
-signed average over extremal inputs factorizes per symbol tuple lam:
+lhv_evaluate_S, the one contraction of a model, is the classical twin of
+inequality.evaluate_S.  Every extremal node touches one source and no source
+touches two of them, so the signed average over extremal inputs factorizes
+per symbol tuple lam:
 
     I_k = sum_lam P(lam) prod_{intermediate i} (-1)^(T_i(k, lam))
                          prod_{extremal j} g_kj(lam),
@@ -15,14 +16,14 @@ signed average over extremal inputs factorizes per symbol tuple lam:
 summed over the product of the weight supports.  The tests check it
 against an oracle that enumerates every tuple and input (tests/oracles.py).
 
-The best classical witness has a closed form, so lhv_best_S returns the model
-that reaches it instead of searching.  Fix the weights and extremal tables.
-Per symbol exactly one of g_0j, g_1j is nonzero, and it is +1 or -1.  The far
-end of an extremal node's source is an intermediate node, free per column,
-so the intermediate tables can match the sign of every product of extremal
-factors: the largest |I_k| over them is prod_j P_j(g_kj != 0), with P_j the
-weight of the source at extremal node j.  Input-0 rows enter only I0 and
-input-1 rows only I1, so with q_j = P_j(g_1j != 0) the best witness is
+The best classical witness has a closed form, so lhv_best_S returns it, with
+the model that reaches it, instead of searching.  Fix the weights and extremal
+tables.  Per symbol exactly one of g_0j, g_1j is nonzero, and it is +1 or -1.
+The far end of an extremal node's source is an intermediate node, free per
+column, so the intermediate tables can match the sign of every product of
+extremal factors: the largest |I_k| over them is prod_j P_j(g_kj != 0), with
+P_j the weight of the source at extremal node j.  Input-0 rows enter only I0
+and input-1 rows only I1, so with q_j = P_j(g_1j != 0) the best witness is
 (prod (1 - q_j))^(1/p) + (prod q_j)^(1/p) <= 1 by the inequality of arithmetic
 and geometric means (the Hoelder step of closed_form_smax), with equality when
 the q_j are equal.  The vertex model, mass 1 on symbol 0 and all-zero tables,
@@ -30,24 +31,25 @@ has q_j = 0: I0 = 1, I1 = 0 and S = 1 exactly on every layout and alphabet.
 This is the argument of Branciard, Rosset, Gisin, Pironio, PRA 85, 032119
 (2012) for the bilocal chain, Tavakoli, Skrzypczyk, Cavalcanti, Acin, PRA 90,
 062109 (2014) for the star and Rosset et al., PRL 116, 010403 (2016) for
-acyclic networks.  lhv_best_S is neither a search nor a proof by enumeration;
-the tests check the product formula against a brute-force maximum over
-intermediate tables on small layouts.
+acyclic networks.  lhv_best_S is neither a search nor a proof by enumeration,
+and it does not contract the model it returns: the tests check the product
+formula against a brute-force maximum over intermediate tables on small
+layouts, and that lhv_evaluate_S gives I0 = 1, I1 = 0 on the vertex model.
 """
 
 import itertools
 import math
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .inequality import EvaluationResult
-from .topology import (AttachmentMap, NetworkConfig, NodeId, attachments,
-                       extremal_nodes, intermediate_nodes)
+from .topology import (NetworkConfig, NodeId, attachments, extremal_nodes,
+                       intermediate_nodes)
 
 # Response-table cells a model built by lhv_best_S may hold: the intermediate
 # tables, 2 * c**m cells each, grow exponentially in m.
 MAX_MODEL_CELLS = 20_000_000
-# Symbol tuples _symbol_tuples may yield: the product of the support sizes.
+# Symbol tuples lhv_evaluate_S may sum over: the product of the support sizes.
 MAX_SUPPORT_TUPLES = 2 ** 20
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # table bits -> "0"/"1" text
 
@@ -67,8 +69,10 @@ class LHVModel(NamedTuple):
     extremal: Mapping[NodeId, tuple[bytes, bytes]]
 
 
-def validate_model(config: NetworkConfig, model: LHVModel) -> AttachmentMap:
-    """Raise InvalidParameterError unless the model matches the layout."""
+def validate_model(config: NetworkConfig,
+                   model: LHVModel) -> dict[NodeId, tuple[int, ...]]:
+    """Raise InvalidParameterError unless the model matches the layout, and
+    return attachments(config)."""
     attach = attachments(config)
     c = model.alphabet_size
     if c < 1:
@@ -82,7 +86,8 @@ def validate_model(config: NetworkConfig, model: LHVModel) -> AttachmentMap:
         if not (min(weights) >= -1e-12 and abs(sum(weights) - 1.0) <= 1e-12):
             raise InvalidParameterError(
                 f"source {r} weights must form a probability vector")
-    expected = [(model.intermediate, node, c ** len(attach.intermediate[node]))
+    # Every intermediate node of a valid layout holds m sources.
+    expected = [(model.intermediate, node, c ** config.m)
                 for node in intermediate_nodes(config)]
     expected += [(model.extremal, node, c) for node in extremal_nodes(config)]
     for tables, node, width in expected:
@@ -105,20 +110,6 @@ def _symbol_code(sources: tuple[int, ...], symbols: Sequence[int], c: int) -> in
     return code
 
 
-def _symbol_tuples(config: NetworkConfig,
-                   model: LHVModel) -> Iterator[tuple[int, ...]]:
-    """Every tuple of nonzero-weight symbols, one per source, in lexicographic
-    order; ResourceLimitError first if there are more than MAX_SUPPORT_TUPLES."""
-    supports = [[s for s, w in enumerate(model.weights[r]) if w != 0.0]
-                for r in range(1, config.n + 1)]
-    tuple_bits = sum(math.log2(len(support)) for support in supports)
-    if tuple_bits > math.log2(MAX_SUPPORT_TUPLES):
-        raise ResourceLimitError(
-            f"the source weights span 2^{tuple_bits:.6g} symbol tuples, above "
-            f"the cap 2^{math.log2(MAX_SUPPORT_TUPLES):.6g}")
-    return itertools.product(*supports)
-
-
 def lhv_evaluate_S(config: NetworkConfig, model: LHVModel) -> EvaluationResult:
     """Witness of a classical model, contracted per symbol tuple.
 
@@ -128,22 +119,23 @@ def lhv_evaluate_S(config: NetworkConfig, model: LHVModel) -> EvaluationResult:
     ResourceLimitError before the sum when the supports span more than
     MAX_SUPPORT_TUPLES symbol tuples.
     """
-    return _contract(config, model, validate_model(config, model))
-
-
-def _contract(config: NetworkConfig, model: LHVModel,
-              attach: AttachmentMap) -> EvaluationResult:
-    """lhv_evaluate_S on a model already checked against the layout."""
+    attach = validate_model(config, model)
     c = model.alphabet_size
-    tuples = _symbol_tuples(config, model)
+    supports = [[s for s, w in enumerate(model.weights[r]) if w != 0.0]
+                for r in range(1, config.n + 1)]
+    tuple_bits = sum(math.log2(len(support)) for support in supports)
+    if tuple_bits > math.log2(MAX_SUPPORT_TUPLES):
+        raise ResourceLimitError(
+            f"the source weights span 2^{tuple_bits:.6g} symbol tuples, above "
+            f"the cap 2^{math.log2(MAX_SUPPORT_TUPLES):.6g}")
     # factors[r][s] = (g_0j, g_1j) = (1 - b0 - b1, b1 - b0) at source r's end j.
-    factors = {attach.extremal[node]: [(1 - b0 - b1, b1 - b0)
-                                       for b0, b1 in zip(*model.extremal[node])]
+    factors = {attach[node][0]: [(1 - b0 - b1, b1 - b0)
+                                 for b0, b1 in zip(*model.extremal[node])]
                for node in extremal_nodes(config)}
-    inter = [(model.intermediate[node], attach.intermediate[node])
+    inter = [(model.intermediate[node], attach[node])
              for node in intermediate_nodes(config)]
     totals = [0.0, 0.0]
-    for symbols in tuples:
+    for symbols in itertools.product(*supports):
         weight = math.prod(model.weights[r][symbols[r - 1]]
                            for r in range(1, config.n + 1))
         for k in (0, 1):
@@ -164,15 +156,15 @@ def lhv_best_S(config: NetworkConfig,
     Not a search: the bound has the closed form derived in the module
     docstring, and the vertex model reaches it on every layout and alphabet.
     Every source puts weight (1, 0, ..., 0) on the alphabet and every
-    response table is all zeros, so I0 = 1 and I1 = 0.  The witness is
-    recomputed from the returned model by lhv_evaluate_S's contraction.  The
-    layout is validated once, first; the model is built to match it and is
-    not checked again.
+    response table is all zeros, so I0 = 1 and I1 = 0.  The proved bound 1.0
+    is returned as it is; the model is not contracted here (lhv_evaluate_S
+    gives (1.0, 0.0) on it).  The layout is validated once, first; the model
+    is built to match it and is not checked again.
 
     Raises ResourceLimitError before any table or weight vector is built
     when the intermediate tables would hold more than MAX_MODEL_CELLS cells.
     """
-    attach = attachments(config)  # the only validation of the layout
+    attachments(config)  # the only validation of the layout
     c = alphabet_size
     if c < 1:
         raise InvalidParameterError(f"alphabet size must be at least 1, got {c}")
@@ -190,7 +182,7 @@ def lhv_best_S(config: NetworkConfig,
         intermediate={node: (bytes(c ** config.m),) * 2
                       for node in intermediate_nodes(config)},
         extremal={node: (bytes(c),) * 2 for node in extremal_nodes(config)})
-    return _contract(config, model, attach).s, model
+    return 1.0, model
 
 
 def model_to_jsonable(model: LHVModel) -> dict:

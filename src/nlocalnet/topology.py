@@ -93,13 +93,6 @@ class NetworkConfig(NamedTuple):
         return (2 * self.n - self.p) // self.m
 
 
-class AttachmentMap(NamedTuple):
-    """Which sources reach each node; intermediate lists sorted by source index."""
-
-    intermediate: Mapping[NodeId, tuple[int, ...]]
-    extremal: Mapping[NodeId, int]
-
-
 def intermediate_nodes(config: NetworkConfig) -> list[NodeId]:
     return [NodeId.intermediate(i) for i in range(1, config.l + 1)]
 
@@ -126,19 +119,29 @@ def validate(config: NetworkConfig) -> list[str]:
     return _walk(config)[0]
 
 
+def _decimal(value: int) -> str:
+    """str(value), or '<k-bit integer>' (signed) past str()'s digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+
+
 def _walk(config: NetworkConfig) -> tuple[list[str], dict[NodeId, list[int]]]:
     # One pass over the edge map: the issues, and each node's sources in
     # ascending order (the order attachments promises).
     issues: list[str] = []
     n, m, p = config.n, config.m, config.p
     if n < 2:
-        issues.append(f"source count n must be at least 2, got {n}")
+        issues.append(f"source count n must be at least 2, got {_decimal(n)}")
     if m < 2:
-        issues.append(f"particles per intermediate node m must be at least 2, got {m}")
+        issues.append(
+            f"particles per intermediate node m must be at least 2, got {_decimal(m)}")
     if p < 2:
-        issues.append(f"extremal node count p must be at least 2, got {p}")
+        issues.append(f"extremal node count p must be at least 2, got {_decimal(p)}")
     if p > n:
-        issues.append(f"extremal node count p={p} exceeds source count n={n}")
+        issues.append(f"extremal node count p={_decimal(p)} exceeds source count "
+                      f"n={_decimal(n)}")
 
     l = None
     if m >= 1:
@@ -146,7 +149,7 @@ def _walk(config: NetworkConfig) -> tuple[list[str], dict[NodeId, list[int]]]:
             l = (2 * n - p) // m
         else:
             issues.append(
-                f"2n - p = {2 * n - p} is not divisible by m = {m}; "
+                f"2n - p = {_decimal(2 * n - p)} is not divisible by m = {_decimal(m)}; "
                 "the intermediate node count is not an integer")
 
     # Each range below is built only when its size matches a count of
@@ -182,18 +185,19 @@ def _walk(config: NetworkConfig) -> tuple[list[str], dict[NodeId, list[int]]]:
     if l is not None and (len(seen_inter) != max(l, 0)
                           or seen_inter != list(range(1, l + 1))):
         issues.append(
-            f"intermediate nodes must be exactly A1..A{l}, found "
+            f"intermediate nodes must be exactly A1..A{_decimal(l)}, found "
             f"{[f'A{i}' for i in seen_inter]}")
     if len(seen_extr) != max(p, 0) or seen_extr != list(range(1, p + 1)):
         issues.append(
-            f"extremal nodes must be exactly B1..B{p}, found "
+            f"extremal nodes must be exactly B1..B{_decimal(p)}, found "
             f"{[f'B{j}' for j in seen_extr]}")
 
     for node in sorted(position):
         want = m if node.kind == INTERMEDIATE else 1
         degree = len(sources[position[node]])
         if degree != want:
-            issues.append(f"node {node.name} touches {degree} sources, expected {want}")
+            issues.append(
+                f"node {node.name} touches {degree} sources, expected {_decimal(want)}")
 
     if len(config.edges) > merges:
         issues.append("the node/source incidence graph contains a cycle")
@@ -203,16 +207,13 @@ def _walk(config: NetworkConfig) -> tuple[list[str], dict[NodeId, list[int]]]:
     return issues, {node: sources[i] for node, i in position.items()}
 
 
-def attachments(config: NetworkConfig) -> AttachmentMap:
-    """Sources reaching each node, for a valid layout."""
+def attachments(config: NetworkConfig) -> dict[NodeId, tuple[int, ...]]:
+    """Each node's sources in ascending order, for a valid layout: m for an
+    intermediate node, one for an extremal node."""
     issues, sources = _walk(config)
     if issues:
         raise InvalidParameterError("invalid network layout: " + "; ".join(issues))
-    return AttachmentMap(
-        intermediate={node: tuple(rs) for node, rs in sources.items()
-                      if node.kind == INTERMEDIATE},
-        extremal={node: rs[0] for node, rs in sources.items()
-                  if node.kind == EXTREMAL})
+    return {node: tuple(rs) for node, rs in sources.items()}
 
 
 def parse_config(text: str) -> NetworkConfig:
@@ -237,6 +238,7 @@ def config_from_doc(doc: object) -> NetworkConfig:
     check_source_count(doc["n"])
     if not isinstance(doc["edges"], list):
         raise InvalidParameterError("topology key 'edges' must be a list")
+    check_source_count(len(doc["edges"]))  # before any node name is parsed
     edges: dict[int, tuple[NodeId, NodeId]] = {}
     for entry in doc["edges"]:
         if not isinstance(entry, dict) or "source" not in entry or "ends" not in entry:

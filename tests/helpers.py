@@ -64,7 +64,7 @@ def random_lhv_model(rng: np.random.Generator, config, c: int,
             w /= w.sum()
         weights[r] = tuple(float(v) for v in w)
     attach = attachments(config)
-    inter = {node: bits(rng.integers(0, 2, size=(2, c ** len(attach.intermediate[node])),
+    inter = {node: bits(rng.integers(0, 2, size=(2, c ** len(attach[node])),
                                      dtype=np.uint8))
              for node in intermediate_nodes(config)}
     extr = {node: bits(rng.integers(0, 2, size=(2, c), dtype=np.uint8))

@@ -278,9 +278,9 @@ def lhv_distribution(config: NetworkConfig, model: LHVModel,
             f"the cap 2^{math.log2(MAX_SUPPORT_TUPLES):.6g}")
     c = model.alphabet_size
     # (row of the node's table for its input, sources indexing the row)
-    rows = [(model.intermediate[node][assignment.x[node]], attach.intermediate[node])
+    rows = [(model.intermediate[node][assignment.x[node]], attach[node])
             for node in intermediate_nodes(config)]
-    rows += [(model.extremal[node][assignment.y[node]], (attach.extremal[node],))
+    rows += [(model.extremal[node][assignment.y[node]], attach[node])
              for node in extremal_nodes(config)]
     masses = dict.fromkeys(itertools.product((0, 1), repeat=outcome_bits), 0.0)
     for symbols in itertools.product(*supports):

@@ -311,6 +311,23 @@ def test_integers_above_the_digit_limit_exit_2(tmp_path, capsys, command, docume
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+NINES = "9" * 4300  # the longest integer int() reads
+
+
+@pytest.mark.parametrize("m", ["1", "2"])
+def test_derived_integers_above_the_digit_limit_exit_2(tmp_path, capsys, m):
+    """p = -NINES is read, but l (m = 1) and 2n - p (m = 2) have 4301 digits."""
+    topo = tmp_path / "huge.json"
+    topo.write_text('{"n": 3, "m": %s, "p": -%s, "edges": []}' % (m, NINES))
+    for command in (["validate", "--topology", str(topo)],
+                    ["generate", "custom", "--n", "3", "--m", m, "--p", "-" + NINES,
+                     "--edges", "[]"]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert "<14285-bit integer>" in captured.out + captured.err
+
+
 def test_lhv_command(tmp_path, capsys):
     topo = tmp_path / "chain2.json"
     main(["generate", "chain", "--n", "2", "--output", str(topo)])
@@ -607,7 +624,7 @@ def test_a_long_argument_file_is_refused_before_it_is_split(tmp_path, capsys,
     assert capsys.readouterr().err == "error: 1000001 arguments, above the cap 1000\n"
 
 
-def test_size_caps_exit_4(tmp_path, capsys):
+def test_size_caps_exit_4(tmp_path, capsys, monkeypatch):
     star = tmp_path / "star10.json"
     main(["generate", "star", "--n", "10", "--output", str(star)])
     grid = ",".join(str(0.1 * k) for k in range(10))
@@ -621,6 +638,18 @@ def test_size_caps_exit_4(tmp_path, capsys):
     assert main(["generate", "chain", "--n", "1000000000"]) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3 and all(line.startswith("resource limit: ") for line in err)
+
+    # an edge list longer than the cap, whatever n says
+    monkeypatch.setattr(nlocalnet.topology, "MAX_SOURCES", 3)
+    edges = [{"source": r, "ends": ["B1", "A1"]} for r in range(1, 5)]
+    topo = tmp_path / "edges.json"
+    topo.write_text(json.dumps({"n": 2, "m": 2, "p": 2, "edges": edges}))
+    assert main(["validate", "--topology", str(topo)]) == 4
+    assert main(["generate", "custom", "--n", "2", "--m", "2", "--p", "2",
+                 "--edges", json.dumps(edges)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource limit: layout has 4 sources, above the cap 3\n" * 2
 
 
 @pytest.mark.parametrize("n, alphabet", [(24, "2"), (200, "2"), (2, "1" + "0" * 400)],
@@ -708,7 +737,7 @@ def test_import_pulls_in_no_scipy(tmp_path):
     """
     done = run_fresh(code, str(tmp_path / "chain2.json"), str(tmp_path / "model.json"))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "26 [0, 0, 0, 0, 0, 0] []"
+    assert done.stdout.strip() == "25 [0, 0, 0, 0, 0, 0] []"
 
 
 LAYOUT_MODULES = {"nlocalnet", "nlocalnet.cli", "nlocalnet.errors", "nlocalnet.topology"}

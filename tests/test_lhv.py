@@ -289,7 +289,7 @@ def test_closed_form_is_the_brute_force_maximum():
             mass = [[0.0, 0.0] for _ in extremal_nodes(config)]
             for j, node in enumerate(extremal_nodes(config)):
                 table = model.extremal[node]
-                for s, w in enumerate(model.weights[attach.extremal[node]]):
+                for s, w in enumerate(model.weights[attach[node][0]]):
                     mass[j][int(table[0][s] != table[1][s])] += w
             prod0 = math.prod(m[0] for m in mass)
             prod1 = math.prod(m[1] for m in mass)

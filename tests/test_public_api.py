@@ -9,8 +9,8 @@ import pytest
 
 import nlocalnet
 from helpers import run_fresh
-from nlocalnet import (AttachmentMap, EvaluationResult, LHVModel, NetworkConfig,
-                       attachments, build_chain, evaluate_S, lhv_best_S)
+from nlocalnet import (EvaluationResult, LHVModel, NetworkConfig, build_chain,
+                       evaluate_S, lhv_best_S)
 from oracles import PAULI_X, BlochObservable, SettingAssignment
 
 # The public names, by the module that defines them.
@@ -21,14 +21,14 @@ HOMES = {
                    "closed_form_smax", "evaluate_S", "sweep"],
     "lhv": ["LHVModel", "lhv_best_S", "lhv_evaluate_S", "model_to_jsonable",
             "validate_model"],
-    "topology": ["AttachmentMap", "NetworkConfig", "NodeId", "attachments",
-                 "extremal_nodes", "intermediate_nodes", "parse_config", "validate"],
+    "topology": ["NetworkConfig", "NodeId", "attachments", "extremal_nodes",
+                 "intermediate_nodes", "parse_config", "validate"],
 }
 PUBLIC = sorted(name for names in HOMES.values() for name in names)
 
 
 def test_all_lists_the_pinned_public_names():
-    assert len(PUBLIC) == 26
+    assert len(PUBLIC) == 25
     assert sorted(nlocalnet.__all__) == PUBLIC
 
 
@@ -78,7 +78,6 @@ def _instances() -> dict:
     config = build_chain(3)
     return {
         NetworkConfig: (config, ("n", "m", "p", "edges")),
-        AttachmentMap: (attachments(config), ("intermediate", "extremal")),
         BlochObservable: (PAULI_X, ("vx", "vy", "vz")),
         SettingAssignment: (SettingAssignment.from_bits(config, [0, 1], [1, 0]),
                             ("x", "y")),
@@ -90,7 +89,7 @@ def _instances() -> dict:
 
 
 @pytest.mark.parametrize("kind", [
-    NetworkConfig, AttachmentMap, BlochObservable, SettingAssignment,
+    NetworkConfig, BlochObservable, SettingAssignment,
     EvaluationResult, LHVModel], ids=lambda kind: kind.__name__)
 def test_value_types_stay_frozen_with_their_fields_repr_and_pickle(kind):
     value, fields = _instances()[kind]

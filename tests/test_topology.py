@@ -1,3 +1,4 @@
+import json
 import re
 
 import networkx as nx
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nlocalnet.topology
 from helpers import run_fresh
 from nlocalnet import (InvalidParameterError, NetworkConfig, NodeId,
                        ResourceLimitError, attachments, build_chain,
@@ -39,10 +41,10 @@ def test_chain_endpoints_and_counts():
     config = build_chain(3)
     assert config.l == 2
     attach = attachments(config)
-    assert attach.intermediate[NodeId.intermediate(1)] == (1, 2)
-    assert attach.intermediate[NodeId.intermediate(2)] == (2, 3)
-    assert attach.extremal[NodeId.extremal(1)] == 1
-    assert attach.extremal[NodeId.extremal(2)] == 3
+    assert attach[NodeId.intermediate(1)] == (1, 2)
+    assert attach[NodeId.intermediate(2)] == (2, 3)
+    assert attach[NodeId.extremal(1)] == (1,)
+    assert attach[NodeId.extremal(2)] == (3,)
 
 
 def test_chain_rejects_single_source():
@@ -54,7 +56,7 @@ def test_star_counts_and_attachments():
     config = build_star(3)
     assert (config.n, config.m, config.p, config.l) == (3, 3, 3, 1)
     attach = attachments(config)
-    assert attach.intermediate[NodeId.intermediate(1)] == (1, 2, 3)
+    assert attach[NodeId.intermediate(1)] == (1, 2, 3)
     config4 = build_star(4)
     assert config4.l == (2 * 4 - 4) // 4 == 1
 
@@ -168,11 +170,9 @@ def test_each_source_appears_twice_in_attachments():
     for config in (build_chain(4), build_star(5), build_tree(7, 3)):
         attach = attachments(config)
         counts = {r: 0 for r in range(1, config.n + 1)}
-        for sources in attach.intermediate.values():
+        for sources in attach.values():
             for r in sources:
                 counts[r] += 1
-        for r in attach.extremal.values():
-            counts[r] += 1
         assert all(count == 2 for count in counts.values())
 
 
@@ -307,6 +307,59 @@ def test_constructors_cap_the_source_count(build):
 def test_parse_config_caps_the_source_count():
     with pytest.raises(ResourceLimitError):
         parse_config('{"n": 1000000000000, "m": 2, "p": 2, "edges": []}')
+
+
+def test_parse_config_caps_the_edge_count_before_parsing_a_node_name(monkeypatch):
+    parsed = []
+    real_parse = NodeId.parse.__func__
+
+    def counting_parse(cls, name):
+        parsed.append(name)
+        return real_parse(cls, name)
+
+    monkeypatch.setattr(NodeId, "parse", classmethod(counting_parse))
+    monkeypatch.setattr(nlocalnet.topology, "MAX_SOURCES", 3)
+    edges = [{"source": r, "ends": ["B1", "A1"]} for r in range(1, 5)]
+    text = json.dumps({"n": 2, "m": 2, "p": 2, "edges": edges})
+    with pytest.raises(ResourceLimitError, match="layout has 4 sources, above the cap 3"):
+        parse_config(text)
+    assert parsed == []
+    # at the cap, every name is parsed and the layout is left to validate
+    assert len(parse_config(json.dumps({"n": 2, "m": 2, "p": 2,
+                                        "edges": edges[:3]})).edges) == 3
+    assert len(parsed) == 6
+
+
+# -(10**4300 - 1): the most negative p that int() reads; 2n - p then has 4301
+# digits, one more than str() converts.
+HUGE_P = -int("9" * 4300)
+
+
+def test_validate_describes_integers_too_long_to_print():
+    edges = build_chain(3).edges
+    assert validate(NetworkConfig(n=3, m=2, p=HUGE_P, edges=edges)) == [
+        f"extremal node count p must be at least 2, got {HUGE_P}",
+        "2n - p = <14285-bit integer> is not divisible by m = 2; "
+        "the intermediate node count is not an integer",
+        "extremal nodes must be exactly B1..B" + str(HUGE_P) + ", found ['B1', 'B2']",
+    ]
+    assert ("intermediate nodes must be exactly A1..A<14285-bit integer>, found "
+            "['A1', 'A2']") in validate(NetworkConfig(n=3, m=1, p=HUGE_P, edges=edges))
+    # counts a program passes in, beyond what int() reads from text
+    assert validate(NetworkConfig(n=10 ** 5000, m=-10 ** 5000, p=10 ** 5001,
+                                  edges=edges)) == [
+        "particles per intermediate node m must be at least 2, got -<16610-bit integer>",
+        "extremal node count p=<16613-bit integer> exceeds source count "
+        "n=<16610-bit integer>",
+        "edge map must assign exactly the sources 1..n",
+        "extremal nodes must be exactly B1..B<16613-bit integer>, found ['B1', 'B2']",
+        "node A1 touches 2 sources, expected -<16610-bit integer>",
+        "node A2 touches 2 sources, expected -<16610-bit integer>",
+    ]
+    # one digit fewer: printed in full, as before
+    p = -int("9" * 4299)
+    assert (f"2n - p = {6 - p} is not divisible by m = 2; the intermediate node "
+            "count is not an integer") in validate(NetworkConfig(n=3, m=2, p=p, edges=edges))
 
 
 def test_validate_allocates_nothing_of_a_size_read_from_the_layout():
