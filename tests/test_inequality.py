@@ -103,6 +103,23 @@ def test_closed_form_smax_examples():
     assert alpha == pytest.approx(math.atan(math.sqrt(3) / 2), abs=1e-12)
 
 
+def test_evaluate_matches_closed_form_on_random_instances():
+    rng = np.random.default_rng(1905)
+    for _ in range(40):
+        config, thetas, alphas, _ = random_instance(rng)
+        result = evaluate_S(config, thetas, alphas)
+        assert result.s == closed_form_S(thetas, alphas, config.p)
+
+
+def test_evaluate_matches_closed_form_six_sources():
+    rng = np.random.default_rng(66)
+    for config in (build_chain(6), build_star(6), build_tree(6, 2)):
+        thetas = rng.uniform(0, 2 * PI, size=config.n).tolist()
+        alphas = rng.uniform(0, 2 * PI, size=config.p).tolist()
+        result = evaluate_S(config, thetas, alphas)
+        assert result.s == closed_form_S(thetas, alphas, config.p)
+
+
 @given(angles, angles, angles, angles)
 @settings(max_examples=60, deadline=None)
 def test_chain2_evaluate_matches_closed_form(t1, t2, a1, a2):
@@ -310,18 +327,7 @@ PATH_7_3_5 = NetworkConfig(n=7, m=3, p=5, edges={
 def test_evaluate_S_is_the_closed_form_on_every_layout():
     """On a valid layout, evaluate_S is closed_form_S bit for bit, and two
     layouts with the same n and p give the same bits: relabelled copies of
-    random layouts, and tree(7, 3) against a layout of another shape.  Also
-    bit for bit on 40 random instances and on chain, star and tree(6, 2),
-    each with its own angles in [0, 2 pi)."""
-    rng = np.random.default_rng(1905)
-    instances = [random_instance(rng)[:3] for _ in range(40)]
-    rng = np.random.default_rng(66)
-    instances += [(config, rng.uniform(0, 2 * PI, size=config.n).tolist(),
-                   rng.uniform(0, 2 * PI, size=config.p).tolist())
-                  for config in (build_chain(6), build_star(6), build_tree(6, 2))]
-    for config, thetas, alphas in instances:
-        assert evaluate_S(config, thetas, alphas).s == closed_form_S(
-            thetas, alphas, config.p)
+    random layouts, and tree(7, 3) against a layout of another shape."""
     rng = np.random.default_rng(2012)
     pairs = [(build_tree(7, 3), PATH_7_3_5)]
     for _ in range(100):
