@@ -33,10 +33,10 @@ regroups into
 the layout enters only through its validity and p.  evaluate_S validates
 the layout, checks the angles and returns this closed form, the arithmetic
 of closed_form_S, so the two agree bit for bit, and valid layouts with the
-same n and p give the same bits.  The tests compare evaluate_S, and
-lhv_evaluate_S, with an oracle that enumerates the 2^p inputs of a
-correlator (tests/oracles.py); each agrees with it to rounding (within
-1e-12).
+same n and p give the same bits.  The tests compare evaluate_S, and the
+classical contraction lhv_evaluate_S of tests/oracles.py, with an oracle
+there that enumerates the 2^p inputs of a correlator; each agrees with it
+to rounding (within 1e-12).
 """
 
 import math
@@ -217,9 +217,16 @@ def sweep(config: NetworkConfig, theta_grid: Sequence[float]) -> "Table":
 
 
 def check_finite(label: str, values: Iterable[float]) -> None:
-    """Raise InvalidParameterError if any of the angles is infinite or NaN."""
+    """Raise InvalidParameterError if any of the angles is infinite or NaN,
+    or an int too large for a double."""
     for value in values:
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise InvalidParameterError(
+                f"{label} angles must be finite, got a value too large for a double"
+            ) from None
+        if not finite:
             raise InvalidParameterError(f"{label} angles must be finite, got {value!r}")
 
 

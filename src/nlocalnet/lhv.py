@@ -2,19 +2,14 @@
 
 A model gives each source a probability vector over a finite symbol alphabet
 and each node a deterministic binary response table.  The joint outcome
-distribution factorizes over sources.
-
-lhv_evaluate_S, the one contraction of a model, is the classical twin of
-inequality.evaluate_S.  Every extremal node touches one source and no source
-touches two of them, so the signed average over extremal inputs factorizes
-per symbol tuple lam:
+distribution factorizes over sources.  Every extremal node touches one
+source and no source touches two of them, so the signed average over
+extremal inputs factorizes per symbol tuple lam, summed over the product of
+the weight supports:
 
     I_k = sum_lam P(lam) prod_{intermediate i} (-1)^(T_i(k, lam))
                          prod_{extremal j} g_kj(lam),
-    g_kj(lam) = 1/2 sum_y (-1)^(k y) (-1)^(b_j(y, lam)),
-
-summed over the product of the weight supports.  The tests check it
-against an oracle that enumerates every tuple and input (tests/oracles.py).
+    g_kj(lam) = 1/2 sum_y (-1)^(k y) (-1)^(b_j(y, lam)).
 
 The best classical witness has a closed form, so lhv_best_S returns it, with
 the model that reaches it, instead of searching.  Fix the weights and extremal
@@ -34,23 +29,20 @@ This is the argument of Branciard, Rosset, Gisin, Pironio, PRA 85, 032119
 acyclic networks.  lhv_best_S is neither a search nor a proof by enumeration,
 and it does not contract the model it returns: the tests check the product
 formula against a brute-force maximum over intermediate tables on small
-layouts, and that lhv_evaluate_S gives I0 = 1, I1 = 0 on the vertex model.
+layouts, and that the sum above, lhv_evaluate_S in tests/oracles.py, gives
+I0 = 1, I1 = 0 on the vertex model.
 """
 
-import itertools
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .inequality import EvaluationResult
 from .topology import (NetworkConfig, NodeId, attachments, extremal_nodes,
                        intermediate_nodes)
 
 # Response-table cells a model built by lhv_best_S may hold: the intermediate
 # tables, 2 * c**m cells each, grow exponentially in m.
 MAX_MODEL_CELLS = 20_000_000
-# Symbol tuples lhv_evaluate_S may sum over: the product of the support sizes.
-MAX_SUPPORT_TUPLES = 2 ** 20
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # table bits -> "0"/"1" text
 
 
@@ -69,86 +61,6 @@ class LHVModel(NamedTuple):
     extremal: Mapping[NodeId, tuple[bytes, bytes]]
 
 
-def validate_model(config: NetworkConfig,
-                   model: LHVModel) -> dict[NodeId, tuple[int, ...]]:
-    """Raise InvalidParameterError unless the model matches the layout, and
-    return attachments(config)."""
-    attach = attachments(config)
-    c = model.alphabet_size
-    if c < 1:
-        raise InvalidParameterError(f"alphabet size must be at least 1, got {c}")
-    for r in range(1, config.n + 1):
-        weights = model.weights.get(r)
-        if weights is None or len(weights) != c:
-            raise InvalidParameterError(
-                f"source {r} needs a weight vector of length {c}")
-        # Written so that a NaN weight fails both comparisons.
-        if not (min(weights) >= -1e-12 and abs(sum(weights) - 1.0) <= 1e-12):
-            raise InvalidParameterError(
-                f"source {r} weights must form a probability vector")
-    # Every intermediate node of a valid layout holds m sources.
-    expected = [(model.intermediate, node, c ** config.m)
-                for node in intermediate_nodes(config)]
-    expected += [(model.extremal, node, c) for node in extremal_nodes(config)]
-    for tables, node, width in expected:
-        table = tables.get(node)
-        if not (isinstance(table, tuple) and len(table) == 2
-                and all(isinstance(row, bytes) and len(row) == width
-                        for row in table)):
-            raise InvalidParameterError(
-                f"node {node.name} needs a table of two bytes rows of length {width}")
-        # count() scans a row in place; a 2^23-cell hub row is never copied.
-        if any(row.count(0) + row.count(1) != width for row in table):
-            raise InvalidParameterError(f"node {node.name} table entries must be bits")
-    return attach
-
-
-def _symbol_code(sources: tuple[int, ...], symbols: Sequence[int], c: int) -> int:
-    code = 0
-    for r in sources:
-        code = code * c + symbols[r - 1]
-    return code
-
-
-def lhv_evaluate_S(config: NetworkConfig, model: LHVModel) -> EvaluationResult:
-    """Witness of a classical model, contracted per symbol tuple.
-
-    Sums the product of the module docstring over the weight supports, with
-    all intermediate inputs k in I_k.  Agrees to rounding with the tests'
-    oracle, which enumerates every symbol tuple and input.  Raises
-    ResourceLimitError before the sum when the supports span more than
-    MAX_SUPPORT_TUPLES symbol tuples.
-    """
-    attach = validate_model(config, model)
-    c = model.alphabet_size
-    supports = [[s for s, w in enumerate(model.weights[r]) if w != 0.0]
-                for r in range(1, config.n + 1)]
-    tuple_bits = sum(math.log2(len(support)) for support in supports)
-    if tuple_bits > math.log2(MAX_SUPPORT_TUPLES):
-        raise ResourceLimitError(
-            f"the source weights span 2^{tuple_bits:.6g} symbol tuples, above "
-            f"the cap 2^{math.log2(MAX_SUPPORT_TUPLES):.6g}")
-    # factors[r][s] = (g_0j, g_1j) = (1 - b0 - b1, b1 - b0) at source r's end j.
-    factors = {attach[node][0]: [(1 - b0 - b1, b1 - b0)
-                                 for b0, b1 in zip(*model.extremal[node])]
-               for node in extremal_nodes(config)}
-    inter = [(model.intermediate[node], attach[node])
-             for node in intermediate_nodes(config)]
-    totals = [0.0, 0.0]
-    for symbols in itertools.product(*supports):
-        weight = math.prod(model.weights[r][symbols[r - 1]]
-                           for r in range(1, config.n + 1))
-        for k in (0, 1):
-            value = weight
-            for table, sources in inter:
-                if table[k][_symbol_code(sources, symbols, c)]:
-                    value = -value
-            for r, g in factors.items():
-                value *= g[symbols[r - 1]][k]
-            totals[k] += value
-    return EvaluationResult.from_ingredients(config.p, (totals[0], 0), (totals[1], 0))
-
-
 def lhv_best_S(config: NetworkConfig,
                alphabet_size: int = 2) -> tuple[float, LHVModel]:
     """The best classical witness, S = 1, and the vertex model that reaches it.
@@ -158,8 +70,8 @@ def lhv_best_S(config: NetworkConfig,
     Every source puts weight (1, 0, ..., 0) on the alphabet and every
     response table is all zeros, so I0 = 1 and I1 = 0.  The proved bound 1.0
     is returned as it is; the model is not contracted here (lhv_evaluate_S
-    gives (1.0, 0.0) on it).  The layout is validated once, first; the model
-    is built to match it and is not checked again.
+    in tests/oracles.py gives (1.0, 0.0) on it).  The layout is validated
+    once, first; the model is built to match it and is not checked again.
 
     Raises ResourceLimitError before any table or weight vector is built
     when the intermediate tables would hold more than MAX_MODEL_CELLS cells.

@@ -68,7 +68,7 @@ class NodeId(NamedTuple):
     @property
     def name(self) -> str:
         prefix = "A" if self.kind == INTERMEDIATE else "B"
-        return f"{prefix}{self.index}"
+        return f"{prefix}{_decimal(self.index)}"
 
 
 class NetworkConfig(NamedTuple):
@@ -186,11 +186,11 @@ def _walk(config: NetworkConfig) -> tuple[list[str], dict[NodeId, list[int]]]:
                           or seen_inter != list(range(1, l + 1))):
         issues.append(
             f"intermediate nodes must be exactly A1..A{_decimal(l)}, found "
-            f"{[f'A{i}' for i in seen_inter]}")
+            f"{[NodeId.intermediate(i).name for i in seen_inter]}")
     if len(seen_extr) != max(p, 0) or seen_extr != list(range(1, p + 1)):
         issues.append(
             f"extremal nodes must be exactly B1..B{_decimal(p)}, found "
-            f"{[f'B{j}' for j in seen_extr]}")
+            f"{[NodeId.extremal(j).name for j in seen_extr]}")
 
     for node in sorted(position):
         want = m if node.kind == INTERMEDIATE else 1

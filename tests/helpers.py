@@ -9,8 +9,8 @@ import sys
 import numpy as np
 
 from nlocalnet import (LHVModel, attachments, build_chain, build_star, build_tree,
-                       extremal_nodes, intermediate_nodes, lhv_evaluate_S)
-from oracles import SettingAssignment
+                       extremal_nodes, intermediate_nodes)
+from oracles import SettingAssignment, lhv_evaluate_S
 
 # Valid (n, m) tree parameters with n <= 5.
 TREE_CHOICES = [(4, 2), (5, 2), (5, 3), (3, 3), (4, 4)]

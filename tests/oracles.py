@@ -1,7 +1,7 @@
 """The correctness oracles that the tests hold the package to: the Pauli
-settings, three correlator routes, the enumeration average and the classical
-outcome distribution.  They use only public names of nlocalnet, and no code
-of the closed-form contractions they check.
+settings, three correlator routes, the enumeration average, and a classical
+model's checker, contraction and outcome distribution.  They use only public
+names of nlocalnet, and no code of the closed-form contractions they check.
 
 The settings are fixed but for p angles.  Every qubit of an intermediate
 node is measured in sigma_z for input 0 and in sigma_x for input 1, so the
@@ -17,7 +17,14 @@ the correlator.  The global qubit convention is fixed by the layout: source
 r owns qubits 2(r-1) and 2(r-1)+1, assigned to its first and second edge
 endpoint.  signed_y_average and evaluate_S_from_correlator enumerate the 2^p
 extremal inputs of any correlator, quantum or classical (lhv_distribution);
-the tests check inequality.evaluate_S and lhv.lhv_evaluate_S against them.
+the tests check inequality.evaluate_S against them.
+
+The classical side holds the model checker validate_model and
+lhv_evaluate_S, the factorized classical contraction of the lhv module
+docstring: it sums one product per symbol tuple instead of enumerating the
+inputs, and the tests check it against the enumeration of lhv_distribution.
+Both visit only symbols of nonzero weight, under one cap on the symbol
+tuples, MAX_SUPPORT_TUPLES.
 """
 
 from __future__ import annotations
@@ -30,9 +37,8 @@ import numpy as np
 
 from nlocalnet import (EvaluationResult, InvalidParameterError, LHVModel,
                        NetworkConfig, NodeId, ResourceLimitError, attachments,
-                       extremal_nodes, intermediate_nodes, validate_model)
+                       extremal_nodes, intermediate_nodes)
 from nlocalnet.inequality import check_angles
-from nlocalnet.lhv import MAX_SUPPORT_TUPLES
 from nlocalnet.topology import INTERMEDIATE
 
 STATEVECTOR_MAX_SOURCES = 6
@@ -40,6 +46,9 @@ STATEVECTOR_MAX_SOURCES = 6
 ENUMERATION_MAX_EXTREMAL = 20
 # Outcome bits l + p that lhv_distribution may key: it holds 2^(l+p) masses.
 MAX_OUTCOME_BITS = 16
+# Symbol tuples lhv_evaluate_S and lhv_distribution may sum over: the
+# product of the support sizes.
+MAX_SUPPORT_TUPLES = 2 ** 20
 
 
 class _BlochVector(NamedTuple):
@@ -255,20 +264,43 @@ def joint_distribution(config: NetworkConfig, thetas: Sequence[float],
     }
 
 
-def lhv_distribution(config: NetworkConfig, model: LHVModel,
-                     assignment: SettingAssignment
-                     ) -> dict[tuple[int, ...], float]:
-    """Outcome distribution of a classical model, summed over every tuple of
-    nonzero-weight symbols; keys run over {0,1}^(l+p), intermediate nodes
-    first.  Raises ResourceLimitError before storing a mass when l + p exceeds
-    MAX_OUTCOME_BITS or the supports exceed lhv.MAX_SUPPORT_TUPLES tuples."""
-    attach = validate_model(config, model)
-    assignment.check(config)
-    outcome_bits = config.l + config.p
-    if outcome_bits > MAX_OUTCOME_BITS:
-        raise ResourceLimitError(
-            f"the distribution has 2^{outcome_bits} outcomes, above the cap "
-            f"2^{MAX_OUTCOME_BITS}")
+def validate_model(config: NetworkConfig,
+                   model: LHVModel) -> dict[NodeId, tuple[int, ...]]:
+    """Raise InvalidParameterError unless the model matches the layout, and
+    return attachments(config)."""
+    attach = attachments(config)
+    c = model.alphabet_size
+    if c < 1:
+        raise InvalidParameterError(f"alphabet size must be at least 1, got {c}")
+    for r in range(1, config.n + 1):
+        weights = model.weights.get(r)
+        if weights is None or len(weights) != c:
+            raise InvalidParameterError(
+                f"source {r} needs a weight vector of length {c}")
+        # Written so that a NaN weight fails both comparisons.
+        if not (min(weights) >= -1e-12 and abs(sum(weights) - 1.0) <= 1e-12):
+            raise InvalidParameterError(
+                f"source {r} weights must form a probability vector")
+    # Every intermediate node of a valid layout holds m sources.
+    expected = [(model.intermediate, node, c ** config.m)
+                for node in intermediate_nodes(config)]
+    expected += [(model.extremal, node, c) for node in extremal_nodes(config)]
+    for tables, node, width in expected:
+        table = tables.get(node)
+        if not (isinstance(table, tuple) and len(table) == 2
+                and all(isinstance(row, bytes) and len(row) == width
+                        for row in table)):
+            raise InvalidParameterError(
+                f"node {node.name} needs a table of two bytes rows of length {width}")
+        # count() scans a row in place; a 2^23-cell hub row is never copied.
+        if any(row.count(0) + row.count(1) != width for row in table):
+            raise InvalidParameterError(f"node {node.name} table entries must be bits")
+    return attach
+
+
+def _supports(config: NetworkConfig, model: LHVModel) -> list[list[int]]:
+    """Each source's symbols of nonzero weight; raises ResourceLimitError when
+    they span more than MAX_SUPPORT_TUPLES symbol tuples."""
     supports = [[s for s, w in enumerate(model.weights[r]) if w != 0.0]
                 for r in range(1, config.n + 1)]
     tuple_bits = sum(math.log2(len(support)) for support in supports)
@@ -276,6 +308,64 @@ def lhv_distribution(config: NetworkConfig, model: LHVModel,
         raise ResourceLimitError(
             f"the source weights span 2^{tuple_bits:.6g} symbol tuples, above "
             f"the cap 2^{math.log2(MAX_SUPPORT_TUPLES):.6g}")
+    return supports
+
+
+def _symbol_code(sources: tuple[int, ...], symbols: Sequence[int], c: int) -> int:
+    code = 0
+    for r in sources:
+        code = code * c + symbols[r - 1]
+    return code
+
+
+def lhv_evaluate_S(config: NetworkConfig, model: LHVModel) -> EvaluationResult:
+    """Witness of a classical model, contracted per symbol tuple.
+
+    Sums the product of the lhv module docstring over the weight supports,
+    with all intermediate inputs k in I_k.  Agrees to rounding with
+    evaluate_S_from_correlator on lhv_distribution, which enumerates every
+    symbol tuple and input.  Raises ResourceLimitError before the sum when
+    the supports span more than MAX_SUPPORT_TUPLES symbol tuples.
+    """
+    attach = validate_model(config, model)
+    c = model.alphabet_size
+    supports = _supports(config, model)
+    # factors[r][s] = (g_0j, g_1j) = (1 - b0 - b1, b1 - b0) at source r's end j.
+    factors = {attach[node][0]: [(1 - b0 - b1, b1 - b0)
+                                 for b0, b1 in zip(*model.extremal[node])]
+               for node in extremal_nodes(config)}
+    inter = [(model.intermediate[node], attach[node])
+             for node in intermediate_nodes(config)]
+    totals = [0.0, 0.0]
+    for symbols in itertools.product(*supports):
+        weight = math.prod(model.weights[r][symbols[r - 1]]
+                           for r in range(1, config.n + 1))
+        for k in (0, 1):
+            value = weight
+            for table, sources in inter:
+                if table[k][_symbol_code(sources, symbols, c)]:
+                    value = -value
+            for r, g in factors.items():
+                value *= g[symbols[r - 1]][k]
+            totals[k] += value
+    return EvaluationResult.from_ingredients(config.p, (totals[0], 0), (totals[1], 0))
+
+
+def lhv_distribution(config: NetworkConfig, model: LHVModel,
+                     assignment: SettingAssignment
+                     ) -> dict[tuple[int, ...], float]:
+    """Outcome distribution of a classical model, summed over every tuple of
+    nonzero-weight symbols; keys run over {0,1}^(l+p), intermediate nodes
+    first.  Raises ResourceLimitError before storing a mass when l + p exceeds
+    MAX_OUTCOME_BITS or the supports exceed MAX_SUPPORT_TUPLES tuples."""
+    attach = validate_model(config, model)
+    assignment.check(config)
+    outcome_bits = config.l + config.p
+    if outcome_bits > MAX_OUTCOME_BITS:
+        raise ResourceLimitError(
+            f"the distribution has 2^{outcome_bits} outcomes, above the cap "
+            f"2^{MAX_OUTCOME_BITS}")
+    supports = _supports(config, model)
     c = model.alphabet_size
     # (row of the node's table for its input, sources indexing the row)
     rows = [(model.intermediate[node][assignment.x[node]], attach[node])

@@ -114,6 +114,18 @@ def test_generate_custom(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error: "), (depth, err)
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["chain"], "n"), (["star"], "n"), (["tree", "--n", "15"], "m"),
+    (["custom", "--n", "2", "--m", "2", "--edges", "[]"], "p"),
+], ids=["chain", "star", "tree", "custom"])
+def test_generate_names_the_missing_parameter(capsys, argv, missing):
+    assert main(["generate", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: --{missing} is required for kind {argv[0]!r}"]
+
+
 def test_validate_command(tmp_path, capsys):
     good = tmp_path / "good.json"
     main(["generate", "star", "--n", "3", "--output", str(good)])
@@ -737,7 +749,7 @@ def test_import_pulls_in_no_scipy(tmp_path):
     """
     done = run_fresh(code, str(tmp_path / "chain2.json"), str(tmp_path / "model.json"))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "25 [0, 0, 0, 0, 0, 0] []"
+    assert done.stdout.strip() == "23 [0, 0, 0, 0, 0, 0] []"
 
 
 LAYOUT_MODULES = {"nlocalnet", "nlocalnet.cli", "nlocalnet.errors", "nlocalnet.topology"}
@@ -751,7 +763,7 @@ WITNESS_MODULES = LAYOUT_MODULES | {"nlocalnet.inequality"}
      WITNESS_MODULES),
     (["maximize", "--theta", "0.25pi,0.25pi,0.25pi"], WITNESS_MODULES),
     (["sweep", "--grid", "0,0.25pi"], WITNESS_MODULES | {"nlocalnet.table"}),
-    (["lhv"], WITNESS_MODULES | {"nlocalnet.lhv"}),
+    (["lhv"], LAYOUT_MODULES | {"nlocalnet.lhv"}),
 ], ids=["generate", "validate", "evaluate", "maximize", "sweep", "lhv"])
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
     topo = tmp_path / "chain3.json"

@@ -13,7 +13,7 @@ from helpers import random_config, random_instance, run_fresh
 from nlocalnet import (InvalidParameterError, NetworkConfig, NodeId,
                        ResourceLimitError, build_chain, build_star, build_tree,
                        closed_form_S, closed_form_smax, evaluate_S, parse_config,
-                       validate)
+                       sweep, validate)
 from nlocalnet.cli import main
 from nlocalnet.topology import EXTREMAL, INTERMEDIATE, MAX_SOURCES
 from oracles import (ENUMERATION_MAX_EXTREMAL, correlator_factorized,
@@ -101,6 +101,10 @@ def test_closed_form_smax_examples():
     smax, alpha = closed_form_smax([PI / 6, PI / 6], 2)
     assert smax == pytest.approx(math.sqrt(7) / 2, abs=1e-12)
     assert alpha == pytest.approx(math.atan(math.sqrt(3) / 2), abs=1e-12)
+    for p in (0, -1):
+        with pytest.raises(InvalidParameterError,
+                           match=f"extremal node count p must be positive, got {p}$"):
+            closed_form_smax([PI / 4, PI / 4], p)
 
 
 def test_evaluate_matches_closed_form_on_random_instances():
@@ -229,6 +233,20 @@ def test_evaluate_rejects_non_finite_angles(bad):
             evaluate_S(config, [0.5, 0.6], [0.3] * count)
 
 
+@pytest.mark.parametrize("label, call", [
+    ("source", lambda: evaluate_S(build_chain(3), [10 ** 400, 0.2, 0.3], [0.1, 0.2])),
+    ("extremal", lambda: evaluate_S(build_chain(3), [0.1, 0.2, 0.3], [10 ** 400, 0.2])),
+    ("extremal", lambda: closed_form_S([0.1], [10 ** 400], 1)),
+    ("source", lambda: closed_form_smax([-10 ** 400], 2)),
+    ("source", lambda: sweep(build_chain(3), [10 ** 400])),
+], ids=["evaluate_S-theta", "evaluate_S-alpha", "closed_form_S", "closed_form_smax",
+        "sweep"])
+def test_an_int_too_large_for_a_double_is_not_a_finite_angle(label, call):
+    with pytest.raises(InvalidParameterError, match=re.escape(
+            f"{label} angles must be finite, got a value too large for a double")):
+        call()
+
+
 @pytest.mark.parametrize("kind, args", [("star", (5,)), ("tree", (7, 3))],
                          ids=["star5", "tree7_3"])
 def test_evaluate_S_builds_no_observable(kind, args):
@@ -240,7 +258,7 @@ def test_evaluate_S_builds_no_observable(kind, args):
         config = getattr(nlocalnet, "build_" + sys.argv[1])(*map(int, sys.argv[2:]))
         result = nlocalnet.evaluate_S(config, [0.4] * config.n, [0.3] * config.p)
         s = nlocalnet.closed_form_S([0.4] * config.n, [0.3] * config.p, config.p)
-        print(abs(result.s - s) <= 1e-12,
+        print(result.s == s,
               sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
     """
     done = run_fresh(code, kind, *map(str, args))

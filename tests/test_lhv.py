@@ -9,11 +9,11 @@ import pytest
 from helpers import bits, brute_force_best_I, random_lhv_model
 from nlocalnet import (InvalidParameterError, LHVModel, NodeId, ResourceLimitError,
                        attachments, build_chain, build_star, build_tree,
-                       extremal_nodes, lhv_best_S, lhv_evaluate_S,
-                       model_to_jsonable, validate_model)
-from nlocalnet.lhv import MAX_MODEL_CELLS, MAX_SUPPORT_TUPLES
-from oracles import (MAX_OUTCOME_BITS, SettingAssignment, distribution_correlator,
-                     evaluate_S_from_correlator, lhv_distribution)
+                       extremal_nodes, lhv_best_S, model_to_jsonable)
+from nlocalnet.lhv import MAX_MODEL_CELLS
+from oracles import (MAX_OUTCOME_BITS, MAX_SUPPORT_TUPLES, SettingAssignment,
+                     distribution_correlator, evaluate_S_from_correlator,
+                     lhv_distribution, lhv_evaluate_S, validate_model)
 
 
 def point_mass_model(config, symbol=0, c=2):

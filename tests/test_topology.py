@@ -356,6 +356,12 @@ def test_validate_describes_integers_too_long_to_print():
         "node A1 touches 2 sources, expected -<16610-bit integer>",
         "node A2 touches 2 sources, expected -<16610-bit integer>",
     ]
+    # a node index a program passes in
+    huge = NodeId.intermediate(10 ** 5000)
+    assert huge.name == "A<16610-bit integer>"
+    ends = (NodeId.extremal(1), huge), (huge, NodeId.extremal(2))
+    assert validate(NetworkConfig(n=2, m=2, p=2, edges=dict(enumerate(ends, 1)))) == [
+        "intermediate nodes must be exactly A1..A1, found ['A<16610-bit integer>']"]
     # one digit fewer: printed in full, as before
     p = -int("9" * 4299)
     assert (f"2n - p = {6 - p} is not divisible by m = 2; the intermediate node "
