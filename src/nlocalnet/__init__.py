@@ -23,8 +23,8 @@ _PUBLIC = {
     "inequality": ("VIOLATION_TOLERANCE", "EvaluationResult", "closed_form_S",
                    "closed_form_smax", "evaluate_S", "sweep"),
     "lhv": ("LHVModel", "lhv_best_S", "model_to_jsonable"),
-    "topology": ("NetworkConfig", "NodeId", "attachments", "extremal_nodes",
-                 "intermediate_nodes", "parse_config", "validate"),
+    "topology": ("NetworkConfig", "NodeId", "extremal_nodes", "intermediate_nodes",
+                 "parse_config", "validate"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 from typing import Callable, NoReturn, Sequence, TextIO
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .topology import (NetworkConfig, attachments, config_from_doc, parse_config,
+from .topology import (NetworkConfig, check_layout, config_from_doc, parse_config,
                        validate)
 
 EXIT_OK = 0
@@ -122,7 +122,7 @@ def _cmd_generate(args: SimpleNamespace) -> int:
             raise InvalidParameterError(f"--edges is not valid JSON: {exc}") from None
         config = config_from_doc(
             {"n": args.n, "m": args.m, "p": args.p, "edges": edges_doc})
-        attachments(config)  # validates the layout
+        check_layout(config)
     text = serialize_config(config)
     _write(args.output, lambda sink: sink.write(text))
     return EXIT_OK
@@ -177,7 +177,7 @@ def _cmd_maximize(args: SimpleNamespace) -> int:
     from .inequality import closed_form_smax, violates
 
     config = _read_config(args.topology)
-    attachments(config)  # validates the layout
+    check_layout(config)
     thetas = _angles(args.theta, config.n, "theta")
     smax, alpha_star = closed_form_smax(thetas, config.p)
     report = {

@@ -43,7 +43,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .topology import NetworkConfig, attachments
+from .topology import NetworkConfig, check_layout, decimal_text
 
 if TYPE_CHECKING:
     from .table import Table
@@ -130,7 +130,7 @@ def evaluate_S(config: NetworkConfig, thetas: Sequence[float],
     docstring): linear in the number of sources.  Agrees to rounding with
     the tests' oracle, which enumerates the 2^p extremal inputs.
     """
-    attachments(config)  # validates the layout
+    check_layout(config)
     check_angles(config, thetas, alphas)
     return _witness(thetas, alphas, config.p)
 
@@ -145,7 +145,7 @@ def closed_form_S(thetas: Sequence[float], alphas: Sequence[float],
     """
     if p < 1 or len(alphas) != p:
         raise InvalidParameterError(
-            f"need exactly p = {p} extremal angles, got {len(alphas)}")
+            f"need exactly p = {decimal_text(p)} extremal angles, got {len(alphas)}")
     _check_source_angles(thetas)
     check_finite("extremal", alphas)
     return _witness(thetas, alphas, p).s
@@ -162,7 +162,8 @@ def closed_form_smax(thetas: Sequence[float], p: int) -> tuple[float, float]:
     Returns (smax, alpha_star).
     """
     if p < 1:
-        raise InvalidParameterError(f"extremal node count p must be positive, got {p}")
+        raise InvalidParameterError(
+            f"extremal node count p must be positive, got {decimal_text(p)}")
     _check_source_angles(thetas)
     return _smax_at(_root(exact_product([math.sin(2.0 * t) for t in thetas]), p))
 
@@ -203,7 +204,7 @@ def sweep(config: NetworkConfig, theta_grid: Sequence[float]) -> "Table":
     empty grid or a non-finite angle raise InvalidParameterError, and more
     than MAX_SWEEP_ROWS combinations raise ResourceLimitError.
     """
-    attachments(config)  # validates the layout
+    check_layout(config)
     n = config.n
     if len(theta_grid) ** n > MAX_SWEEP_ROWS:
         raise ResourceLimitError(

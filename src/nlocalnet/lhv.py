@@ -37,8 +37,8 @@ import math
 from typing import Mapping, NamedTuple
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .topology import (NetworkConfig, NodeId, attachments, extremal_nodes,
-                       intermediate_nodes)
+from .topology import (NetworkConfig, NodeId, check_layout, decimal_text,
+                       extremal_nodes, intermediate_nodes)
 
 # Response-table cells a model built by lhv_best_S may hold: the intermediate
 # tables, 2 * c**m cells each, grow exponentially in m.
@@ -76,10 +76,11 @@ def lhv_best_S(config: NetworkConfig,
     Raises ResourceLimitError before any table or weight vector is built
     when the intermediate tables would hold more than MAX_MODEL_CELLS cells.
     """
-    attachments(config)  # the only validation of the layout
+    check_layout(config)  # the only validation of the layout
     c = alphabet_size
     if c < 1:
-        raise InvalidParameterError(f"alphabet size must be at least 1, got {c}")
+        raise InvalidParameterError(
+            f"alphabet size must be at least 1, got {decimal_text(c)}")
     # Every intermediate node holds m sources, so the l tables hold
     # 2 * l * c**m cells; the exponent is finite for any Python int c.
     cell_bits = 1 + math.log2(config.l) + config.m * math.log2(c)

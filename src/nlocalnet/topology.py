@@ -5,15 +5,18 @@ particles each and p extremal nodes holding a single particle, with
 l = (2n - p) / m.  The node/source incidence structure must form a tree:
 every source bridges exactly two nodes, extremal nodes touch one source,
 intermediate nodes touch m of them, and the whole picture is connected
-with no cycles.  validate checks the tree in its one pass over the edge
-map: each source joins its two nodes in a union-find over the nodes, the
-remaining components show whether the network is connected, and it has a
-cycle exactly when n exceeds the node count minus the component count.
+with no cycles.  validate lists what breaks these rules and check_layout
+raises on them, both from one pass over the edge map: it counts each
+node's sources, and each source joins its two nodes in a union-find over
+the nodes; the remaining components show whether the network is connected,
+and it has a cycle exactly when n exceeds the node count minus the
+component count.
 
 Node names follow the "A<i>" / "B<j>" convention of the JSON topology
-files: intermediate nodes are A1..Al, extremal nodes B1..Bp.  Edge
-endpoint order is meaningful downstream: the first listed endpoint of a
-source receives qubit 0 of that source's pair.
+files: intermediate nodes are A1..Al, extremal nodes B1..Bp.  Edge endpoint
+order matters only to the tests' statevector oracle, where the first listed
+endpoint of a source receives qubit 0 of that source's pair; the package's
+answers ignore it.
 """
 
 import json
@@ -68,15 +71,15 @@ class NodeId(NamedTuple):
     @property
     def name(self) -> str:
         prefix = "A" if self.kind == INTERMEDIATE else "B"
-        return f"{prefix}{_decimal(self.index)}"
+        return f"{prefix}{decimal_text(self.index)}"
 
 
 class NetworkConfig(NamedTuple):
     """An (n, m, p) layout; the edge map sends each source to its two endpoints.
 
-    Values are treated as immutable once built.  Endpoint order fixes the
-    qubit assignment: qubit 0 of a source's pair sits at the first listed
-    endpoint.
+    Values are treated as immutable once built.  Endpoint order matters only
+    to the tests' statevector oracle, which puts qubit 0 of a source's pair
+    at the first listed endpoint; the package's answers ignore it.
     """
 
     n: int
@@ -116,10 +119,18 @@ def validate(config: NetworkConfig) -> list[str]:
     remains, and acyclic when every source merged two components, that is
     when n equals the node count minus the component count.
     """
-    return _walk(config)[0]
+    return _walk(config)
 
 
-def _decimal(value: int) -> str:
+def check_layout(config: NetworkConfig) -> None:
+    """Raise InvalidParameterError naming every issue validate reports; the
+    answer path's one check of a layout."""
+    issues = _walk(config)
+    if issues:
+        raise InvalidParameterError("invalid network layout: " + "; ".join(issues))
+
+
+def decimal_text(value: int) -> str:
     """str(value), or '<k-bit integer>' (signed) past str()'s digit limit."""
     try:
         return str(value)
@@ -127,21 +138,20 @@ def _decimal(value: int) -> str:
         return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
 
 
-def _walk(config: NetworkConfig) -> tuple[list[str], dict[NodeId, list[int]]]:
-    # One pass over the edge map: the issues, and each node's sources in
-    # ascending order (the order attachments promises).
+def _walk(config: NetworkConfig) -> list[str]:
+    # One pass over the edge map, counting each node's sources.
     issues: list[str] = []
     n, m, p = config.n, config.m, config.p
     if n < 2:
-        issues.append(f"source count n must be at least 2, got {_decimal(n)}")
+        issues.append(f"source count n must be at least 2, got {decimal_text(n)}")
     if m < 2:
         issues.append(
-            f"particles per intermediate node m must be at least 2, got {_decimal(m)}")
+            f"particles per intermediate node m must be at least 2, got {decimal_text(m)}")
     if p < 2:
-        issues.append(f"extremal node count p must be at least 2, got {_decimal(p)}")
+        issues.append(f"extremal node count p must be at least 2, got {decimal_text(p)}")
     if p > n:
-        issues.append(f"extremal node count p={_decimal(p)} exceeds source count "
-                      f"n={_decimal(n)}")
+        issues.append(f"extremal node count p={decimal_text(p)} exceeds source count "
+                      f"n={decimal_text(n)}")
 
     l = None
     if m >= 1:
@@ -149,8 +159,8 @@ def _walk(config: NetworkConfig) -> tuple[list[str], dict[NodeId, list[int]]]:
             l = (2 * n - p) // m
         else:
             issues.append(
-                f"2n - p = {_decimal(2 * n - p)} is not divisible by m = {_decimal(m)}; "
-                "the intermediate node count is not an integer")
+                f"2n - p = {decimal_text(2 * n - p)} is not divisible by "
+                f"m = {decimal_text(m)}; the intermediate node count is not an integer")
 
     # Each range below is built only when its size matches a count of
     # objects already in memory, never from a size read from a file.
@@ -160,18 +170,16 @@ def _walk(config: NetworkConfig) -> tuple[list[str], dict[NodeId, list[int]]]:
     # Nodes get positions 0, 1, ... in order of first sight; parent is a
     # union-find forest over the positions, and each source joins its ends.
     position: dict[NodeId, int] = {}
-    sources: list[list[int]] = []
     parent = list(range(2 * len(config.edges)))
+    degrees = [0] * len(parent)
     merges = 0
     for r in sorted(config.edges):
         u, v = config.edges[r]
         i, j = position.setdefault(u, len(position)), position.setdefault(v, len(position))
         if i == j:
             issues.append(f"source {r} has both particles at node {u.name}")
-        for k in (i, j):
-            if k == len(sources):
-                sources.append([])
-            sources[k].append(r)
+        degrees[i] += 1
+        degrees[j] += 1
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         while parent[j] != j:
@@ -185,35 +193,30 @@ def _walk(config: NetworkConfig) -> tuple[list[str], dict[NodeId, list[int]]]:
     if l is not None and (len(seen_inter) != max(l, 0)
                           or seen_inter != list(range(1, l + 1))):
         issues.append(
-            f"intermediate nodes must be exactly A1..A{_decimal(l)}, found "
+            f"intermediate nodes must be exactly A1..A{decimal_text(l)}, found "
             f"{[NodeId.intermediate(i).name for i in seen_inter]}")
     if len(seen_extr) != max(p, 0) or seen_extr != list(range(1, p + 1)):
         issues.append(
-            f"extremal nodes must be exactly B1..B{_decimal(p)}, found "
+            f"extremal nodes must be exactly B1..B{decimal_text(p)}, found "
             f"{[NodeId.extremal(j).name for j in seen_extr]}")
 
     for node in sorted(position):
+        if node.kind not in (INTERMEDIATE, EXTREMAL):
+            issues.append(f"node of kind {node.kind!r} and index {decimal_text(node.index)} "
+                          f"is neither {INTERMEDIATE} nor {EXTREMAL}")
+            continue
         want = m if node.kind == INTERMEDIATE else 1
-        degree = len(sources[position[node]])
+        degree = degrees[position[node]]
         if degree != want:
             issues.append(
-                f"node {node.name} touches {degree} sources, expected {_decimal(want)}")
+                f"node {node.name} touches {degree} sources, expected {decimal_text(want)}")
 
     if len(config.edges) > merges:
         issues.append("the node/source incidence graph contains a cycle")
     components = len(position) - merges
     if components > 1:
         issues.append(f"the network is disconnected ({components} components)")
-    return issues, {node: sources[i] for node, i in position.items()}
-
-
-def attachments(config: NetworkConfig) -> dict[NodeId, tuple[int, ...]]:
-    """Each node's sources in ascending order, for a valid layout: m for an
-    intermediate node, one for an extremal node."""
-    issues, sources = _walk(config)
-    if issues:
-        raise InvalidParameterError("invalid network layout: " + "; ".join(issues))
-    return {node: tuple(rs) for node, rs in sources.items()}
+    return issues
 
 
 def parse_config(text: str) -> NetworkConfig:

@@ -24,7 +24,8 @@ lhv_evaluate_S, the factorized classical contraction of the lhv module
 docstring: it sums one product per symbol tuple instead of enumerating the
 inputs, and the tests check it against the enumeration of lhv_distribution.
 Both visit only symbols of nonzero weight, under one cap on the symbol
-tuples, MAX_SUPPORT_TUPLES.
+tuples, MAX_SUPPORT_TUPLES.  They read each node's sources from attachments;
+the package only checks a layout (check_layout) and builds no such map.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from nlocalnet import (EvaluationResult, InvalidParameterError, LHVModel,
-                       NetworkConfig, NodeId, ResourceLimitError, attachments,
-                       extremal_nodes, intermediate_nodes)
+                       NetworkConfig, NodeId, ResourceLimitError, extremal_nodes,
+                       intermediate_nodes)
 from nlocalnet.inequality import check_angles
-from nlocalnet.topology import INTERMEDIATE
+from nlocalnet.topology import INTERMEDIATE, check_layout
 
 STATEVECTOR_MAX_SOURCES = 6
 # The enumeration oracle visits 2^p extremal inputs; refuse layouts beyond this.
@@ -153,7 +154,7 @@ def source_state(theta: float) -> np.ndarray:
 
 def _require_inputs(config: NetworkConfig, thetas: Sequence[float],
                     alphas: Sequence[float], assignment: SettingAssignment) -> None:
-    attachments(config)  # validates the layout
+    check_layout(config)
     check_angles(config, thetas, alphas)
     assignment.check(config)
 
@@ -262,6 +263,18 @@ def joint_distribution(config: NetworkConfig, thetas: Sequence[float],
         tuple((code >> (width - 1 - k)) & 1 for k in range(width)): float(masses[code])
         for code in range(2 ** width)
     }
+
+
+def attachments(config: NetworkConfig) -> dict[NodeId, tuple[int, ...]]:
+    """Each node's sources in ascending order, for a layout that passes
+    check_layout: m for an intermediate node, one for an extremal node.  Keys
+    come in order of first sight, walking the sources in ascending order."""
+    check_layout(config)
+    sources: dict[NodeId, list[int]] = {}
+    for r in sorted(config.edges):
+        for node in config.edges[r]:
+            sources.setdefault(node, []).append(r)
+    return {node: tuple(rs) for node, rs in sources.items()}
 
 
 def validate_model(config: NetworkConfig,

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -749,7 +750,21 @@ def test_import_pulls_in_no_scipy(tmp_path):
     """
     done = run_fresh(code, str(tmp_path / "chain2.json"), str(tmp_path / "model.json"))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "23 [0, 0, 0, 0, 0, 0] []"
+    assert done.stdout.strip() == "22 [0, 0, 0, 0, 0, 0] []"
+
+
+def test_the_bare_install_script_passes(tmp_path):
+    """ci/bare_install.sh, the bare-install CI job's checks, run with this
+    interpreter as the nlocalnet command.  -S leaves out site-packages and
+    its .pth hooks, as a bare install has none; a hook may import pathlib,
+    which the script refuses at start-up."""
+    script = Path(__file__).resolve().parents[1] / "ci" / "bare_install.sh"
+    src = Path(nlocalnet.cli.__file__).resolve().parents[1]
+    done = subprocess.run(["bash", str(script), sys.executable, "-S", "-m", "nlocalnet"],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.endswith("bare install: every check passed\n")
 
 
 LAYOUT_MODULES = {"nlocalnet", "nlocalnet.cli", "nlocalnet.errors", "nlocalnet.topology"}

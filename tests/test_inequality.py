@@ -90,6 +90,10 @@ def test_closed_form_S_examples():
     with pytest.raises(InvalidParameterError,
                        match="need exactly p = 2 extremal angles, got 3"):
         closed_form_S([0.7, 1.1], [0.0, 0.0, 0.0], 2)
+    # a p past str()'s 4300 digits prints as its bit length
+    with pytest.raises(InvalidParameterError) as excinfo:
+        closed_form_S([0.1], [0.1], 10 ** 5000)
+    assert str(excinfo.value) == "need exactly p = <16610-bit integer> extremal angles, got 1"
 
 
 def test_closed_form_smax_examples():
@@ -105,6 +109,10 @@ def test_closed_form_smax_examples():
         with pytest.raises(InvalidParameterError,
                            match=f"extremal node count p must be positive, got {p}$"):
             closed_form_smax([PI / 4, PI / 4], p)
+    with pytest.raises(InvalidParameterError) as excinfo:
+        closed_form_smax([0.1], -10 ** 5000)
+    assert str(excinfo.value) == \
+        "extremal node count p must be positive, got -<16610-bit integer>"
 
 
 def test_evaluate_matches_closed_form_on_random_instances():

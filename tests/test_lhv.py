@@ -8,11 +8,11 @@ import pytest
 
 from helpers import bits, brute_force_best_I, random_lhv_model
 from nlocalnet import (InvalidParameterError, LHVModel, NodeId, ResourceLimitError,
-                       attachments, build_chain, build_star, build_tree,
-                       extremal_nodes, lhv_best_S, model_to_jsonable)
+                       build_chain, build_star, build_tree, extremal_nodes,
+                       lhv_best_S, model_to_jsonable)
 from nlocalnet.lhv import MAX_MODEL_CELLS
 from oracles import (MAX_OUTCOME_BITS, MAX_SUPPORT_TUPLES, SettingAssignment,
-                     distribution_correlator, evaluate_S_from_correlator,
+                     attachments, distribution_correlator, evaluate_S_from_correlator,
                      lhv_distribution, lhv_evaluate_S, validate_model)
 
 
@@ -157,6 +157,14 @@ def test_best_S_single_symbol_alphabet():
     assert best == pytest.approx(1.0, abs=1e-9)
     result = lhv_evaluate_S(build_chain(2), model)
     assert abs(result.i0) in (0.0, 1.0) and abs(result.i1) in (0.0, 1.0)
+
+
+def test_best_S_describes_an_alphabet_size_too_long_to_print():
+    # str() refuses more than 4300 digits; the message prints the bit length
+    for c, shown in ((0, "0"), (-10 ** 5000, "-<16610-bit integer>")):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            lhv_best_S(build_chain(2), alphabet_size=c)
+        assert str(excinfo.value) == f"alphabet size must be at least 1, got {shown}"
 
 
 def test_best_S_resource_cap():

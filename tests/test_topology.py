@@ -2,19 +2,20 @@ import json
 import re
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlocalnet.topology
-from helpers import run_fresh
+from helpers import random_config, run_fresh
 from nlocalnet import (InvalidParameterError, NetworkConfig, NodeId,
-                       ResourceLimitError, attachments, build_chain,
-                       build_star, build_tree, intermediate_nodes, parse_config,
+                       ResourceLimitError, build_chain, build_star, build_tree,
+                       extremal_nodes, intermediate_nodes, parse_config,
                        serialize_config, validate)
 from nlocalnet.cli import main
-from nlocalnet.topology import EXTREMAL, INTERMEDIATE, MAX_SOURCES
-from oracles import evaluate_S_from_correlator
+from nlocalnet.topology import EXTREMAL, INTERMEDIATE, MAX_SOURCES, check_layout
+from oracles import attachments, evaluate_S_from_correlator
 
 
 def incidence_graph(config):
@@ -229,7 +230,7 @@ def test_validate_reports_degrees_extremal_first_then_by_index():
 def test_attachments_rejects_invalid_config():
     config = NetworkConfig(n=5, m=3, p=2, edges=build_chain(5).edges)
     with pytest.raises(InvalidParameterError):
-        attachments(config)
+        check_layout(config)
     # the counting conditions that no other layout here breaks
     edges = build_chain(3).edges
     for (n, m, p), fragment in (
@@ -237,7 +238,53 @@ def test_attachments_rejects_invalid_config():
             ((3, 2, 1), "extremal node count p must be at least 2, got 1"),
             ((4, 2, 2), "edge map must assign exactly the sources 1..n")):
         with pytest.raises(InvalidParameterError, match=re.escape(fragment)):
-            attachments(NetworkConfig(n=n, m=m, p=p, edges=edges))
+            check_layout(NetworkConfig(n=n, m=m, p=p, edges=edges))
+
+
+def test_validate_names_a_node_of_neither_kind():
+    # NodeId.parse makes only the two kinds; a program can build any other
+    weird = NodeId("weird", 1)
+    b1, b2 = NodeId.extremal(1), NodeId.extremal(2)
+    config = NetworkConfig(n=2, m=2, p=2, edges={1: (b1, weird), 2: (weird, b2)})
+    issues = ["intermediate nodes must be exactly A1..A1, found []",
+              "node of kind 'weird' and index 1 is neither intermediate nor extremal"]
+    assert validate(config) == issues
+    with pytest.raises(InvalidParameterError) as excinfo:
+        check_layout(config)
+    assert str(excinfo.value) == "invalid network layout: " + "; ".join(issues)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["intact", "end moved", "source dropped"]))
+def test_check_layout_raises_exactly_when_validate_reports(seed, damage):
+    rng = np.random.default_rng(seed)
+    config = random_config(rng)
+    edges = dict(config.edges)
+    r = int(rng.integers(1, config.n + 1))
+    if damage == "end moved":
+        # to any other node of the layout: the node it leaves loses a source
+        nodes = sorted({node for ends in edges.values() for node in ends} - {edges[r][0]})
+        edges[r] = (nodes[int(rng.integers(0, len(nodes)))], edges[r][1])
+    elif damage == "source dropped":
+        del edges[r]
+    config = config._replace(edges=edges)
+    issues = validate(config)
+    assert bool(issues) == (damage != "intact")
+    if issues:
+        message = "invalid network layout: " + "; ".join(issues)
+        for check in (check_layout, attachments):
+            with pytest.raises(InvalidParameterError) as excinfo:
+                check(config)
+            assert str(excinfo.value) == message
+        return
+    assert check_layout(config) is None
+    attach = attachments(config)
+    assert sorted(attach) == sorted(intermediate_nodes(config) + extremal_nodes(config))
+    assert sorted(source for sources in attach.values() for source in sources) \
+        == sorted(2 * list(range(1, config.n + 1)))
+    assert all(len(sources) == (config.m if node.kind == INTERMEDIATE else 1)
+               for node, sources in attach.items())
+    assert all(list(sources) == sorted(sources) for sources in attach.values())
 
 
 @pytest.mark.parametrize("call", [
