@@ -10,11 +10,13 @@
 # they write to --output; the option parser takes a prefix, "=" with a
 # leading minus sign and "--"; evaluate prints the same bytes on chain(3)
 # and on a relabelled chain(3); a --p of 4300 nines, whose 2n - p has one
-# digit more than str() converts, exits 2 with one line on stderr; no
-# subcommand imports __future__, getopt, gettext or pathlib (a plain
-# interpreter imports none of them at start-up), and lhv does not import
-# nlocalnet.inequality.  Imports are listed by PYTHONPROFILEIMPORTTIME,
-# the environment form of python -X importtime.
+# digit more than str() converts, exits 2 with one line on stderr; lhv on
+# star(24), given --alphabet-size and --grid-steps (read and ignored),
+# exits 0 with "best_s": 1.0; no subcommand imports __future__, getopt,
+# gettext or pathlib (a plain interpreter imports none of them at
+# start-up), and lhv does not import nlocalnet.inequality.  Imports are
+# listed by PYTHONPROFILEIMPORTTIME, the environment form of python -X
+# importtime.
 set -euo pipefail
 if [ "$#" -eq 0 ]; then
   echo "usage: $0 COMMAND [ARG...]   (the command that runs nlocalnet)" >&2
@@ -40,6 +42,11 @@ cmp chain3.json chain3.dashes
 "${nlocalnet[@]}" evaluate --topology chain3.json --theta 0.1,0.2,0.3 --alpha 0.4,0.5 > chain3.evaluate
 "${nlocalnet[@]}" evaluate --topology relabelled.json --theta 0.1,0.2,0.3 --alpha 0.4,0.5 > relabelled.evaluate
 cmp chain3.evaluate relabelled.evaluate
+"${nlocalnet[@]}" generate star --n 24 --output star24.json
+"${nlocalnet[@]}" lhv --topology star24.json --alphabet-size 3 --grid-steps 6 > star24.lhv
+if ! grep -q '"best_s": 1.0' star24.lhv; then
+  echo "lhv on star(24) must print \"best_s\": 1.0"; exit 1
+fi
 
 status=0
 "${nlocalnet[@]}" generate custom --n 3 --m 2 --p "-$(printf '9%.0s' $(seq 4300))" \

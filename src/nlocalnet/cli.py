@@ -201,13 +201,8 @@ def _cmd_lhv(args: SimpleNamespace) -> int:
     from .lhv import lhv_best_S, model_to_jsonable
 
     config = _read_config(args.topology)  # lhv_best_S validates it
-    best, model = lhv_best_S(config, alphabet_size=args.alphabet_size)
-    report = {
-        "best_s": best,
-        "bound": 1,
-        "alphabet_size": args.alphabet_size,
-        "weight_grid_steps": args.grid_steps,
-    }
+    best, model = lhv_best_S(config)
+    report = {"best_s": best, "bound": 1}
     if args.output:
         text = json.dumps(model_to_jsonable(model), indent=2, allow_nan=False) + "\n"
         _write(args.output, lambda sink: sink.write(text))
@@ -251,9 +246,8 @@ _COMMANDS = {
     "lhv": (_cmd_lhv, "best classical witness (the closed-form bound 1) and the "
                       "vertex model reaching it", None, {
         "topology": _TOPOLOGY,
-        "alphabet-size": ("C", int, 2, False, "symbols per source"),
-        "grid-steps": ("K", int, 11, False,
-                       "ignored: only echoed in the report; to be removed"),
+        "alphabet-size": ("C", int, None, False, "ignored (an integer); to be removed"),
+        "grid-steps": ("K", int, None, False, "ignored (an integer); to be removed"),
         "output": ("FILE", str, None, False, "dump the model as JSON to this file")}),
 }
 _HELP = """usage: nlocalnet COMMAND [options]

@@ -40,6 +40,7 @@ to rounding (within 1e-12).
 """
 
 import math
+import operator
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
@@ -141,8 +142,9 @@ def closed_form_S(thetas: Sequence[float], alphas: Sequence[float],
 
     |prod cos(alpha_j)|^(1/p) + |prod sin(alpha_j) prod sin(2 theta_r)|^(1/p);
     evaluate_S(config, thetas, alphas).s on any valid layout with p extremal
-    nodes, bit for bit.
+    nodes, bit for bit.  p must be an int (operator.index).
     """
+    p = operator.index(p)
     if p < 1 or len(alphas) != p:
         raise InvalidParameterError(
             f"need exactly p = {decimal_text(p)} extremal angles, got {len(alphas)}")
@@ -159,11 +161,19 @@ def closed_form_smax(thetas: Sequence[float], p: int) -> tuple[float, float]:
     It is the optimum over per-node angles as well: Hoelder's inequality gives
     (prod |cos a_j|)^(1/p) + (prod K |sin a_j|)^(1/p)
     <= prod (|cos a_j| + K |sin a_j|)^(1/p) <= sqrt(1 + K^2).
-    Returns (smax, alpha_star).
+    Returns (smax, alpha_star).  p must be an int (operator.index) that a
+    double can hold.
     """
+    p = operator.index(p)
     if p < 1:
         raise InvalidParameterError(
             f"extremal node count p must be positive, got {decimal_text(p)}")
+    try:
+        float(p)  # _root divides by p
+    except OverflowError:
+        raise InvalidParameterError(
+            f"extremal node count p = {decimal_text(p)} is too large for a double"
+        ) from None
     _check_source_angles(thetas)
     return _smax_at(_root(exact_product([math.sin(2.0 * t) for t in thetas]), p))
 

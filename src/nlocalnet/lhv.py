@@ -21,8 +21,9 @@ P_j the weight of the source at extremal node j.  Input-0 rows enter only I0
 and input-1 rows only I1, so with q_j = P_j(g_1j != 0) the best witness is
 (prod (1 - q_j))^(1/p) + (prod q_j)^(1/p) <= 1 by the inequality of arithmetic
 and geometric means (the Hoelder step of closed_form_smax), with equality when
-the q_j are equal.  The vertex model, mass 1 on symbol 0 and all-zero tables,
-has q_j = 0: I0 = 1, I1 = 0 and S = 1 exactly on every layout and alphabet.
+the q_j are equal.  The bound holds on every alphabet, and the vertex model
+reaches it on one symbol: every source on symbol 0 and every table all zeros
+gives q_j = 0, so I0 = 1, I1 = 0 and S = 1 exactly on every layout.
 This is the argument of Branciard, Rosset, Gisin, Pironio, PRA 85, 032119
 (2012) for the bilocal chain, Tavakoli, Skrzypczyk, Cavalcanti, Acin, PRA 90,
 062109 (2014) for the star and Rosset et al., PRL 116, 010403 (2016) for
@@ -33,16 +34,11 @@ layouts, and that the sum above, lhv_evaluate_S in tests/oracles.py, gives
 I0 = 1, I1 = 0 on the vertex model.
 """
 
-import math
 from typing import Mapping, NamedTuple
 
-from .errors import InvalidParameterError, ResourceLimitError
-from .topology import (NetworkConfig, NodeId, check_layout, decimal_text,
-                       extremal_nodes, intermediate_nodes)
+from .topology import (NetworkConfig, NodeId, check_layout, extremal_nodes,
+                       intermediate_nodes)
 
-# Response-table cells a model built by lhv_best_S may hold: the intermediate
-# tables, 2 * c**m cells each, grow exponentially in m.
-MAX_MODEL_CELLS = 20_000_000
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # table bits -> "0"/"1" text
 
 
@@ -61,40 +57,25 @@ class LHVModel(NamedTuple):
     extremal: Mapping[NodeId, tuple[bytes, bytes]]
 
 
-def lhv_best_S(config: NetworkConfig,
-               alphabet_size: int = 2) -> tuple[float, LHVModel]:
+def lhv_best_S(config: NetworkConfig) -> tuple[float, LHVModel]:
     """The best classical witness, S = 1, and the vertex model that reaches it.
 
     Not a search: the bound has the closed form derived in the module
-    docstring, and the vertex model reaches it on every layout and alphabet.
-    Every source puts weight (1, 0, ..., 0) on the alphabet and every
-    response table is all zeros, so I0 = 1 and I1 = 0.  The proved bound 1.0
-    is returned as it is; the model is not contracted here (lhv_evaluate_S
-    in tests/oracles.py gives (1.0, 0.0) on it).  The layout is validated
-    once, first; the model is built to match it and is not checked again.
-
-    Raises ResourceLimitError before any table or weight vector is built
-    when the intermediate tables would hold more than MAX_MODEL_CELLS cells.
+    docstring, and it holds on every alphabet.  The vertex model reaches it
+    on one symbol: every weight is (1.0,) and every table row is one cell
+    holding 0, so I0 = 1 and I1 = 0, and the model holds 2 * (l + p)
+    cells.  The proved bound 1.0 is returned as it is; the model is not
+    contracted here (lhv_evaluate_S in tests/oracles.py gives (1.0, 0.0) on
+    it).  The layout is validated once, first; the model is built to match
+    it and is not checked again.
     """
     check_layout(config)  # the only validation of the layout
-    c = alphabet_size
-    if c < 1:
-        raise InvalidParameterError(
-            f"alphabet size must be at least 1, got {decimal_text(c)}")
-    # Every intermediate node holds m sources, so the l tables hold
-    # 2 * l * c**m cells; the exponent is finite for any Python int c.
-    cell_bits = 1 + math.log2(config.l) + config.m * math.log2(c)
-    cap_bits = math.log2(MAX_MODEL_CELLS)
-    if cell_bits > cap_bits:
-        raise ResourceLimitError(
-            f"the classical model needs 2^{cell_bits:.6g} response-table "
-            f"cells, above the cap 2^{cap_bits:.6g}")
+    zeros = (b"\x00", b"\x00")
     model = LHVModel(
-        alphabet_size=c,
-        weights={r: (1.0,) + (0.0,) * (c - 1) for r in range(1, config.n + 1)},
-        intermediate={node: (bytes(c ** config.m),) * 2
-                      for node in intermediate_nodes(config)},
-        extremal={node: (bytes(c),) * 2 for node in extremal_nodes(config)})
+        alphabet_size=1,
+        weights={r: (1.0,) for r in range(1, config.n + 1)},
+        intermediate=dict.fromkeys(intermediate_nodes(config), zeros),
+        extremal=dict.fromkeys(extremal_nodes(config), zeros))
     return 1.0, model
 
 

@@ -70,7 +70,10 @@ class NodeId(NamedTuple):
 
     @property
     def name(self) -> str:
-        prefix = "A" if self.kind == INTERMEDIATE else "B"
+        """'A<index>' or 'B<index>'; a node of any other kind is named by
+        the repr of its kind, as 'weird':1, so it never reads as either."""
+        kind = self.kind
+        prefix = "A" if kind == INTERMEDIATE else "B" if kind == EXTREMAL else f"{kind!r}:"
         return f"{prefix}{decimal_text(self.index)}"
 
 

@@ -132,7 +132,7 @@ def test_criterion_6_classical_bound_certification():
     for name, config in (("chain(2)", build_chain(2)),
                          ("star(3)", build_star(3))):
         start = time.perf_counter()
-        best, _ = lhv_best_S(config, alphabet_size=2)
+        best, _ = lhv_best_S(config)
         elapsed = time.perf_counter() - start
         ok = best == 1.0 and elapsed < 300.0
         passed = passed and ok

@@ -3,8 +3,8 @@
 Every run must end with a documented exit code (0, 2, 3 or 4) and no other
 exception.  Stdout must be strict JSON (no NaN or Infinity), a CSV table of
 finite numbers, or the validate report; a failure (2 or 4) writes exactly one
-line to stderr.  Inputs stay small: layouts have at most four sources, and
-`lhv` builds the vertex model, whose size cap only a huge alphabet reaches.
+line to stderr.  Inputs stay small: layouts have at most four sources.
+`lhv` reads --alphabet-size and --grid-steps as integers and ignores them.
 The raw-text topology documents, the edge actions and the byte prefix are
 drawn rarely, so explicit tests also run each of them through every
 subcommand that reads a topology.  The options sometimes come from an @FILE

@@ -94,6 +94,12 @@ def test_closed_form_S_examples():
     with pytest.raises(InvalidParameterError) as excinfo:
         closed_form_S([0.1], [0.1], 10 ** 5000)
     assert str(excinfo.value) == "need exactly p = <16610-bit integer> extremal angles, got 1"
+    # p goes through operator.index: a float p is a TypeError, and an int-like
+    # p gives the bits of its int
+    with pytest.raises(TypeError):
+        closed_form_S([0.1, 0.2], [0.3, 0.4], 2.5)
+    assert closed_form_S([0.1, 0.2], [0.3, 0.4], np.int64(2)) \
+        == closed_form_S([0.1, 0.2], [0.3, 0.4], 2)
 
 
 def test_closed_form_smax_examples():
@@ -113,6 +119,21 @@ def test_closed_form_smax_examples():
         closed_form_smax([0.1], -10 ** 5000)
     assert str(excinfo.value) == \
         "extremal node count p must be positive, got -<16610-bit integer>"
+    # p goes through operator.index, as in closed_form_S
+    with pytest.raises(TypeError):
+        closed_form_smax([0.1, 0.2], 2.5)
+    assert closed_form_smax([0.1, 0.2], np.int64(2)) == closed_form_smax([0.1, 0.2], 2)
+    assert closed_form_smax([0.1, 0.2], True) == closed_form_smax([0.1, 0.2], 1)
+    # 1 / p needs p as a double: a larger p is refused by name, not by an
+    # OverflowError from the division, and the largest int that rounds to a
+    # finite double is still served
+    for p, shown in ((10 ** 400, "1" + "0" * 400),
+                     (2 ** 1024 - 2 ** 969, str(2 ** 1024 - 2 ** 969)),
+                     (10 ** 5000, "<16610-bit integer>")):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            closed_form_smax([0.1, 0.2], p)
+        assert str(excinfo.value) == f"extremal node count p = {shown} is too large for a double"
+    assert closed_form_smax([0.1], 2 ** 1024 - 2 ** 970 - 1) == (math.sqrt(2.0), PI / 4)
 
 
 def test_evaluate_matches_closed_form_on_random_instances():

@@ -9,8 +9,7 @@ import pytest
 from helpers import bits, brute_force_best_I, random_lhv_model
 from nlocalnet import (InvalidParameterError, LHVModel, NodeId, ResourceLimitError,
                        build_chain, build_star, build_tree, extremal_nodes,
-                       lhv_best_S, model_to_jsonable)
-from nlocalnet.lhv import MAX_MODEL_CELLS
+                       intermediate_nodes, lhv_best_S, model_to_jsonable)
 from oracles import (MAX_OUTCOME_BITS, MAX_SUPPORT_TUPLES, SettingAssignment,
                      attachments, distribution_correlator, evaluate_S_from_correlator,
                      lhv_distribution, lhv_evaluate_S, validate_model)
@@ -134,17 +133,15 @@ def test_validate_model_rejects_bad_shapes_and_weights():
 
 
 def test_best_S_chain2_reaches_the_bound():
-    best, model = lhv_best_S(build_chain(2), alphabet_size=2)
+    best, model = lhv_best_S(build_chain(2))
     assert best == 1.0
     # self-consistency: the returned model reproduces the returned value
     assert lhv_evaluate_S(build_chain(2), model).s == best
 
 
 def test_best_S_never_exceeds_bound_on_small_layouts():
-    for config, c in ((build_chain(2), 2), (build_chain(2), 3),
-                      (build_chain(3), 2), (build_star(3), 2),
-                      (build_tree(3, 3), 2), (build_tree(3, 3), 1)):
-        best, model = lhv_best_S(config, alphabet_size=c)
+    for config in (build_chain(2), build_chain(3), build_star(3), build_tree(3, 3)):
+        best, model = lhv_best_S(config)
         assert best <= 1.0 + 1e-12
         assert abs(lhv_evaluate_S(config, model).s - best) <= 1e-12
         for weights in model.weights.values():
@@ -153,32 +150,19 @@ def test_best_S_never_exceeds_bound_on_small_layouts():
 
 
 def test_best_S_single_symbol_alphabet():
-    best, model = lhv_best_S(build_chain(2), alphabet_size=1)
-    assert best == pytest.approx(1.0, abs=1e-9)
-    result = lhv_evaluate_S(build_chain(2), model)
-    assert abs(result.i0) in (0.0, 1.0) and abs(result.i1) in (0.0, 1.0)
-
-
-def test_best_S_describes_an_alphabet_size_too_long_to_print():
-    # str() refuses more than 4300 digits; the message prints the bit length
-    for c, shown in ((0, "0"), (-10 ** 5000, "-<16610-bit integer>")):
-        with pytest.raises(InvalidParameterError) as excinfo:
-            lhv_best_S(build_chain(2), alphabet_size=c)
-        assert str(excinfo.value) == f"alphabet size must be at least 1, got {shown}"
-
-
-def test_best_S_resource_cap():
-    # star(24): one hub table of 2 * 2^24 cells, just above the cap
-    for config, c in ((build_star(24), 2), (build_star(200), 2),
-                      (build_chain(2), 10 ** 400)):
-        start = time.perf_counter()
-        with pytest.raises(ResourceLimitError) as excinfo:
-            lhv_best_S(config, alphabet_size=c)
-        assert time.perf_counter() - start < 0.1
-        message = str(excinfo.value)
-        assert "2^" in message and "inf" not in message and "nan" not in message
-        needed = float(message.split("needs 2^")[1].split()[0])
-        assert math.log2(MAX_MODEL_CELLS) < needed < math.inf
+    # the vertex model: one symbol, weight (1.0,) per source, and every table
+    # row the one cell 0, on every node of the layout
+    for config in (build_chain(2), build_star(5), build_tree(15, 3)):
+        best, model = lhv_best_S(config)
+        assert best == 1.0
+        assert model.alphabet_size == 1
+        assert model.weights == {r: (1.0,) for r in range(1, config.n + 1)}
+        zeros = (b"\x00", b"\x00")
+        assert model.intermediate == dict.fromkeys(intermediate_nodes(config), zeros)
+        assert model.extremal == dict.fromkeys(extremal_nodes(config), zeros)
+        validate_model(config, model)
+        result = lhv_evaluate_S(config, model)
+        assert (result.i0, result.i1) == (1.0, 0.0)
 
 
 def traced_peak(call) -> int:
@@ -191,19 +175,12 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_best_S_cap_fires_before_the_model_is_built():
-    # star(24)'s hub table would hold 2 * 2^24 one-byte cells (33 MB); the
-    # refusals must stay under 1 MB.  star(23) is built and peaks far above
-    # that, so the measurement sees a table when one is made; its 2^23-byte
-    # rows are shared, so validating them must not copy one either.
-    def refuse(config, c):
-        with pytest.raises(ResourceLimitError):
-            lhv_best_S(config, alphabet_size=c)
-
-    for config, c in ((build_star(24), 2), (build_chain(2), 10 ** 400)):
-        assert traced_peak(lambda: refuse(config, c)) < 2 ** 20
-    star23 = build_star(23)
-    assert 2 ** 23 < traced_peak(lambda: lhv_best_S(star23)) < 1.25 * 2 ** 23
+def test_best_S_builds_no_table_wider_than_one_cell():
+    # a hub row of c^m cells would take 2^23 bytes on star(23) at c = 2; the
+    # one-symbol models of star(23) and star(1000) stay under 1 MB
+    for n in (23, 1000):
+        config = build_star(n)
+        assert traced_peak(lambda: lhv_best_S(config)) < 2 ** 20
 
 
 def test_best_S_is_exactly_one_on_larger_layouts():
@@ -235,7 +212,7 @@ def test_best_S_equals_naive_enumeration_single_symbol():
     # c=1 keeps the raw model space tiny (4 tables per node, fixed weights),
     # so the closed form can be checked against plain enumeration
     config = build_chain(2)
-    best, _ = lhv_best_S(config, alphabet_size=1)
+    best, _ = lhv_best_S(config)
     naive_best = -1.0
     tables = [bits([[b0], [b1]]) for b0 in (0, 1) for b1 in (0, 1)]
     for hub in tables:
@@ -255,7 +232,7 @@ def test_best_S_dominates_random_raw_models():
     # raw models with grid weights can never beat the closed-form bound
     rng = np.random.default_rng(1234)
     for config in (build_chain(2), build_star(3)):
-        best, _ = lhv_best_S(config, alphabet_size=2)
+        best, _ = lhv_best_S(config)
         hub_width = 2 ** config.m
         for _ in range(250):
             levels = rng.integers(0, 11, size=config.n)
@@ -340,7 +317,7 @@ def test_lhv_evaluate_S_support_cap():
     # chain(8) with eight equally weighted symbols: 8^8 = 2^24 tuples, refused
     # by the contraction and by the distribution oracle alike
     chain8 = build_chain(8)
-    uniform = lhv_best_S(chain8, alphabet_size=8)[1]._replace(
+    uniform = point_mass_model(chain8, c=8)._replace(
         weights={r: (1 / 8,) * 8 for r in range(1, 9)})
     assignment = SettingAssignment.from_bits(chain8, [0] * chain8.l, [0, 0])
     for call in (lambda: lhv_evaluate_S(chain8, uniform),
@@ -354,7 +331,7 @@ def test_lhv_distribution_cap_fires_before_it_allocates():
     # quick and stay under 1 MB.  chain(15), at l + p = 16, is still served.
     def one_symbol(config):
         zeros = SettingAssignment.from_bits(config, [0] * config.l, [0] * config.p)
-        return lhv_best_S(config, alphabet_size=1)[1], zeros
+        return lhv_best_S(config)[1], zeros
 
     config = build_chain(30)
     model, assignment = one_symbol(config)

@@ -252,6 +252,16 @@ def test_validate_names_a_node_of_neither_kind():
     with pytest.raises(InvalidParameterError) as excinfo:
         check_layout(config)
     assert str(excinfo.value) == "invalid network layout: " + "; ".join(issues)
+    # and a message about such a node names it by the repr of its kind, never
+    # as an extremal node B1
+    config = NetworkConfig(n=2, m=2, p=2, edges={1: (weird, weird), 2: (b1, b2)})
+    assert validate(config) == [
+        "source 1 has both particles at node 'weird':1",
+        "intermediate nodes must be exactly A1..A1, found []",
+        "node of kind 'weird' and index 1 is neither intermediate nor extremal",
+        "the node/source incidence graph contains a cycle",
+        "the network is disconnected (2 components)"]
+    assert weird.name == "'weird':1"
 
 
 @settings(max_examples=300, deadline=None)
