@@ -10,9 +10,11 @@
 # they write to --output; the option parser takes a prefix, "=" with a
 # leading minus sign and "--"; evaluate prints the same bytes on chain(3)
 # and on a relabelled chain(3); a --p of 4300 nines, whose 2n - p has one
-# digit more than str() converts, exits 2 with one line on stderr; lhv on
-# star(24), given --alphabet-size and --grid-steps (read and ignored),
-# exits 0 with "best_s": 1.0; no subcommand imports __future__, getopt,
+# digit more than str() converts, exits 2 with one line on stderr;
+# evaluate --bogus exits 2 with one line on stderr and nothing on stdout;
+# --help exits 0 and its first line is "usage: nlocalnet COMMAND [options]";
+# lhv on star(24), given --alphabet-size and --grid-steps (read and
+# ignored), exits 0 with "best_s": 1.0; no subcommand imports __future__, getopt,
 # gettext or pathlib (a plain interpreter imports none of them at
 # start-up), and lhv does not import nlocalnet.inequality.  Imports are
 # listed by PYTHONPROFILEIMPORTTIME, the environment form of python -X
@@ -53,6 +55,16 @@ status=0
   --edges '[]' > huge.stdout 2> huge.stderr || status=$?
 if [ "$status" -ne 2 ] || [ "$(wc -l < huge.stderr)" -ne 1 ] || [ -s huge.stdout ]; then
   echo "generate custom with a 4300-digit --p must exit 2 with one stderr line"; exit 1
+fi
+status=0
+"${nlocalnet[@]}" evaluate --bogus > bogus.stdout 2> bogus.stderr || status=$?
+if [ "$status" -ne 2 ] || [ "$(wc -l < bogus.stderr)" -ne 1 ] || [ -s bogus.stdout ]; then
+  echo "evaluate --bogus must exit 2 with one stderr line and no stdout"; exit 1
+fi
+status=0
+"${nlocalnet[@]}" --help > help.stdout || status=$?
+if [ "$status" -ne 0 ] || [ "$(head -n 1 help.stdout)" != "usage: nlocalnet COMMAND [options]" ]; then
+  echo "--help must exit 0 and start with its usage line"; exit 1
 fi
 
 for args in "generate chain --n 3" "validate --topology chain3.json" \

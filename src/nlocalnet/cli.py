@@ -1,9 +1,12 @@
 """Command-line surface: build layouts, evaluate and maximize the witness,
 run grid sweeps, and build the classical model on the bound.
 
-Exit codes: 0 success, 2 bad input, 3 expected violation absent, 4 resource
-cap hit.  Angles are radians, or multiples of pi with a "pi" suffix
-("0.25pi").  Reports are single-line JSON on stdout; sweeps are CSV.
+main(argv) is the one exit: it returns the exit code, never raises it, and
+for 2 and 4 prints one "error:" or "resource limit:" line on stderr.  The
+codes: 0 success, 2 bad input, 3 expected violation absent, 4 resource cap
+hit.  A usage error is an InvalidParameterError; --help is the handler
+_help, which returns 0.  Angles are radians, or multiples of pi with a "pi"
+suffix ("0.25pi").  Reports are single-line JSON on stdout; sweeps are CSV.
 generate and sweep write --output, or else stdout, through _write once every
 check has passed; files are read through _read_text, capped at MAX_FILE_BYTES.
 
@@ -21,7 +24,7 @@ import math
 import os
 import sys
 from types import SimpleNamespace
-from typing import Callable, NoReturn, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .topology import (NetworkConfig, check_layout, config_from_doc, parse_config,
@@ -63,10 +66,6 @@ def _nine_digits(value: float) -> float:
     return float(f"{value:.9g}")
 
 
-def _json_line(report: dict) -> str:
-    return json.dumps(report, allow_nan=False) + "\n"
-
-
 def _read_text(path: str) -> str:
     """The file as open() in text mode reads it (UTF-8, universal newlines);
     ResourceLimitError once MAX_FILE_BYTES + 1 bytes are read."""
@@ -95,7 +94,9 @@ def _write(output: str | None, write: Callable[[TextIO], object]) -> None:
         write(sys.stdout)
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(report: dict, output: str | None) -> None:
+    """Print report as one line of strict JSON, written to output first if given."""
+    text = json.dumps(report, allow_nan=False) + "\n"
     # The file first: an unwritable path fails before anything is printed.
     if output:
         _write(output, lambda sink: sink.write(text))
@@ -130,9 +131,8 @@ def _cmd_generate(args: SimpleNamespace) -> int:
 
 def _require_params(args: SimpleNamespace, *names: str) -> None:
     for name in names:
-        if getattr(args, name, None) is None:
-            raise InvalidParameterError(
-                f"--{name} is required for kind {args.kind!r}")
+        if getattr(args, name) is None:
+            raise InvalidParameterError(f"--{name} is required for kind {args.kind!r}")
 
 
 def _cmd_validate(args: SimpleNamespace) -> int:
@@ -142,13 +142,6 @@ def _cmd_validate(args: SimpleNamespace) -> int:
         raise InvalidParameterError(f"invalid topology: {len(issues)} issue(s)")
     print("ok")
     return EXIT_OK
-
-
-def _angles(text: str, count: int, name: str) -> list[float]:
-    values = parse_angle_list(text)
-    if len(values) != count:
-        raise InvalidParameterError(f"need {count} {name} values, got {len(values)}")
-    return values
 
 
 def _cmd_evaluate(args: SimpleNamespace) -> int:
@@ -167,7 +160,7 @@ def _cmd_evaluate(args: SimpleNamespace) -> int:
         "violated": result.violated,
         "alpha_star_hint": _nine_digits(alpha_hint),
     }
-    _emit(_json_line(report), args.output)
+    _emit(report, args.output)
     if args.expect_violation and not result.violated:
         return EXIT_EXPECTATION
     return EXIT_OK
@@ -178,14 +171,16 @@ def _cmd_maximize(args: SimpleNamespace) -> int:
 
     config = _read_config(args.topology)
     check_layout(config)
-    thetas = _angles(args.theta, config.n, "theta")
+    thetas = parse_angle_list(args.theta)
+    if len(thetas) != config.n:
+        raise InvalidParameterError(f"need {config.n} theta values, got {len(thetas)}")
     smax, alpha_star = closed_form_smax(thetas, config.p)
     report = {
         "alpha_star": _nine_digits(alpha_star),
         "smax": smax,
         "violated": violates(smax),
     }
-    _emit(_json_line(report), args.output)
+    _emit(report, args.output)
     return EXIT_OK
 
 
@@ -202,53 +197,50 @@ def _cmd_lhv(args: SimpleNamespace) -> int:
 
     config = _read_config(args.topology)  # lhv_best_S validates it
     best, model = lhv_best_S(config)
-    report = {"best_s": best, "bound": 1}
     if args.output:
-        text = json.dumps(model_to_jsonable(model), indent=2, allow_nan=False) + "\n"
-        _write(args.output, lambda sink: sink.write(text))
-    sys.stdout.write(_json_line(report))
+        doc = model_to_jsonable(model)
+
+        def dump(sink: TextIO) -> None:  # written as it is encoded, never held whole
+            json.dump(doc, sink, indent=2, allow_nan=False)
+            sink.write("\n")
+        _write(args.output, dump)
+    _emit({"best_s": best, "bound": 1}, None)
     return EXIT_OK
 
 
-def _usage(message: str) -> NoReturn:
-    """A usage error: one line on stderr, exit 2."""
-    sys.stderr.write(f"error: {message}\n")
-    raise SystemExit(EXIT_INPUT)
-
-
-_TOPOLOGY = ("FILE", str, None, True, "topology JSON file")
-_OUTPUT = ("FILE", str, None, False, "also write the report to this file")
-_THETA = ("LIST", str, None, True, "comma-separated source angles")
+_TOPOLOGY = ("FILE", str, True, "topology JSON file")
+_OUTPUT = ("FILE", str, False, "also write the report to this file")
+_THETA = ("LIST", str, True, "comma-separated source angles")
 
 # Per subcommand: its handler, one line of help, its positional argument as
 # (name, choices) or None, and its options.  An option maps to (metavar,
-# type, default, required, help); a flag has type bool and takes no value.
+# type, required, help); a flag has type bool and takes no value.
 _COMMANDS = {
     "generate": (_cmd_generate, "write a topology JSON file",
                  ("kind", ("chain", "star", "tree", "custom")), {
-        "n": ("N", int, None, False, "source count"),
-        "m": ("M", int, None, False, "particles per intermediate node"),
-        "p": ("P", int, None, False, "extremal node count (custom only)"),
-        "edges": ("JSON", str, None, False, "JSON edge list (custom only)"),
-        "output": ("FILE", str, None, False, "file to write (stdout if omitted)")}),
+        "n": ("N", int, False, "source count"),
+        "m": ("M", int, False, "particles per intermediate node"),
+        "p": ("P", int, False, "extremal node count (custom only)"),
+        "edges": ("JSON", str, False, "JSON edge list (custom only)"),
+        "output": ("FILE", str, False, "file to write (stdout if omitted)")}),
     "validate": (_cmd_validate, "check a topology file", None, {"topology": _TOPOLOGY}),
     "evaluate": (_cmd_evaluate, "evaluate the witness for given angles", None, {
         "topology": _TOPOLOGY, "theta": _THETA,
-        "alpha": ("LIST", str, None, True, "comma-separated extremal angles"),
-        "expect-violation": ("", bool, False, False, "exit 3 unless the bound is violated"),
+        "alpha": ("LIST", str, True, "comma-separated extremal angles"),
+        "expect-violation": ("", bool, False, "exit 3 unless the bound is violated"),
         "output": _OUTPUT}),
     "maximize": (_cmd_maximize, "best extremal angles for given sources", None, {
         "topology": _TOPOLOGY, "theta": _THETA, "output": _OUTPUT}),
     "sweep": (_cmd_sweep, "tabulate the witness over a theta grid", None, {
         "topology": _TOPOLOGY,
-        "grid": ("LIST", str, None, True, "comma-separated grid of source angles"),
-        "output": ("FILE", str, None, False, "CSV file to write (stdout if omitted)")}),
+        "grid": ("LIST", str, True, "comma-separated grid of source angles"),
+        "output": ("FILE", str, False, "CSV file to write (stdout if omitted)")}),
     "lhv": (_cmd_lhv, "best classical witness (the closed-form bound 1) and the "
                       "vertex model reaching it", None, {
         "topology": _TOPOLOGY,
-        "alphabet-size": ("C", int, None, False, "ignored (an integer); to be removed"),
-        "grid-steps": ("K", int, None, False, "ignored (an integer); to be removed"),
-        "output": ("FILE", str, None, False, "dump the model as JSON to this file")}),
+        "alphabet-size": ("C", int, False, "ignored (an integer); to be removed"),
+        "grid-steps": ("K", int, False, "ignored (an integer); to be removed"),
+        "output": ("FILE", str, False, "dump the model as JSON to this file")}),
 }
 _HELP = """usage: nlocalnet COMMAND [options]
 
@@ -269,17 +261,20 @@ _MAX_ARGS = 1000
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _help(command: str | None) -> str:
-    if command is None:
-        return _HELP.format("".join(f"  {name:<10}{spec[1]}\n"
-                                    for name, spec in _COMMANDS.items()))
-    _, text, positional, options = _COMMANDS[command]
+def _help(args: SimpleNamespace) -> int:
+    """The handler of -h and --help: the help of args.command, or of nlocalnet."""
+    if args.command is None:
+        sys.stdout.write(_HELP.format("".join(f"  {name:<10}{spec[1]}\n"
+                                              for name, spec in _COMMANDS.items())))
+        return EXIT_OK
+    _, text, positional, options = _COMMANDS[args.command]
     choices = " {" + ",".join(positional[1]) + "}" if positional else ""
-    lines = [f"usage: nlocalnet {command}{choices} [options]", "", text, "", "options:"]
-    for name, (metavar, _, default, required, note) in options.items():
-        note += " (required)" if required else f" (default {default})" if default else ""
+    lines = [f"usage: nlocalnet {args.command}{choices} [options]", "", text, "", "options:"]
+    for name, (metavar, _, required, note) in options.items():
+        note += " (required)" if required else ""
         lines.append(f"  {f'--{name} {metavar}'.rstrip():<22}{note}")
-    return "\n".join([*lines, f"  {'-h, --help':<22}show this help and exit\n"])
+    sys.stdout.write("\n".join([*lines, f"  {'-h, --help':<22}show this help and exit\n"]))
+    return EXIT_OK
 
 
 def _expand_files(argv: Sequence[str]) -> list[str]:
@@ -296,11 +291,11 @@ def _expand_files(argv: Sequence[str]) -> list[str]:
         try:
             text = texts[arg] = _read_text(arg[1:])
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8
-            _usage(f"cannot read argument file {arg[1:]!r}: {exc}")
+            raise InvalidParameterError(f"cannot read argument file {arg[1:]!r}: {exc}")
         # len(text.splitlines()): a last line needs no line break
         count += sum(map(text.count, _LINE_BREAKS)) + (text[-1:] not in _LINE_BREAKS)
     if count > _MAX_ARGS:
-        _usage(f"{count} arguments, above the cap {_MAX_ARGS}")
+        raise InvalidParameterError(f"{count} arguments, above the cap {_MAX_ARGS}")
     return [line for arg in argv
             for line in (texts[arg].splitlines() if arg in texts else [arg])]
 
@@ -319,19 +314,20 @@ def _options(args: Sequence[str], valued: dict[str, bool]
             names = [given] if given in valued else [
                 name for name in valued if name.startswith(given)]
             if len(names) != 1:
-                _usage(f"option --{given} not {'a unique prefix' if names else 'recognized'}")
+                raise InvalidParameterError(
+                    f"option --{given} not {'a unique prefix' if names else 'recognized'}")
             name = names[0]
             if valued[name] and not equals:
                 value = next(args, None)
                 if value is None:
-                    _usage(f"option --{name} requires argument")
+                    raise InvalidParameterError(f"option --{name} requires argument")
             elif equals and not valued[name]:
-                _usage(f"option --{name} must not have an argument")
+                raise InvalidParameterError(f"option --{name} must not have an argument")
             opts.append(("--" + name, value))
         elif arg.startswith("-") and arg != "-":
             for char in arg[1:]:
                 if char != "h":
-                    _usage(f"option -{char} not recognized")
+                    raise InvalidParameterError(f"option -{char} not recognized")
                 opts.append(("-h", ""))
         else:
             rest.append(arg)
@@ -340,42 +336,40 @@ def _options(args: Sequence[str], valued: dict[str, bool]
 
 def _parse(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int],
                                          SimpleNamespace]:
-    """The handler and its arguments; a usage error exits 2, help exits 0."""
+    """The handler and its arguments, _help on -h or --help; an option not given is None."""
     argv = _expand_files(argv)
     command = argv[0] if argv else None
     if command in ("-h", "--help"):
-        sys.stdout.write(_help(None))
-        raise SystemExit(EXIT_OK)
+        return _help, SimpleNamespace(command=None)
     if command not in _COMMANDS:
         what = f"unknown command {command!r}" if argv else "no command"
-        _usage(f"{what}; the commands are {', '.join(_COMMANDS)}")
+        raise InvalidParameterError(f"{what}; the commands are {', '.join(_COMMANDS)}")
     run, _, positional, options = _COMMANDS[command]
     opts, rest = _options(argv[1:], {"help": False, **{
         name: spec[1] is not bool for name, spec in options.items()}})
-    values = {name: spec[2] for name, spec in options.items()}
+    values = dict.fromkeys(options)
     for opt, value in opts:
         if opt in ("-h", "--help"):
-            sys.stdout.write(_help(command))
-            raise SystemExit(EXIT_OK)
+            return _help, SimpleNamespace(command=command)
         name = opt[2:]
         kind = options[name][1]
         try:
             values[name] = True if kind is bool else kind(value)
         except ValueError:  # not an integer, or more digits than int() reads
             shown = repr(value) if len(value) <= 40 else f"{len(value)} characters"
-            _usage(f"option --{name} needs an integer, got {shown}")
+            raise InvalidParameterError(f"option --{name} needs an integer, got {shown}")
     if positional:
         label, choices = positional
         if not rest or rest[0] not in choices:
-            _usage(f"{command} needs a {label} from {', '.join(choices)}"
-                   + (f", not {rest[0]!r}" if rest else ""))
+            raise InvalidParameterError(f"{command} needs a {label} from {', '.join(choices)}"
+                                        + (f", not {rest[0]!r}" if rest else ""))
         values[label] = rest.pop(0)
     if rest:
-        _usage(f"unexpected argument {rest[0]!r}")
+        raise InvalidParameterError(f"unexpected argument {rest[0]!r}")
     missing = [f"--{name}" for name, spec in options.items()
-               if spec[3] and values[name] is None]
+               if spec[2] and values[name] is None]
     if missing:
-        _usage(f"{command} requires {', '.join(missing)}")
+        raise InvalidParameterError(f"{command} requires {', '.join(missing)}")
     return run, SimpleNamespace(**{name.replace("-", "_"): value
                                    for name, value in values.items()})
 

@@ -20,6 +20,7 @@ answers ignore it.
 """
 
 import json
+from operator import index
 from typing import Mapping, NamedTuple
 
 from .errors import InvalidParameterError, ResourceLimitError
@@ -120,7 +121,8 @@ def validate(config: NetworkConfig) -> list[str]:
     The tree test treats each source as an edge between its two nodes and
     unions the nodes it joins: the layout is connected when one component
     remains, and acyclic when every source merged two components, that is
-    when n equals the node count minus the component count.
+    when n equals the node count minus the component count.  A count or a
+    node index that is not an integer raises TypeError.
     """
     return _walk(config)
 
@@ -144,7 +146,7 @@ def decimal_text(value: int) -> str:
 def _walk(config: NetworkConfig) -> list[str]:
     # One pass over the edge map, counting each node's sources.
     issues: list[str] = []
-    n, m, p = config.n, config.m, config.p
+    n, m, p = map(index, (config.n, config.m, config.p))
     if n < 2:
         issues.append(f"source count n must be at least 2, got {decimal_text(n)}")
     if m < 2:
@@ -204,6 +206,7 @@ def _walk(config: NetworkConfig) -> list[str]:
             f"{[NodeId.extremal(j).name for j in seen_extr]}")
 
     for node in sorted(position):
+        index(node.index)  # once per node: a wrong type raises TypeError
         if node.kind not in (INTERMEDIATE, EXTREMAL):
             issues.append(f"node of kind {node.kind!r} and index {decimal_text(node.index)} "
                           f"is neither {INTERMEDIATE} nor {EXTREMAL}")

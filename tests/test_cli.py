@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import nlocalnet.cli
+import nlocalnet.lhv
 import nlocalnet.topology
 from helpers import run_fresh
 from nlocalnet import build_chain, closed_form_S, parse_config, serialize_config
 from nlocalnet.cli import main, parse_angle, parse_angle_list
+from nlocalnet.lhv import lhv_best_S, model_to_jsonable
 
 
 def test_parse_angle_forms():
@@ -372,9 +374,7 @@ def test_lhv_ignores_its_alphabet_and_grid_options(tmp_path, capsys):
         outputs.append((capsys.readouterr(), model_path.read_bytes()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == ('{"best_s": 1.0, "bound": 1}\n', "")
-    with pytest.raises(SystemExit) as info:
-        main(["lhv", "--topology", str(topo), "--alphabet-size", "x"])
-    assert info.value.code == 2
+    assert main(["lhv", "--topology", str(topo), "--alphabet-size", "x"]) == 2
     assert capsys.readouterr().err == "error: option --alphabet-size needs an integer, got 'x'\n"
 
 
@@ -477,9 +477,7 @@ def test_evaluate_command_on_a_large_star(tmp_path, capsys):
 def test_usage_errors_are_one_line(tmp_path, capsys, argv):
     topo = tmp_path / "chain2.json"
     main(["generate", "chain", "--n", "2", "--output", str(topo)])
-    with pytest.raises(SystemExit) as info:
-        main([str(topo) if arg == "TOPO" else arg for arg in argv])
-    assert info.value.code == 2
+    assert main([str(topo) if arg == "TOPO" else arg for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
@@ -509,9 +507,7 @@ OPTIONS = {
                                                          for command in OPTIONS)],
                          ids=lambda argv: " ".join(argv))
 def test_help_exits_0_and_names_every_option(capsys, argv):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 0
+    assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     if len(argv) == 1:
@@ -581,9 +577,7 @@ def test_a_bad_argument_file_is_one_line_exit_2(tmp_path, capsys, content):
     args = tmp_path / "bad.args"
     if content is not None:
         args.write_bytes(content.replace(b"NESTED", bytes(nested)))
-    with pytest.raises(SystemExit) as info:
-        main(["maximize", "--topology", str(topo), f"@{args}"])
-    assert info.value.code == 2
+    assert main(["maximize", "--topology", str(topo), f"@{args}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
@@ -647,12 +641,11 @@ def test_a_long_argument_file_is_refused_before_it_is_split(tmp_path, capsys,
     monkeypatch.setattr(nlocalnet.cli, "MAX_FILE_BYTES", 2 * 10 ** 6)
     tracemalloc.start()
     try:
-        with pytest.raises(SystemExit) as info:
-            main(["maximize", f"@{args}"])
+        code = main(["maximize", f"@{args}"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert info.value.code == 2 and peak < 4_000_000
+    assert code == 2 and peak < 4_000_000
     assert capsys.readouterr().err == "error: 1000001 arguments, above the cap 1000\n"
 
 
@@ -721,6 +714,35 @@ def test_lhv_output_is_one_digit_per_cell(tmp_path, capsys):
     assert doc["weights"] == {str(r): [1.0] for r in range(1, 21)}
     tables = [doc["intermediate"]["A1"], *doc["extremal"].values()]
     assert tables == [["0", "0"]] * 21
+
+
+def test_lhv_output_is_written_as_it_is_encoded(tmp_path, capsys, monkeypatch):
+    # star(20000)'s model file is 1.5 MB.  Rendered as one string before it
+    # was written, the file took 17 MB above the memory held once the model
+    # was built; written as it is encoded, 6 MB.
+    topo = tmp_path / "star.json"
+    main(["generate", "star", "--n", "20000", "--output", str(topo)])
+    model_path = tmp_path / "model.json"
+    held = []
+
+    def traced_lhv_best_S(config):
+        result = lhv_best_S(config)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(nlocalnet.lhv, "lhv_best_S", traced_lhv_best_S)
+    tracemalloc.start()
+    try:
+        code = main(["lhv", "--topology", str(topo), "--output", str(model_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak - held[0] < 10_000_000
+    assert capsys.readouterr() == ('{"best_s": 1.0, "bound": 1}\n', "")
+    _, model = lhv_best_S(parse_config(topo.read_text()))
+    assert model_path.read_text(encoding="utf-8") == json.dumps(
+        model_to_jsonable(model), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -10,7 +10,9 @@ drawn rarely, so explicit tests also run each of them through every
 subcommand that reads a topology.  The options sometimes come from an @FILE
 argument, whole or damaged.  Each kind of topology damage and of argument
 file is reported as a hypothesis event (pytest --hypothesis-show-statistics).
-A second property compares the option parser with getopt.gnu_getopt.
+A second property draws command lines token by token, -h, --help and usage
+errors among them, and checks that main returns one of those codes and
+raises nothing.  A third compares the option parser with getopt.gnu_getopt.
 """
 
 import contextlib
@@ -28,7 +30,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from nlocalnet import build_chain, build_star, build_tree, serialize_config
+from nlocalnet import (InvalidParameterError, build_chain, build_star, build_tree,
+                       serialize_config)
 from nlocalnet.cli import _COMMANDS, _options, main
 
 LAYOUTS = [build_chain(2), build_chain(3), build_chain(4), build_star(3),
@@ -165,10 +168,7 @@ def command_lines(draw, work: Path) -> list[str]:
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -201,6 +201,40 @@ def test_cli_never_escapes_the_documented_exit_codes(data):
     check_stdout(argv[0], code, out)
     if code in (2, 4):
         assert len(err.splitlines()) == 1, (argv, err)
+
+
+# Usage-level argv tokens; {TOPO}, {MISSING} and {ARGS} stand for a chain(2)
+# topology file, a missing file and an argument file holding "--help".
+ARGV_TOKENS = st.sampled_from([
+    *SUBCOMMANDS, "ring", "chain", "custom", "-h", "--help", "--he", "-hx", "-x", "-",
+    "--", "---", "--bogus", "--t", "--topology", "{TOPO}", "--topology={TOPO}", "--theta",
+    "--theta=0.1,0.2", "--alpha", "0.3,0.4", "--grid=0.1", "--expect-violation",
+    "--expect-violation=1", "--n", "--n=x", "--alphabet-size", "2", "--output",
+    "@{MISSING}", "@{ARGS}", "{MISSING}"])
+
+
+@st.composite
+def usage_argv(draw, work: Path) -> list[str]:
+    """A command line of drawn tokens, -h, --help and usage errors among them."""
+    topology = work / "chain2.json"
+    topology.write_text(serialize_config(build_chain(2)), encoding="utf-8")
+    (work / "args.txt").write_text("--help\n", encoding="utf-8")
+    names = {"TOPO": str(topology), "MISSING": str(work / "missing.json"),
+             "ARGS": str(work / "args.txt")}
+    return [token.format(**names) for token in draw(st.lists(ARGV_TOKENS, max_size=8))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_main_returns_every_exit_code(data):
+    """main(argv) returns 0, 2, 3 or 4 and raises nothing, help and usage
+    errors included; 2 and 4 write one stderr line, 0 and 3 none."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(usage_argv(Path(tmp)))
+        code, _, err = run(argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert len(err.splitlines()) == (1 if code in (2, 4) else 0), (argv, err)
 
 
 # Per table: the command it comes from, or None, and whether each long option
@@ -243,14 +277,11 @@ def test_the_option_parser_agrees_with_gnu_getopt(data):
             expected = getopt.gnu_getopt(argv, "h", [name + "=" * valued
                                                      for name, valued in table.items()])
         except getopt.GetoptError as exc:
-            runs = [lambda: _options(argv, table)]
+            with pytest.raises(InvalidParameterError) as info:
+                _options(argv, table)
+            assert str(info.value) == exc.msg
             if command is not None:
-                runs.append(lambda: main([command, *argv]))
-            for parse in runs:
-                err = io.StringIO()
-                with pytest.raises(SystemExit) as info, contextlib.redirect_stderr(err):
-                    parse()
-                assert (info.value.code, err.getvalue()) == (2, f"error: {exc.msg}\n")
+                assert run([command, *argv]) == (2, "", f"error: {exc.msg}\n")
             event("rejected: " + exc.msg.split()[-1])
         else:
             event("accepted")

@@ -425,6 +425,20 @@ def test_validate_describes_integers_too_long_to_print():
             "count is not an integer") in validate(NetworkConfig(n=3, m=2, p=p, edges=edges))
 
 
+@pytest.mark.parametrize("config", [
+    build_chain(2)._replace(m=2.5),
+    NetworkConfig(n=2, m=2, p=2, edges={
+        1: (NodeId.extremal(1), NodeId("intermediate", "1")),
+        2: (NodeId("intermediate", "1"), NodeId.extremal(2))}),
+], ids=["m-2.5", "node-index-str"])
+def test_validate_refuses_a_count_or_node_index_of_a_wrong_type(config):
+    # Read as numbers, these gave issues that contradict themselves: "node A1
+    # touches 2 sources, expected 2.5" and "intermediate nodes must be exactly
+    # A1..A1, found ['A1']".  Each goes through operator.index.
+    with pytest.raises(TypeError):
+        validate(config)
+
+
 def test_validate_allocates_nothing_of_a_size_read_from_the_layout():
     # n, p and l far above the edge map would need terabytes as ranges; the
     # child's address space is capped at 1 GiB so a regression fails fast.
