@@ -14,11 +14,13 @@
 # evaluate --bogus exits 2 with one line on stderr and nothing on stdout;
 # --help exits 0 and its first line is "usage: nlocalnet COMMAND [options]";
 # lhv on star(24), given --alphabet-size and --grid-steps (read and
-# ignored), exits 0 with "best_s": 1.0; no subcommand imports __future__, getopt,
-# gettext or pathlib (a plain interpreter imports none of them at
-# start-up), and lhv does not import nlocalnet.inequality.  Imports are
-# listed by PYTHONPROFILEIMPORTTIME, the environment form of python -X
-# importtime.
+# ignored), exits 0 with "best_s": 1.0; validate and a maximize that takes
+# its arguments from an @FILE run under ulimit -v 65536, a 64 MiB address
+# space (a read sized by the 64 MiB file cap once failed there on any file);
+# no subcommand imports __future__, getopt, gettext or pathlib (a plain
+# interpreter imports none of them at start-up), and lhv does not import
+# nlocalnet.inequality.  Imports are listed by PYTHONPROFILEIMPORTTIME, the
+# environment form of python -X importtime.
 set -euo pipefail
 if [ "$#" -eq 0 ]; then
   echo "usage: $0 COMMAND [ARG...]   (the command that runs nlocalnet)" >&2
@@ -48,6 +50,12 @@ cmp chain3.evaluate relabelled.evaluate
 "${nlocalnet[@]}" lhv --topology star24.json --alphabet-size 3 --grid-steps 6 > star24.lhv
 if ! grep -q '"best_s": 1.0' star24.lhv; then
   echo "lhv on star(24) must print \"best_s\": 1.0"; exit 1
+fi
+
+printf '%s\n' --topology chain3.json --theta 0.25pi,0.25pi,0.25pi > maximize.args
+if ! (ulimit -v 65536 && "${nlocalnet[@]}" validate --topology chain3.json > /dev/null \
+      && "${nlocalnet[@]}" maximize @maximize.args > /dev/null); then
+  echo "validate and maximize @FILE must run under a 64 MiB address space"; exit 1
 fi
 
 status=0

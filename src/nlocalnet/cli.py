@@ -68,12 +68,18 @@ def _nine_digits(value: float) -> float:
 
 def _read_text(path: str) -> str:
     """The file as open() in text mode reads it (UTF-8, universal newlines);
-    ResourceLimitError once MAX_FILE_BYTES + 1 bytes are read."""
+    ResourceLimitError once MAX_FILE_BYTES + 1 bytes are read, in reads that
+    double from 64 KiB, so that no buffer is sized by the cap."""
+    chunks, size = [], 0
     with open(path, "rb") as file:
-        data = file.read(MAX_FILE_BYTES + 1)
-    if len(data) > MAX_FILE_BYTES:
+        while chunk := file.read(min(max(size, 1 << 16), MAX_FILE_BYTES + 1 - size)):
+            chunks.append(chunk)
+            size += len(chunk)
+    if size > MAX_FILE_BYTES:
         raise ResourceLimitError(
             f"file {path!r} is larger than the cap of {MAX_FILE_BYTES} bytes")
+    data = b"".join(chunks)
+    del chunks, size  # the file is held once, not twice, while it is decoded
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
@@ -106,17 +112,7 @@ def _emit(report: dict, output: str | None) -> None:
 def _cmd_generate(args: SimpleNamespace) -> int:
     from .builders import build_chain, build_star, build_tree, serialize_config
 
-    if args.kind == "chain":
-        _require_params(args, "n")
-        config = build_chain(args.n)
-    elif args.kind == "star":
-        _require_params(args, "n")
-        config = build_star(args.n)
-    elif args.kind == "tree":
-        _require_params(args, "n", "m")
-        config = build_tree(args.n, args.m)
-    else:
-        _require_params(args, "n", "m", "p", "edges")
+    if args.kind == "custom":
         try:
             edges_doc = json.loads(args.edges)
         except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, or too many digits
@@ -124,15 +120,12 @@ def _cmd_generate(args: SimpleNamespace) -> int:
         config = config_from_doc(
             {"n": args.n, "m": args.m, "p": args.p, "edges": edges_doc})
         check_layout(config)
+    else:
+        build = {"chain": build_chain, "star": build_star, "tree": build_tree}[args.kind]
+        config = build(*(getattr(args, name) for name in _KINDS[args.kind]))
     text = serialize_config(config)
     _write(args.output, lambda sink: sink.write(text))
     return EXIT_OK
-
-
-def _require_params(args: SimpleNamespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise InvalidParameterError(f"--{name} is required for kind {args.kind!r}")
 
 
 def _cmd_validate(args: SimpleNamespace) -> int:
@@ -211,13 +204,16 @@ def _cmd_lhv(args: SimpleNamespace) -> int:
 _TOPOLOGY = ("FILE", str, True, "topology JSON file")
 _OUTPUT = ("FILE", str, False, "also write the report to this file")
 _THETA = ("LIST", str, True, "comma-separated source angles")
+# generate's kinds, each with the options it requires, in its builder's order.
+_KINDS = {"chain": ("n",), "star": ("n",), "tree": ("n", "m"),
+          "custom": ("n", "m", "p", "edges")}
 
 # Per subcommand: its handler, one line of help, its positional argument as
-# (name, choices) or None, and its options.  An option maps to (metavar,
-# type, required, help); a flag has type bool and takes no value.
+# (name, {choice: the options that choice requires}) or None, and its
+# options.  An option maps to (metavar, type, required, help); a flag has
+# type bool and takes no value.
 _COMMANDS = {
-    "generate": (_cmd_generate, "write a topology JSON file",
-                 ("kind", ("chain", "star", "tree", "custom")), {
+    "generate": (_cmd_generate, "write a topology JSON file", ("kind", _KINDS), {
         "n": ("N", int, False, "source count"),
         "m": ("M", int, False, "particles per intermediate node"),
         "p": ("P", int, False, "extremal node count (custom only)"),
@@ -366,6 +362,9 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int],
         values[label] = rest.pop(0)
     if rest:
         raise InvalidParameterError(f"unexpected argument {rest[0]!r}")
+    for name in choices[values[label]] if positional else ():
+        if values[name] is None:
+            raise InvalidParameterError(f"--{name} is required for {label} {values[label]!r}")
     missing = [f"--{name}" for name, spec in options.items()
                if spec[2] and values[name] is None]
     if missing:

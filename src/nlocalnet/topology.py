@@ -122,7 +122,8 @@ def validate(config: NetworkConfig) -> list[str]:
     unions the nodes it joins: the layout is connected when one component
     remains, and acyclic when every source merged two components, that is
     when n equals the node count minus the component count.  A count or a
-    node index that is not an integer raises TypeError.
+    node index that is not an integer, or a source that does not map to two
+    NodeId ends, raises TypeError.
     """
     return _walk(config)
 
@@ -179,7 +180,12 @@ def _walk(config: NetworkConfig) -> list[str]:
     degrees = [0] * len(parent)
     merges = 0
     for r in sorted(config.edges):
-        u, v = config.edges[r]
+        try:
+            u, v = config.edges[r]
+        except (TypeError, ValueError):  # not two ends
+            u = v = None
+        if not (isinstance(u, NodeId) and isinstance(v, NodeId)):
+            raise TypeError(f"source {decimal_text(r)} must map to two NodeId ends")
         i, j = position.setdefault(u, len(position)), position.setdefault(v, len(position))
         if i == j:
             issues.append(f"source {r} has both particles at node {u.name}")

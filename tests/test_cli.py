@@ -23,12 +23,14 @@ def test_parse_angle_forms():
     assert parse_angle("0.25pi") == pytest.approx(math.pi / 4, abs=1e-15)
     assert parse_angle("pi") == pytest.approx(math.pi, abs=1e-15)
     assert parse_angle("-0.5PI") == pytest.approx(-math.pi / 2, abs=1e-15)
+    assert (parse_angle("-pi"), parse_angle("+pi")) == (-math.pi, math.pi)
     assert parse_angle_list("0,0.5pi") == [0.0, pytest.approx(math.pi / 2)]
     from nlocalnet import InvalidParameterError
     with pytest.raises(InvalidParameterError):
         parse_angle("two")
-    with pytest.raises(InvalidParameterError):
-        parse_angle("")
+    for token in ("", " "):
+        with pytest.raises(InvalidParameterError, match="^empty angle value$"):
+            parse_angle(token)
     for token in ("inf", "-inf", "nan", "infpi", "1e400"):
         with pytest.raises(InvalidParameterError):
             parse_angle(token)
@@ -89,6 +91,13 @@ def test_generate_tree_and_errors(tmp_path, capsys):
     assert main(["generate", "tree", "--n", "6", "--m", "3"]) == 2
     err = capsys.readouterr().err
     assert "divisible" in err
+
+    # (n - m) % (m - 1) is 0 for n = 1, m = 2: only the n >= m check stops a
+    # layout with n = 1 and two extremal nodes.
+    one = tmp_path / "tree1.json"
+    assert main(["generate", "tree", "--n", "1", "--m", "2", "--output", str(one)]) == 2
+    assert capsys.readouterr() == ("", "error: tree needs n >= m, got n=1, m=2\n")
+    assert not one.exists()
 
     assert main(["generate", "chain", "--n", "1"]) == 2
 
@@ -231,6 +240,8 @@ def test_maximize_command(tmp_path, capsys):
     assert report["smax"] == pytest.approx(math.sqrt(2), abs=1e-9)
     assert report["alpha_star"] == pytest.approx(math.pi / 4, abs=1e-8)
     assert report["violated"] is True
+    assert main(["maximize", "--topology", str(topo), "--theta", "0.25pi,0.25pi"]) == 2
+    assert capsys.readouterr() == ("", "error: need 3 theta values, got 2\n")
 
 
 def test_sweep_command(tmp_path):
@@ -503,6 +514,12 @@ OPTIONS = {
 }
 
 
+REQUIRED = {"generate": [], "validate": ["--topology"],
+            "evaluate": ["--topology", "--theta", "--alpha"],
+            "maximize": ["--topology", "--theta"], "sweep": ["--topology", "--grid"],
+            "lhv": ["--topology"]}
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], *([command, "--help"]
                                                          for command in OPTIONS)],
                          ids=lambda argv: " ".join(argv))
@@ -514,6 +531,9 @@ def test_help_exits_0_and_names_every_option(capsys, argv):
         assert all(f"  {command} " in captured.out for command in OPTIONS)
     else:
         assert all(f"  {option} " in captured.out for option in OPTIONS[argv[0]])
+        marked = [line.split()[0] for line in captured.out.splitlines()
+                  if line.endswith(" (required)")]
+        assert marked == REQUIRED[argv[0]]
 
 
 def test_an_argument_file_carries_a_list_above_the_argument_limit(tmp_path, capsys):
@@ -632,13 +652,24 @@ def test_input_files_are_read_up_to_the_cap(tmp_path, capsys, monkeypatch):
         assert len(captured.err.splitlines()) == 1 and str(path) in captured.err
 
 
-def test_a_long_argument_file_is_refused_before_it_is_split(tmp_path, capsys,
-                                                           monkeypatch):
-    # 10^6 line breaks: split into lines, a list of 8 MB.  The reader's buffer
-    # is sized from the cap, so a small cap keeps it out of the peak.
+def test_reading_a_file_holds_at_most_its_bytes_and_its_text(tmp_path):
+    path = tmp_path / "four-mib.txt"
+    path.write_bytes(b"x" * (4 << 20))
+    tracemalloc.start()
+    try:
+        text = nlocalnet.cli._read_text(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 4 << 20
+    assert peak < 9 << 20  # bytes and text: 8 MiB; 12 MiB with the chunks still held
+
+
+def test_a_long_argument_file_is_refused_before_it_is_split(tmp_path, capsys):
+    # 10^6 line breaks: split into lines, a list of 8 MB.  Read at the real
+    # cap: a reader's buffer sized from the cap would add 64 MiB to the peak.
     args = tmp_path / "breaks.args"
     args.write_bytes(b"\n" * 10 ** 6)
-    monkeypatch.setattr(nlocalnet.cli, "MAX_FILE_BYTES", 2 * 10 ** 6)
     tracemalloc.start()
     try:
         code = main(["maximize", f"@{args}"])
@@ -788,6 +819,34 @@ def test_import_pulls_in_no_scipy(tmp_path):
     done = run_fresh(code, str(tmp_path / "chain2.json"), str(tmp_path / "model.json"))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "22 [0, 0, 0, 0, 0, 0] []"
+
+
+@pytest.mark.parametrize("module", ["nlocalnet", "nlocalnet.cli"])
+def test_each_entry_module_runs_the_cli(module):
+    src = Path(nlocalnet.cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", module, "--help"],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: nlocalnet COMMAND [options]\n")
+
+
+def test_files_are_read_under_a_64_mib_address_space(tmp_path):
+    # A read sized by MAX_FILE_BYTES reserved 64 MiB before it read a byte,
+    # so even chain(3) ran out of memory under this limit.
+    topo, args = tmp_path / "chain3.json", tmp_path / "maximize.args"
+    topo.write_text(serialize_config(build_chain(3)))
+    args.write_text(f"--topology\n{topo}\n--theta\n0.25pi,0.25pi,0.25pi\n")
+    code = """if True:
+        import contextlib, io, resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+        from nlocalnet.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            print([main(["validate", "--topology", sys.argv[1]]),
+                   main(["maximize", "@" + sys.argv[2]])], file=sys.__stdout__)
+    """
+    done = run_fresh(code, str(topo), str(args))
+    assert (done.stdout, done.stderr) == ("[0, 0]\n", "")
 
 
 def test_the_bare_install_script_passes(tmp_path):

@@ -211,6 +211,20 @@ def test_sweep_holds_no_table_and_writes_in_blocks():
     assert sink.chars == len(text.getvalue())
 
 
+def test_sweep_drops_the_rows_of_a_product_after_its_last_head():
+    # 200 distinct products, each made into 200 rows: kept to the end, the
+    # rows of all of them took 4.1 MiB; dropped after their last head, 1.0 MiB.
+    grid = [0.01 + 0.002 * k for k in range(200)]
+    table = sweep(build_chain(2), grid)
+    tracemalloc.start()
+    try:
+        table.write(CountingSink())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 @pytest.mark.parametrize("config, grid, error", [
     (build_chain(3), [0.2, math.nan, 0.4], InvalidParameterError),
     (build_chain(3), [0.2, 0.3, -math.inf], InvalidParameterError),

@@ -29,6 +29,7 @@ PUBLIC = sorted(name for names in HOMES.values() for name in names)
 def test_all_lists_the_pinned_public_names():
     assert len(PUBLIC) == 22
     assert sorted(nlocalnet.__all__) == PUBLIC
+    assert set(PUBLIC) <= set(dir(nlocalnet))
 
 
 @pytest.mark.parametrize("home, name", [(home, name) for home, names in HOMES.items()

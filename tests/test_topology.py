@@ -69,7 +69,7 @@ def test_star_two_has_chain_shape():
 
 
 def test_star_rejects_single_source():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="star needs at least 2 sources, got 1"):
         build_star(1)
 
 
@@ -234,6 +234,7 @@ def test_attachments_rejects_invalid_config():
     # the counting conditions that no other layout here breaks
     edges = build_chain(3).edges
     for (n, m, p), fragment in (
+            ((1, 2, 2), "source count n must be at least 2, got 1"),
             ((3, 1, 2), "particles per intermediate node m must be at least 2, got 1"),
             ((3, 2, 1), "extremal node count p must be at least 2, got 1"),
             ((4, 2, 2), "edge map must assign exactly the sources 1..n")):
@@ -437,6 +438,18 @@ def test_validate_refuses_a_count_or_node_index_of_a_wrong_type(config):
     # A1..A1, found ['A1']".  Each goes through operator.index.
     with pytest.raises(TypeError):
         validate(config)
+
+
+@pytest.mark.parametrize("ends", [
+    (NodeId.intermediate(1), NodeId.intermediate(2), NodeId.extremal(1)),
+    ("A1", "A2"),
+    None,
+], ids=["three-ends", "str-ends", "none"])
+def test_validate_names_a_source_that_does_not_map_to_two_node_ids(ends):
+    # These raised ValueError and AttributeError from inside the walk.
+    edges = {**build_chain(3).edges, 2: ends}
+    with pytest.raises(TypeError, match="^source 2 must map to two NodeId ends$"):
+        validate(NetworkConfig(n=3, m=2, p=2, edges=edges))
 
 
 def test_validate_allocates_nothing_of_a_size_read_from_the_layout():
