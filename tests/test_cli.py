@@ -424,6 +424,112 @@ def test_outputs_are_byte_stable(tmp_path, capsys):
     assert model_a.read_bytes() == model_b.read_bytes()
 
 
+# Per layout: generate's arguments, then the source and extremal angles,
+# each the repr of a float, so that every angle parses to one exact double.
+PINNED_LAYOUTS = {
+    "chain3": (["chain", "--n", "3"], "0.7853981633974483,0.6,0.3", "0.4,1.1"),
+    "star4": (["star", "--n", "4"], "0.7853981633974483,0.7,0.6,0.5",
+              "0.2,0.4,0.6,0.8"),
+    "tree7_3": (["tree", "--n", "7", "--m", "3"], "0.1,0.2,0.3,0.4,0.5,0.6,0.7",
+                "0.3,0.6,0.9,1.2,1.5"),
+}
+# The sha256 of what each command prints and of the file it writes, taken
+# from an earlier version of the package, so that a changed byte fails here
+# and not only a difference between two runs of the same code.
+PINNED_SHA256 = {
+    "chain3": {
+        "generate stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "generate topology.json":
+            "30fbebcdc352cd4ab1d9042db8fe83cf91189bbbcd7df3408323ea42f97e974b",
+        "evaluate stdout":
+            "14fe0fa3ea774f2068865da289467009da997b575b832d3d3df83d9613a3784a",
+        "evaluate evaluate.json":
+            "14fe0fa3ea774f2068865da289467009da997b575b832d3d3df83d9613a3784a",
+        "maximize stdout":
+            "9cf0612d3d22fc387f879cceebc2d2d4d925b26ec64a1db9fdce8efd2affdee0",
+        "maximize maximize.json":
+            "9cf0612d3d22fc387f879cceebc2d2d4d925b26ec64a1db9fdce8efd2affdee0",
+        "lhv stdout":
+            "7cec6dddf6d1416fd37c11723a34498fc2bfab304e2aa0901297e7adcc98c450",
+        "lhv model.json":
+            "68d10b9c313985674463ea4ec2d28cbe2ee1fcf8485ed5d8efc85fce34a8a319",
+        "sweep stdout":
+            "7bc66584f27fe48943ab1819fe5b9f0347572acb4ad77b363d7d5e4e91643988",
+    },
+    "star4": {
+        "generate stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "generate topology.json":
+            "f50e6e62c062ede6bca0cd50f628ef87967606bbacc9ec68d2d5aefc683d1a6b",
+        "evaluate stdout":
+            "e5d773a04bc68e5f7f705bc9e6a1f63973c38a07e915de813c53342b30be9200",
+        "evaluate evaluate.json":
+            "e5d773a04bc68e5f7f705bc9e6a1f63973c38a07e915de813c53342b30be9200",
+        "maximize stdout":
+            "45aaf1e0df4de4bf24741f2e02f28f4f883fedd00c194db9a6d2e765b1d19506",
+        "maximize maximize.json":
+            "45aaf1e0df4de4bf24741f2e02f28f4f883fedd00c194db9a6d2e765b1d19506",
+        "lhv stdout":
+            "7cec6dddf6d1416fd37c11723a34498fc2bfab304e2aa0901297e7adcc98c450",
+        "lhv model.json":
+            "0dead2e4af8847c31b5873641d78397ece77a1a9e588f1e587e2255f2717d930",
+    },
+    "tree7_3": {
+        "generate stdout":
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "generate topology.json":
+            "3004289c41352a13630f3fe14b9577a26a2f42b335b5a3b0b85625c974cd280f",
+        "evaluate stdout":
+            "dbd937de548fb5a02c2cb1cb38651648b67f4539bbabdd83695bb75d74640dc0",
+        "evaluate evaluate.json":
+            "dbd937de548fb5a02c2cb1cb38651648b67f4539bbabdd83695bb75d74640dc0",
+        "maximize stdout":
+            "8be191430c4483ac471055160aa8af2e27a6f79964d7c0b786182b3c2e08fc32",
+        "maximize maximize.json":
+            "8be191430c4483ac471055160aa8af2e27a6f79964d7c0b786182b3c2e08fc32",
+        "lhv stdout":
+            "7cec6dddf6d1416fd37c11723a34498fc2bfab304e2aa0901297e7adcc98c450",
+        "lhv model.json":
+            "954c10b1b334d2e43a92fe97c57248f186c07bca0ed72e752bd1ffeb2ccc1f5c",
+    },
+}
+
+
+def pinned_digests(tmp_path, capsys, layout: str) -> dict[str, str]:
+    """{'COMMAND stdout' or 'COMMAND FILE': sha256} for the commands of one layout."""
+    import hashlib
+
+    kind, theta, alpha = PINNED_LAYOUTS[layout]
+    topo = str(tmp_path / "topology.json")
+    commands = [
+        ("generate", ["generate", *kind], "topology.json"),
+        ("evaluate", ["evaluate", "--topology", topo, "--theta", theta,
+                      "--alpha", alpha], "evaluate.json"),
+        ("maximize", ["maximize", "--topology", topo, "--theta", theta], "maximize.json"),
+        ("lhv", ["lhv", "--topology", topo], "model.json"),
+    ]
+    if layout == "chain3":
+        commands.append(("sweep", ["sweep", "--topology", topo, "--grid", "0,0.25pi,0.3"],
+                         None))
+    digests = {}
+    capsys.readouterr()
+    for name, argv, written in commands:
+        output = ["--output", str(tmp_path / written)] if written else []
+        assert main([*argv, *output]) == 0, argv
+        digests[f"{name} stdout"] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+        if written:
+            digests[f"{name} {written}"] = hashlib.sha256(
+                (tmp_path / written).read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("layout", sorted(PINNED_LAYOUTS))
+def test_outputs_match_their_pinned_sha256(tmp_path, capsys, layout):
+    assert pinned_digests(tmp_path, capsys, layout) == PINNED_SHA256[layout]
+
+
 def test_evaluate_output_file_matches_stdout(tmp_path, capsys):
     topo = tmp_path / "chain2.json"
     main(["generate", "chain", "--n", "2", "--output", str(topo)])

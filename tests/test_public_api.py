@@ -130,3 +130,52 @@ def test_no_module_imports_numpy():
                             if isinstance(node, ast.Import) else [node.module or ""])
                if name.split(".")[0] == "numpy"]
     assert imports == []
+
+
+# What the library may raise: its own two errors, TypeError for an argument
+# of a wrong Python type, and OSError from a file or stream.
+RAISED = {"InvalidParameterError", "ResourceLimitError", "TypeError", "OSError"}
+# The raises outside RAISED that a protocol asks for, by file and scope:
+# module __getattr__ raises AttributeError, and an entry point's
+# `if __name__ == "__main__"` block raises SystemExit with the exit code.
+PROTOCOL_RAISES = [("__init__.py", "__getattr__", "AttributeError"),
+                   ("__main__.py", "__main__", "SystemExit"),
+                   ("cli.py", "__main__", "SystemExit")]
+
+
+def _raises(tree: ast.AST, scope: str = "") -> list[tuple[str, ast.Raise]]:
+    """Every raise under tree with its scope: the innermost function, or
+    '__main__' inside a module's __main__ check."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Raise):
+            found.append((scope, node))
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = node.name
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            inner = "__main__"
+        found += _raises(node, inner)
+    return found
+
+
+def test_every_raise_is_one_of_the_documented_kinds():
+    """The README's contract, read from the source: a raise names one of
+    RAISED or re-raises, but for the protocol raises, and no except is bare."""
+    package = Path(nlocalnet.__file__).parent
+    outside, bare, count = [], [], 0
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, node in _raises(tree):
+            count += 1
+            if node.exc is None:  # a re-raise
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name not in RAISED:
+                outside.append((path.name, scope, name or ast.unparse(node.exc)))
+        bare += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ExceptHandler) and node.type is None]
+    assert count > len(PROTOCOL_RAISES)
+    assert outside == PROTOCOL_RAISES
+    assert bare == []
