@@ -3,8 +3,8 @@
 Build chain, star, tree, or custom layouts of two-particle sources, evaluate
 the nonlinear witness S = |I0|^(1/p) + |I1|^(1/p) for entangled two-qubit
 sources under Pauli-plane measurements, maximize it over measurement angles,
-and build the classical hidden-variable model that reaches the proved
-classical bound S <= 1.
+and give the proved classical bound S <= 1 with the hidden-variable model
+that reaches it.
 
 `import nlocalnet` loads no submodule: each public name is imported from its
 home module on first use.  The package needs nothing outside the standard
@@ -22,7 +22,7 @@ _PUBLIC = {
     "errors": ("InvalidParameterError", "NlocalError", "ResourceLimitError"),
     "inequality": ("VIOLATION_TOLERANCE", "EvaluationResult", "closed_form_S",
                    "closed_form_smax", "evaluate_S", "sweep"),
-    "lhv": ("LHVModel", "lhv_best_S", "model_to_jsonable"),
+    "lhv": ("lhv_best_S",),
     "topology": ("NetworkConfig", "NodeId", "extremal_nodes", "intermediate_nodes",
                  "parse_config", "validate"),
 }

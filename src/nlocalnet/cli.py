@@ -1,5 +1,5 @@
 """Command-line surface: build layouts, evaluate and maximize the witness,
-run grid sweeps, and build the classical model on the bound.
+run grid sweeps, and give the classical bound with the model that reaches it.
 
 main(argv) is the one exit: it returns the exit code, never raises it, and
 for 2 and 4 prints one "error:" or "resource limit:" line on stderr.  The
@@ -186,17 +186,12 @@ def _cmd_sweep(args: SimpleNamespace) -> int:
 
 
 def _cmd_lhv(args: SimpleNamespace) -> int:
-    from .lhv import lhv_best_S, model_to_jsonable
+    from .lhv import lhv_best_S, write_vertex_model
 
     config = _read_config(args.topology)  # lhv_best_S validates it
-    best, model = lhv_best_S(config)
+    best = lhv_best_S(config)
     if args.output:
-        doc = model_to_jsonable(model)
-
-        def dump(sink: TextIO) -> None:  # written as it is encoded, never held whole
-            json.dump(doc, sink, indent=2, allow_nan=False)
-            sink.write("\n")
-        _write(args.output, dump)
+        _write(args.output, lambda sink: write_vertex_model(config, sink))
     _emit({"best_s": best, "bound": 1}, None)
     return EXIT_OK
 

@@ -8,9 +8,8 @@ import sys
 
 import numpy as np
 
-from nlocalnet import (LHVModel, build_chain, build_star, build_tree, extremal_nodes,
-                       intermediate_nodes)
-from oracles import SettingAssignment, attachments, lhv_evaluate_S
+from nlocalnet import build_chain, build_star, build_tree, extremal_nodes, intermediate_nodes
+from oracles import LHVModel, SettingAssignment, attachments, lhv_evaluate_S
 
 # Valid (n, m) tree parameters with n <= 5.
 TREE_CHOICES = [(4, 2), (5, 2), (5, 3), (3, 3), (4, 4)]

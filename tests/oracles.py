@@ -19,7 +19,9 @@ endpoint.  signed_y_average and evaluate_S_from_correlator enumerate the 2^p
 extremal inputs of any correlator, quantum or classical (lhv_distribution);
 the tests check inequality.evaluate_S against them.
 
-The classical side holds the model checker validate_model and
+The classical side holds the model type LHVModel, on any alphabet, with
+its JSON rendering model_to_jsonable and the one-symbol vertex_model that
+`nlocalnet lhv --output` writes; the model checker validate_model; and
 lhv_evaluate_S, the factorized classical contraction of the lhv module
 docstring: it sums one product per symbol tuple instead of enumerating the
 inputs, and the tests check it against the enumeration of lhv_distribution.
@@ -36,9 +38,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from nlocalnet import (EvaluationResult, InvalidParameterError, LHVModel,
-                       NetworkConfig, NodeId, ResourceLimitError, extremal_nodes,
-                       intermediate_nodes)
+from nlocalnet import (EvaluationResult, InvalidParameterError, NetworkConfig, NodeId,
+                       ResourceLimitError, extremal_nodes, intermediate_nodes)
 from nlocalnet.inequality import check_angles
 from nlocalnet.topology import INTERMEDIATE, check_layout
 
@@ -50,6 +51,8 @@ MAX_OUTCOME_BITS = 16
 # Symbol tuples lhv_evaluate_S and lhv_distribution may sum over: the
 # product of the support sizes.
 MAX_SUPPORT_TUPLES = 2 ** 20
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # table bits -> "0"/"1" text
 
 
 class _BlochVector(NamedTuple):
@@ -275,6 +278,50 @@ def attachments(config: NetworkConfig) -> dict[NodeId, tuple[int, ...]]:
         for node in config.edges[r]:
             sources.setdefault(node, []).append(r)
     return {node: tuple(rs) for node, rs in sources.items()}
+
+
+class LHVModel(NamedTuple):
+    """Source symbol weights plus deterministic response tables.
+
+    A table is two bytes rows, one per input bit, of one output bit (0 or 1)
+    per cell.  An intermediate row has c**m cells, indexed by the mixed-radix
+    code of the symbols reaching the node (ascending source order, first
+    source most significant); an extremal row has c, indexed by the symbol.
+    """
+
+    alphabet_size: int
+    weights: Mapping[int, tuple[float, ...]]
+    intermediate: Mapping[NodeId, tuple[bytes, bytes]]
+    extremal: Mapping[NodeId, tuple[bytes, bytes]]
+
+
+def vertex_model(config: NetworkConfig) -> LHVModel:
+    """The model that reaches the classical bound on one symbol, the one that
+    `nlocalnet lhv --output` writes: every weight (1.0,) and every table row
+    the one cell 0, so I0 = 1 and I1 = 0."""
+    zeros = (b"\x00", b"\x00")
+    return LHVModel(
+        alphabet_size=1,
+        weights={r: (1.0,) for r in range(1, config.n + 1)},
+        intermediate=dict.fromkeys(intermediate_nodes(config), zeros),
+        extremal=dict.fromkeys(extremal_nodes(config), zeros))
+
+
+def model_to_jsonable(model: LHVModel) -> dict:
+    """JSON-friendly rendering of a model (weights plus response tables).
+
+    A table becomes two strings, one per input bit, of one "0"/"1" per cell.
+    """
+    def rows(tables: Mapping[NodeId, tuple[bytes, bytes]]) -> dict:
+        return {node.name: [row.translate(_DIGITS).decode() for row in tables[node]]
+                for node in sorted(tables)}
+
+    return {
+        "alphabet_size": model.alphabet_size,
+        "weights": {str(r): list(model.weights[r]) for r in sorted(model.weights)},
+        "intermediate": rows(model.intermediate),
+        "extremal": rows(model.extremal),
+    }
 
 
 def validate_model(config: NetworkConfig,

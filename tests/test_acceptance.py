@@ -12,7 +12,8 @@ from helpers import random_instance
 from nlocalnet import (build_chain, build_star, build_tree, closed_form_S,
                        closed_form_smax, evaluate_S, lhv_best_S, sweep, validate)
 from oracles import (concurrence, correlator_factorized, correlator_statevector,
-                     distribution_correlator, joint_distribution)
+                     distribution_correlator, joint_distribution, lhv_evaluate_S,
+                     vertex_model)
 
 PI = math.pi
 SQRT2 = math.sqrt(2.0)
@@ -132,9 +133,10 @@ def test_criterion_6_classical_bound_certification():
     for name, config in (("chain(2)", build_chain(2)),
                          ("star(3)", build_star(3))):
         start = time.perf_counter()
-        best, _ = lhv_best_S(config)
+        best = lhv_best_S(config)
         elapsed = time.perf_counter() - start
-        ok = best == 1.0 and elapsed < 300.0
+        reached = lhv_evaluate_S(config, vertex_model(config))
+        ok = best == 1.0 and (reached.i0, reached.i1) == (1.0, 0.0) and elapsed < 300.0
         passed = passed and ok
         details.append(f"{name}: bestS={best:.9f} in {elapsed:.1f}s")
     _report("6 classical bound reached by the vertex model", passed,

@@ -15,7 +15,8 @@ import nlocalnet.topology
 from helpers import run_fresh
 from nlocalnet import build_chain, closed_form_S, parse_config, serialize_config
 from nlocalnet.cli import main, parse_angle, parse_angle_list
-from nlocalnet.lhv import lhv_best_S, model_to_jsonable
+from nlocalnet.lhv import lhv_best_S
+from oracles import model_to_jsonable, vertex_model
 
 
 def test_parse_angle_forms():
@@ -855,8 +856,9 @@ def test_lhv_output_is_one_digit_per_cell(tmp_path, capsys):
 
 def test_lhv_output_is_written_as_it_is_encoded(tmp_path, capsys, monkeypatch):
     # star(20000)'s model file is 1.5 MB.  Rendered as one string before it
-    # was written, the file took 17 MB above the memory held once the model
-    # was built; written as it is encoded, 6 MB.
+    # was written, the file took 17 MB above the memory held once the layout
+    # was checked; encoded by json.dump as it was written, 6 MB; written one
+    # section at a time, 4 MB.
     topo = tmp_path / "star.json"
     main(["generate", "star", "--n", "20000", "--output", str(topo)])
     model_path = tmp_path / "model.json"
@@ -877,7 +879,7 @@ def test_lhv_output_is_written_as_it_is_encoded(tmp_path, capsys, monkeypatch):
         tracemalloc.stop()
     assert code == 0 and peak - held[0] < 10_000_000
     assert capsys.readouterr() == ('{"best_s": 1.0, "bound": 1}\n', "")
-    _, model = lhv_best_S(parse_config(topo.read_text()))
+    model = vertex_model(parse_config(topo.read_text()))
     assert model_path.read_text(encoding="utf-8") == json.dumps(
         model_to_jsonable(model), indent=2) + "\n"
 
@@ -924,7 +926,7 @@ def test_import_pulls_in_no_scipy(tmp_path):
     """
     done = run_fresh(code, str(tmp_path / "chain2.json"), str(tmp_path / "model.json"))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "22 [0, 0, 0, 0, 0, 0] []"
+    assert done.stdout.strip() == "20 [0, 0, 0, 0, 0, 0] []"
 
 
 @pytest.mark.parametrize("module", ["nlocalnet", "nlocalnet.cli"])

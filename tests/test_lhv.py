@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 import math
 import time
 import tracemalloc
@@ -7,12 +9,14 @@ import numpy as np
 import pytest
 
 from helpers import bits, brute_force_best_I, random_lhv_model
-from nlocalnet import (InvalidParameterError, LHVModel, NodeId, ResourceLimitError,
+from nlocalnet import (InvalidParameterError, NetworkConfig, NodeId, ResourceLimitError,
                        build_chain, build_star, build_tree, extremal_nodes,
-                       intermediate_nodes, lhv_best_S, model_to_jsonable)
-from oracles import (MAX_OUTCOME_BITS, MAX_SUPPORT_TUPLES, SettingAssignment,
+                       intermediate_nodes, lhv_best_S, parse_config)
+from nlocalnet.lhv import write_vertex_model
+from oracles import (MAX_OUTCOME_BITS, MAX_SUPPORT_TUPLES, LHVModel, SettingAssignment,
                      attachments, distribution_correlator, evaluate_S_from_correlator,
-                     lhv_distribution, lhv_evaluate_S, validate_model)
+                     lhv_distribution, lhv_evaluate_S, model_to_jsonable, validate_model,
+                     vertex_model)
 
 
 def point_mass_model(config, symbol=0, c=2):
@@ -133,15 +137,20 @@ def test_validate_model_rejects_bad_shapes_and_weights():
 
 
 def test_best_S_chain2_reaches_the_bound():
-    best, model = lhv_best_S(build_chain(2))
-    assert best == 1.0
-    # self-consistency: the returned model reproduces the returned value
-    assert lhv_evaluate_S(build_chain(2), model).s == best
+    best = lhv_best_S(build_chain(2))
+    assert type(best) is float and best == 1.0
+    # self-consistency: the vertex model reproduces the returned value
+    assert lhv_evaluate_S(build_chain(2), vertex_model(build_chain(2))).s == best
+    # the layout is still checked first: a chain(2) with a third source
+    broken = build_chain(2)
+    broken = broken._replace(edges={**broken.edges, 3: broken.edges[1]})
+    with pytest.raises(InvalidParameterError, match="^invalid network layout: "):
+        lhv_best_S(broken)
 
 
 def test_best_S_never_exceeds_bound_on_small_layouts():
     for config in (build_chain(2), build_chain(3), build_star(3), build_tree(3, 3)):
-        best, model = lhv_best_S(config)
+        best, model = lhv_best_S(config), vertex_model(config)
         assert best <= 1.0 + 1e-12
         assert abs(lhv_evaluate_S(config, model).s - best) <= 1e-12
         for weights in model.weights.values():
@@ -153,7 +162,7 @@ def test_best_S_single_symbol_alphabet():
     # the vertex model: one symbol, weight (1.0,) per source, and every table
     # row the one cell 0, on every node of the layout
     for config in (build_chain(2), build_star(5), build_tree(15, 3)):
-        best, model = lhv_best_S(config)
+        best, model = lhv_best_S(config), vertex_model(config)
         assert best == 1.0
         assert model.alphabet_size == 1
         assert model.weights == {r: (1.0,) for r in range(1, config.n + 1)}
@@ -177,30 +186,52 @@ def traced_peak(call) -> int:
 
 def test_best_S_builds_no_table_wider_than_one_cell():
     # a hub row of c^m cells would take 2^23 bytes on star(23) at c = 2; the
-    # one-symbol models of star(23) and star(1000) stay under 1 MB
+    # bound and the written one-symbol models of star(23) and star(1000) stay
+    # under 1 MB
     for n in (23, 1000):
         config = build_star(n)
-        assert traced_peak(lambda: lhv_best_S(config)) < 2 ** 20
+        assert traced_peak(lambda: (lhv_best_S(config),
+                                    write_vertex_model(config, io.StringIO()))) < 2 ** 20
 
 
 def test_best_S_is_exactly_one_on_larger_layouts():
     for config in (build_star(12), build_star(23), build_tree(15, 3),
                    build_chain(1000)):
-        best, model = lhv_best_S(config)
+        best, model = lhv_best_S(config), vertex_model(config)
         assert best == 1.0
         result = lhv_evaluate_S(config, model)
         assert (result.i0, result.i1) == (1.0, 0.0)
 
 
+def written_model(config: NetworkConfig) -> str:
+    """The text write_vertex_model writes, checked to come in three writes."""
+    writes = []
+    write_vertex_model(config, type("Sink", (), {"write": writes.append})())
+    assert len(writes) == 3
+    return "".join(writes)
+
+
 def test_best_S_deterministic_across_runs():
-    first = lhv_best_S(build_chain(2))
-    second = lhv_best_S(build_chain(2))
+    first = lhv_best_S(build_chain(2)), written_model(build_chain(2))
+    second = lhv_best_S(build_chain(2)), written_model(build_chain(2))
     assert first[0] == second[0]
-    assert model_to_jsonable(first[1]) == model_to_jsonable(second[1])
+    assert first[1] == second[1]
+
+
+def test_write_vertex_model_writes_the_json_of_the_vertex_model():
+    # chain(3) relabelled: its file names A2 before A1, so the written names
+    # come from the node lists, not from the file
+    relabelled = parse_config(json.dumps({"n": 3, "m": 2, "p": 2, "edges": [
+        {"source": 1, "ends": ["A2", "B2"]}, {"source": 2, "ends": ["A1", "A2"]},
+        {"source": 3, "ends": ["B1", "A1"]}]}))
+    for config in (build_chain(2), build_chain(3), build_star(4), build_tree(7, 3),
+                   build_tree(15, 3), relabelled):
+        assert written_model(config) == json.dumps(
+            model_to_jsonable(vertex_model(config)), indent=2) + "\n"
 
 
 def test_model_json_round_shape():
-    _, model = lhv_best_S(build_chain(2))
+    model = vertex_model(build_chain(2))
     doc = model_to_jsonable(model)
     assert set(doc) == {"alphabet_size", "weights", "intermediate", "extremal"}
     assert set(doc["weights"]) == {"1", "2"}
@@ -212,7 +243,7 @@ def test_best_S_equals_naive_enumeration_single_symbol():
     # c=1 keeps the raw model space tiny (4 tables per node, fixed weights),
     # so the closed form can be checked against plain enumeration
     config = build_chain(2)
-    best, _ = lhv_best_S(config)
+    best = lhv_best_S(config)
     naive_best = -1.0
     tables = [bits([[b0], [b1]]) for b0 in (0, 1) for b1 in (0, 1)]
     for hub in tables:
@@ -232,7 +263,7 @@ def test_best_S_dominates_random_raw_models():
     # raw models with grid weights can never beat the closed-form bound
     rng = np.random.default_rng(1234)
     for config in (build_chain(2), build_star(3)):
-        best, _ = lhv_best_S(config)
+        best = lhv_best_S(config)
         hub_width = 2 ** config.m
         for _ in range(250):
             levels = rng.integers(0, 11, size=config.n)
@@ -331,7 +362,7 @@ def test_lhv_distribution_cap_fires_before_it_allocates():
     # quick and stay under 1 MB.  chain(15), at l + p = 16, is still served.
     def one_symbol(config):
         zeros = SettingAssignment.from_bits(config, [0] * config.l, [0] * config.p)
-        return lhv_best_S(config)[1], zeros
+        return vertex_model(config), zeros
 
     config = build_chain(30)
     model, assignment = one_symbol(config)
