@@ -36,7 +36,7 @@ tables on small layouts, and that the sum gives I0 = 1, I1 = 0 on the vertex
 model.
 """
 
-from typing import TextIO
+from typing import Iterable, TextIO
 
 from .topology import NetworkConfig, check_layout, extremal_nodes, intermediate_nodes
 
@@ -64,7 +64,7 @@ def write_vertex_model(config: NetworkConfig, sink: TextIO) -> None:
     newline, written in one sink.write per section.  The layout is not
     checked here; lhv_best_S checks it.
     """
-    def section(key: str, names, rows: str, end: str) -> str:
+    def section(key: str, names: Iterable[object], rows: str, end: str) -> str:
         items = ",\n".join(f'    "{name}": [\n{rows}\n    ]' for name in names)
         return f'  "{key}": {{\n{items}\n  }}{end}\n'
 

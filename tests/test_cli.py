@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -497,10 +498,8 @@ PINNED_SHA256 = {
 }
 
 
-def pinned_digests(tmp_path, capsys, layout: str) -> dict[str, str]:
-    """{'COMMAND stdout' or 'COMMAND FILE': sha256} for the commands of one layout."""
-    import hashlib
-
+@pytest.mark.parametrize("layout", sorted(PINNED_LAYOUTS))
+def test_outputs_match_their_pinned_sha256(tmp_path, capsys, layout):
     kind, theta, alpha = PINNED_LAYOUTS[layout]
     topo = str(tmp_path / "topology.json")
     commands = [
@@ -523,12 +522,7 @@ def pinned_digests(tmp_path, capsys, layout: str) -> dict[str, str]:
         if written:
             digests[f"{name} {written}"] = hashlib.sha256(
                 (tmp_path / written).read_bytes()).hexdigest()
-    return digests
-
-
-@pytest.mark.parametrize("layout", sorted(PINNED_LAYOUTS))
-def test_outputs_match_their_pinned_sha256(tmp_path, capsys, layout):
-    assert pinned_digests(tmp_path, capsys, layout) == PINNED_SHA256[layout]
+    assert digests == PINNED_SHA256[layout]
 
 
 def test_evaluate_output_file_matches_stdout(tmp_path, capsys):

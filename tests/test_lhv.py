@@ -4,6 +4,7 @@ import json
 import math
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ def test_best_S_is_exactly_one_on_larger_layouts():
 def written_model(config: NetworkConfig) -> str:
     """The text write_vertex_model writes, checked to come in three writes."""
     writes = []
-    write_vertex_model(config, type("Sink", (), {"write": writes.append})())
+    write_vertex_model(config, SimpleNamespace(write=writes.append))
     assert len(writes) == 3
     return "".join(writes)
 
