@@ -3,12 +3,13 @@ run grid sweeps, and give the classical bound with the model that reaches it.
 
 main(argv) is the one exit: it returns the exit code, never raises it, and
 for 2 and 4 prints one "error:" or "resource limit:" line on stderr.  The
-codes: 0 success, 2 bad input, 3 expected violation absent, 4 resource cap
-hit.  A usage error is an InvalidParameterError; --help is the handler
-_help, which returns 0.  Angles are radians, or multiples of pi with a "pi"
-suffix ("0.25pi").  Reports are single-line JSON on stdout; sweeps are CSV.
-generate and sweep write --output, or else stdout, through _write once every
-check has passed; files are read through _read_text, capped at MAX_FILE_BYTES.
+codes: 0 success, 2 bad input, 4 resource cap hit.  A usage error is an
+InvalidParameterError; --help is the handler _help, which returns 0.  Angles
+are radians, or multiples of pi with a "pi" suffix ("0.25pi").  Reports are
+single-line JSON on stdout; sweeps are CSV.  generate and sweep write
+--output, or else stdout, through _write once every check has passed; lhv
+writes its model to --output; files are read through _read_text, capped at
+MAX_FILE_BYTES.
 
 Options are parsed in one pass by _options, with the grammar of
 getopt.gnu_getopt, from one table, _COMMANDS, which also prints the help.
@@ -32,7 +33,6 @@ from .topology import (NetworkConfig, check_layout, config_from_doc, parse_confi
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_EXPECTATION = 3
 EXIT_RESOURCE = 4
 # generate writes under 10 MB for a chain, star or tree at MAX_SOURCES.
 MAX_FILE_BYTES = 64 << 20
@@ -100,13 +100,9 @@ def _write(output: str | None, write: Callable[[TextIO], object]) -> None:
         write(sys.stdout)
 
 
-def _emit(report: dict, output: str | None) -> None:
-    """Print report as one line of strict JSON, written to output first if given."""
-    text = json.dumps(report, allow_nan=False) + "\n"
-    # The file first: an unwritable path fails before anything is printed.
-    if output:
-        _write(output, lambda sink: sink.write(text))
-    sys.stdout.write(text)
+def _emit(report: dict) -> None:
+    """Print report as one line of strict JSON."""
+    sys.stdout.write(json.dumps(report, allow_nan=False) + "\n")
 
 
 def _cmd_generate(args: SimpleNamespace) -> int:
@@ -153,9 +149,7 @@ def _cmd_evaluate(args: SimpleNamespace) -> int:
         "violated": result.violated,
         "alpha_star_hint": _nine_digits(alpha_hint),
     }
-    _emit(report, args.output)
-    if args.expect_violation and not result.violated:
-        return EXIT_EXPECTATION
+    _emit(report)
     return EXIT_OK
 
 
@@ -173,7 +167,7 @@ def _cmd_maximize(args: SimpleNamespace) -> int:
         "smax": smax,
         "violated": violates(smax),
     }
-    _emit(report, args.output)
+    _emit(report)
     return EXIT_OK
 
 
@@ -192,12 +186,11 @@ def _cmd_lhv(args: SimpleNamespace) -> int:
     best = lhv_best_S(config)
     if args.output:
         _write(args.output, lambda sink: write_vertex_model(config, sink))
-    _emit({"best_s": best, "bound": 1}, None)
+    _emit({"best_s": best, "bound": 1})
     return EXIT_OK
 
 
 _TOPOLOGY = ("FILE", str, True, "topology JSON file")
-_OUTPUT = ("FILE", str, False, "also write the report to this file")
 _THETA = ("LIST", str, True, "comma-separated source angles")
 # generate's kinds, each with the options it requires, in its builder's order.
 _KINDS = {"chain": ("n",), "star": ("n",), "tree": ("n", "m"),
@@ -205,8 +198,7 @@ _KINDS = {"chain": ("n",), "star": ("n",), "tree": ("n", "m"),
 
 # Per subcommand: its handler, one line of help, its positional argument as
 # (name, {choice: the options that choice requires}) or None, and its
-# options.  An option maps to (metavar, type, required, help); a flag has
-# type bool and takes no value.
+# options.  An option maps to (metavar, type, required, help) and takes a value.
 _COMMANDS = {
     "generate": (_cmd_generate, "write a topology JSON file", ("kind", _KINDS), {
         "n": ("N", int, False, "source count"),
@@ -217,11 +209,9 @@ _COMMANDS = {
     "validate": (_cmd_validate, "check a topology file", None, {"topology": _TOPOLOGY}),
     "evaluate": (_cmd_evaluate, "evaluate the witness for given angles", None, {
         "topology": _TOPOLOGY, "theta": _THETA,
-        "alpha": ("LIST", str, True, "comma-separated extremal angles"),
-        "expect-violation": ("", bool, False, "exit 3 unless the bound is violated"),
-        "output": _OUTPUT}),
+        "alpha": ("LIST", str, True, "comma-separated extremal angles")}),
     "maximize": (_cmd_maximize, "best extremal angles for given sources", None, {
-        "topology": _TOPOLOGY, "theta": _THETA, "output": _OUTPUT}),
+        "topology": _TOPOLOGY, "theta": _THETA}),
     "sweep": (_cmd_sweep, "tabulate the witness over a theta grid", None, {
         "topology": _TOPOLOGY,
         "grid": ("LIST", str, True, "comma-separated grid of source angles"),
@@ -263,7 +253,7 @@ def _help(args: SimpleNamespace) -> int:
     lines = [f"usage: nlocalnet {args.command}{choices} [options]", "", text, "", "options:"]
     for name, (metavar, _, required, note) in options.items():
         note += " (required)" if required else ""
-        lines.append(f"  {f'--{name} {metavar}'.rstrip():<22}{note}")
+        lines.append(f"  {f'--{name} {metavar}':<22}{note}")
     sys.stdout.write("\n".join([*lines, f"  {'-h, --help':<22}show this help and exit\n"]))
     return EXIT_OK
 
@@ -336,16 +326,14 @@ def _parse(argv: Sequence[str]) -> tuple[Callable[[SimpleNamespace], int],
         what = f"unknown command {command!r}" if argv else "no command"
         raise InvalidParameterError(f"{what}; the commands are {', '.join(_COMMANDS)}")
     run, _, positional, options = _COMMANDS[command]
-    opts, rest = _options(argv[1:], {"help": False, **{
-        name: spec[1] is not bool for name, spec in options.items()}})
+    opts, rest = _options(argv[1:], {"help": False, **dict.fromkeys(options, True)})
     values = dict.fromkeys(options)
     for opt, value in opts:
         if opt in ("-h", "--help"):
             return _help, SimpleNamespace(command=command)
         name = opt[2:]
-        kind = options[name][1]
         try:
-            values[name] = True if kind is bool else kind(value)
+            values[name] = options[name][1](value)
         except ValueError:  # not an integer, or more digits than int() reads
             shown = repr(value) if len(value) <= 40 else f"{len(value)} characters"
             raise InvalidParameterError(f"option --{name} needs an integer, got {shown}")

@@ -173,12 +173,6 @@ def test_evaluate_command(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["S"] <= 1.0 and report["violated"] is False
 
-    # expectation flag turns the quiet no-violation case into exit 3
-    assert main(["evaluate", "--topology", str(topo),
-                 "--theta", "0,0.25pi", "--alpha", "0.25pi,0.25pi",
-                 "--expect-violation"]) == 3
-    capsys.readouterr()
-
     # a list that starts with a minus sign, with "=" or as the next argument
     outputs = []
     for theta in (["--theta=-0.3,0.2"], ["--theta", "-0.3,0.2"]):
@@ -446,11 +440,7 @@ PINNED_SHA256 = {
             "30fbebcdc352cd4ab1d9042db8fe83cf91189bbbcd7df3408323ea42f97e974b",
         "evaluate stdout":
             "14fe0fa3ea774f2068865da289467009da997b575b832d3d3df83d9613a3784a",
-        "evaluate evaluate.json":
-            "14fe0fa3ea774f2068865da289467009da997b575b832d3d3df83d9613a3784a",
         "maximize stdout":
-            "9cf0612d3d22fc387f879cceebc2d2d4d925b26ec64a1db9fdce8efd2affdee0",
-        "maximize maximize.json":
             "9cf0612d3d22fc387f879cceebc2d2d4d925b26ec64a1db9fdce8efd2affdee0",
         "lhv stdout":
             "7cec6dddf6d1416fd37c11723a34498fc2bfab304e2aa0901297e7adcc98c450",
@@ -466,11 +456,7 @@ PINNED_SHA256 = {
             "f50e6e62c062ede6bca0cd50f628ef87967606bbacc9ec68d2d5aefc683d1a6b",
         "evaluate stdout":
             "e5d773a04bc68e5f7f705bc9e6a1f63973c38a07e915de813c53342b30be9200",
-        "evaluate evaluate.json":
-            "e5d773a04bc68e5f7f705bc9e6a1f63973c38a07e915de813c53342b30be9200",
         "maximize stdout":
-            "45aaf1e0df4de4bf24741f2e02f28f4f883fedd00c194db9a6d2e765b1d19506",
-        "maximize maximize.json":
             "45aaf1e0df4de4bf24741f2e02f28f4f883fedd00c194db9a6d2e765b1d19506",
         "lhv stdout":
             "7cec6dddf6d1416fd37c11723a34498fc2bfab304e2aa0901297e7adcc98c450",
@@ -484,11 +470,7 @@ PINNED_SHA256 = {
             "3004289c41352a13630f3fe14b9577a26a2f42b335b5a3b0b85625c974cd280f",
         "evaluate stdout":
             "dbd937de548fb5a02c2cb1cb38651648b67f4539bbabdd83695bb75d74640dc0",
-        "evaluate evaluate.json":
-            "dbd937de548fb5a02c2cb1cb38651648b67f4539bbabdd83695bb75d74640dc0",
         "maximize stdout":
-            "8be191430c4483ac471055160aa8af2e27a6f79964d7c0b786182b3c2e08fc32",
-        "maximize maximize.json":
             "8be191430c4483ac471055160aa8af2e27a6f79964d7c0b786182b3c2e08fc32",
         "lhv stdout":
             "7cec6dddf6d1416fd37c11723a34498fc2bfab304e2aa0901297e7adcc98c450",
@@ -505,8 +487,8 @@ def test_outputs_match_their_pinned_sha256(tmp_path, capsys, layout):
     commands = [
         ("generate", ["generate", *kind], "topology.json"),
         ("evaluate", ["evaluate", "--topology", topo, "--theta", theta,
-                      "--alpha", alpha], "evaluate.json"),
-        ("maximize", ["maximize", "--topology", topo, "--theta", theta], "maximize.json"),
+                      "--alpha", alpha], None),
+        ("maximize", ["maximize", "--topology", topo, "--theta", theta], None),
         ("lhv", ["lhv", "--topology", topo], "model.json"),
     ]
     if layout == "chain3":
@@ -525,13 +507,23 @@ def test_outputs_match_their_pinned_sha256(tmp_path, capsys, layout):
     assert digests == PINNED_SHA256[layout]
 
 
-def test_evaluate_output_file_matches_stdout(tmp_path, capsys):
+@pytest.mark.parametrize("argv, option", [
+    (["evaluate", "--theta", "0.3,0.4", "--alpha", "0.5,0.6", "--expect-violation"],
+     "--expect-violation"),
+    (["evaluate", "--theta", "0.3,0.4", "--alpha", "0.5,0.6", "--output", "F"], "--output"),
+    (["maximize", "--theta", "0.3,0.4", "--output", "F"], "--output"),
+], ids=["evaluate --expect-violation", "evaluate --output", "maximize --output"])
+def test_removed_report_options_are_usage_errors(tmp_path, capsys, argv, option):
+    # Reports go to stdout alone: `> F` replaces --output F, and a check of
+    # "violated" in the report replaces --expect-violation.
     topo = tmp_path / "chain2.json"
     main(["generate", "chain", "--n", "2", "--output", str(topo)])
     report = tmp_path / "report.json"
-    assert main(["evaluate", "--topology", str(topo), "--theta", "0.3,0.4",
-                 "--alpha", "0.5,0.6", "--output", str(report)]) == 0
-    assert report.read_text() == capsys.readouterr().out
+    argv = [argv[0], "--topology", str(topo),
+            *(str(report) if arg == "F" else arg for arg in argv[1:])]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: option {option} not recognized\n")
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("command, angles", [
@@ -584,7 +576,7 @@ def test_evaluate_command_on_a_large_star(tmp_path, capsys):
     ["generate", "ring", "--n", "3"],
     ["evaluate", "--t", "TOPO", "--alpha", "0.3,0.4"],
     ["evaluate", "--topology", "TOPO", "--theta", "0.1,0.2", "--alpha", "0.3,0.4",
-     "--expect-violation=1"],
+     "--help=1"],
 ])
 def test_usage_errors_are_one_line(tmp_path, capsys, argv):
     topo = tmp_path / "chain2.json"
@@ -608,8 +600,8 @@ def test_a_unique_prefix_stands_for_its_option(tmp_path, capsys):
 OPTIONS = {
     "generate": ["--n", "--m", "--p", "--edges", "--output"],
     "validate": ["--topology"],
-    "evaluate": ["--topology", "--theta", "--alpha", "--expect-violation", "--output"],
-    "maximize": ["--topology", "--theta", "--output"],
+    "evaluate": ["--topology", "--theta", "--alpha"],
+    "maximize": ["--topology", "--theta"],
     "sweep": ["--topology", "--grid", "--output"],
     "lhv": ["--topology", "--alphabet-size", "--grid-steps", "--output"],
 }
@@ -658,7 +650,7 @@ def test_evaluate_finds_the_violation_below_the_double_range(tmp_path, capsys):
     args = tmp_path / "angles.args"
     args.write_text("--theta\n" + ",".join(["0.25pi"] * 15000)
                     + "\n--alpha\n" + ",".join(["0.3"] * 15000) + "\n", encoding="utf-8")
-    assert main(["evaluate", "--topology", str(topo), f"@{args}", "--expect-violation"]) == 0
+    assert main(["evaluate", "--topology", str(topo), f"@{args}"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["S"] == pytest.approx(math.cos(0.3) + math.sin(0.3), rel=1e-12)
     assert report["violated"] is True and report["I1"] == 0.0
@@ -879,16 +871,16 @@ def test_lhv_output_is_written_as_it_is_encoded(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", [
-    ["evaluate", "--theta", "0.1,0.2", "--alpha", "0.3,0.4"],
-    ["maximize", "--theta", "0.1,0.2"],
-    ["lhv"],
-], ids=["evaluate", "maximize", "lhv"])
+    ["generate", "chain", "--n", "2"],
+    ["sweep", "--topology", "TOPO", "--grid", "0.1,0.2"],
+    ["lhv", "--topology", "TOPO"],
+], ids=["generate", "sweep", "lhv"])
 def test_unwritable_output_prints_no_report(tmp_path, capsys, command):
     topo = tmp_path / "chain2.json"
     main(["generate", "chain", "--n", "2", "--output", str(topo)])
     # a directory cannot be written as a file
-    assert main([command[0], "--topology", str(topo), *command[1:],
-                 "--output", str(tmp_path)]) == 2
+    assert main([str(topo) if arg == "TOPO" else arg for arg in command]
+                + ["--output", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
