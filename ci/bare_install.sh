@@ -6,21 +6,31 @@
 #   ci/bare_install.sh nlocalnet                  # the installed entry point
 #   PYTHONPATH=src ci/bare_install.sh python3 -S -m nlocalnet
 #
-# Checks: every subcommand runs; generate and sweep print the bytes that
-# they write to --output; the option parser takes a prefix, "=" with a
-# leading minus sign and "--"; evaluate prints the same bytes on chain(3)
-# and on a relabelled chain(3); a --p of 4300 nines, whose 2n - p has one
-# digit more than str() converts, exits 2 with one line on stderr;
-# evaluate --bogus exits 2 with one line on stderr and nothing on stdout;
-# --help exits 0 and its first line is "usage: nlocalnet COMMAND [options]";
-# lhv on star(24), given --alphabet-size and --grid-steps (read and
-# ignored), exits 0 with "best_s": 1.0; validate and a maximize that takes
-# its arguments from an @FILE run under ulimit -v 65536, a 64 MiB address
-# space (a read sized by the 64 MiB file cap once failed there on any file);
-# no subcommand imports __future__, getopt, gettext or pathlib (a plain
+# Checks: every subcommand runs; the option parser takes "--", and
+# generate prints the bytes that it writes to --output; a --p of 4300 nines,
+# whose 2n - p has one digit more than str() converts, exits 2 with one line
+# on stderr and nothing on stdout; validate and a maximize that takes its
+# arguments from an @FILE run under ulimit -v 65536, a 64 MiB address space
+# (a read sized by the 64 MiB file cap once failed there on any file); no
+# subcommand imports __future__, getopt, gettext or pathlib (a plain
 # interpreter imports none of them at start-up), and lhv does not import
 # nlocalnet.inequality.  Imports are listed by PYTHONPROFILEIMPORTTIME, the
 # environment form of python -X importtime.
+#
+# Checks that Tier-1 tests make, and so are not repeated here:
+# - sweep and generate print the bytes they write to --output:
+#   test_cli::test_sweep_prints_the_bytes_that_it_writes_to_output;
+# - evaluate prints the same bytes on chain(3) and on a relabelled chain(3):
+#   test_cli::test_evaluate_prints_the_same_bytes_on_a_relabelled_layout;
+# - a unique prefix and "=" with a leading minus sign:
+#   test_cli::test_a_unique_prefix_stands_for_its_option and
+#   test_cli::test_evaluate_command;
+# - evaluate --bogus exits 2 with one stderr line and no stdout:
+#   test_cli::test_usage_errors_are_one_line;
+# - --help exits 0 and starts with its usage line:
+#   test_cli::test_each_entry_module_runs_the_cli;
+# - lhv reads and ignores --alphabet-size and --grid-steps and prints
+#   "best_s": 1.0: test_cli::test_lhv_ignores_its_alphabet_and_grid_options.
 set -euo pipefail
 if [ "$#" -eq 0 ]; then
   echo "usage: $0 COMMAND [ARG...]   (the command that runs nlocalnet)" >&2
@@ -29,28 +39,13 @@ fi
 nlocalnet=("$@")
 
 "${nlocalnet[@]}" generate chain --n 3 --output chain3.json
-"${nlocalnet[@]}" generate chain --n 3 > chain3.stdout
-cmp chain3.json chain3.stdout
 "${nlocalnet[@]}" validate --topology chain3.json
 "${nlocalnet[@]}" evaluate --topology chain3.json --theta 0.25pi,0.25pi,0.25pi --alpha 0.25pi,0.25pi
 "${nlocalnet[@]}" maximize --topology chain3.json --theta 0.25pi,0.25pi,0.25pi
 "${nlocalnet[@]}" sweep --topology chain3.json --grid 0,0.25pi --output sweep.csv
-"${nlocalnet[@]}" sweep --topology chain3.json --grid 0,0.25pi > sweep.stdout
-cmp sweep.csv sweep.stdout
 "${nlocalnet[@]}" lhv --topology chain3.json --output model.json
-"${nlocalnet[@]}" evaluate --topo chain3.json --theta=-0.25pi,0.25pi,0.25pi --alpha 0.25pi,0.25pi
 "${nlocalnet[@]}" generate --n 3 -- chain > chain3.dashes
 cmp chain3.json chain3.dashes
-"${nlocalnet[@]}" generate custom --n 3 --m 2 --p 2 --output relabelled.json \
-  --edges '[{"source":1,"ends":["A2","B2"]},{"source":2,"ends":["A1","A2"]},{"source":3,"ends":["B1","A1"]}]'
-"${nlocalnet[@]}" evaluate --topology chain3.json --theta 0.1,0.2,0.3 --alpha 0.4,0.5 > chain3.evaluate
-"${nlocalnet[@]}" evaluate --topology relabelled.json --theta 0.1,0.2,0.3 --alpha 0.4,0.5 > relabelled.evaluate
-cmp chain3.evaluate relabelled.evaluate
-"${nlocalnet[@]}" generate star --n 24 --output star24.json
-"${nlocalnet[@]}" lhv --topology star24.json --alphabet-size 3 --grid-steps 6 > star24.lhv
-if ! grep -q '"best_s": 1.0' star24.lhv; then
-  echo "lhv on star(24) must print \"best_s\": 1.0"; exit 1
-fi
 
 printf '%s\n' --topology chain3.json --theta 0.25pi,0.25pi,0.25pi > maximize.args
 if ! (ulimit -v 65536 && "${nlocalnet[@]}" validate --topology chain3.json > /dev/null \
@@ -63,16 +58,6 @@ status=0
   --edges '[]' > huge.stdout 2> huge.stderr || status=$?
 if [ "$status" -ne 2 ] || [ "$(wc -l < huge.stderr)" -ne 1 ] || [ -s huge.stdout ]; then
   echo "generate custom with a 4300-digit --p must exit 2 with one stderr line"; exit 1
-fi
-status=0
-"${nlocalnet[@]}" evaluate --bogus > bogus.stdout 2> bogus.stderr || status=$?
-if [ "$status" -ne 2 ] || [ "$(wc -l < bogus.stderr)" -ne 1 ] || [ -s bogus.stdout ]; then
-  echo "evaluate --bogus must exit 2 with one stderr line and no stdout"; exit 1
-fi
-status=0
-"${nlocalnet[@]}" --help > help.stdout || status=$?
-if [ "$status" -ne 0 ] || [ "$(head -n 1 help.stdout)" != "usage: nlocalnet COMMAND [options]" ]; then
-  echo "--help must exit 0 and start with its usage line"; exit 1
 fi
 
 for args in "generate chain --n 3" "validate --topology chain3.json" \
