@@ -55,14 +55,15 @@ INPUTS = {
                        + "\n--alpha\n" + ",".join(["0.3"] * 100000) + "\n",
     "star100000.theta": "--theta\n" + ",".join(["0.2pi"] * 100000) + "\n",
 }
-LAYOUTS = {"chain3": ["chain", "--n", "3"], "star4": ["star", "--n", "4"],
-           "tree7_3": ["tree", "--n", "7", "--m", "3"],
-           "relabelled": ["custom", "--n", "3", "--m", "2", "--p", "2",
-                          "--edges", RELABELLED_CHAIN3]}
-ANGLES = {"chain3": ("0.7853981633974483,0.6,0.3", "0.4,1.1"),
-          "star4": ("0.25pi,0.7,0.6,0.5", "0.2,0.4,0.6,0.8"),
-          "tree7_3": ("0.1,0.2,0.3,0.4,0.5,0.6,0.7", "0.3,0.6,0.9,1.2,1.5"),
-          "relabelled": ("0.7853981633974483,0.6,0.3", "0.4,1.1")}
+# Per layout: generate's arguments, then the source and extremal angles.
+LAYOUTS = {
+    "chain3": (["chain", "--n", "3"], "0.7853981633974483,0.6,0.3", "0.4,1.1"),
+    "star4": (["star", "--n", "4"], "0.25pi,0.7,0.6,0.5", "0.2,0.4,0.6,0.8"),
+    "tree7_3": (["tree", "--n", "7", "--m", "3"], "0.1,0.2,0.3,0.4,0.5,0.6,0.7",
+                "0.3,0.6,0.9,1.2,1.5"),
+    "relabelled": (["custom", "--n", "3", "--m", "2", "--p", "2", "--edges", RELABELLED_CHAIN3],
+                   "0.7853981633974483,0.6,0.3", "0.4,1.1"),
+}
 
 
 def benchmark_runs():
@@ -74,11 +75,11 @@ def benchmark_runs():
 def matrix() -> list[tuple[str, list[str]]]:
     """(ID, argv) in the order they run; later commands read earlier files."""
     cases = []
-    for name, kind in LAYOUTS.items():
+    for name, (kind, _, _) in LAYOUTS.items():
         cases.append((f"generate {name}", ["generate", *kind]))
         cases.append((f"generate {name} --output", ["generate", *kind,
                                                     "--output", f"{name}.json"]))
-    for name, (theta, alpha) in ANGLES.items():
+    for name, (_, theta, alpha) in LAYOUTS.items():
         topo = ["--topology", f"{name}.json"]
         cases += [
             (f"validate {name}", ["validate", *topo]),
