@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -88,6 +89,24 @@ def test_tree_five_three():
 def test_tree_rejects_bad_divisibility():
     with pytest.raises(InvalidParameterError, match="divisible"):
         build_tree(6, 3)
+
+
+def test_built_layouts_match_their_pinned_sha256():
+    # The numbering and endpoint order that build_tree and build_chain
+    # write.  A layout with every source's ends swapped is still valid, so
+    # only these digests see such a change.
+    digest = hashlib.sha256()
+    for n in range(2, 61):
+        for m in range(2, n + 1):
+            if (n - m) % (m - 1) == 0:
+                digest.update(serialize_config(build_tree(n, m)).encode())
+    for n in range(2, 61):
+        digest.update(serialize_config(build_chain(n)).encode())
+    assert digest.hexdigest() == \
+        "e6e9877fe994b1cb7b9c9009ca07b59d67a5f4f514f8f9f49f2d833a353866ea"
+    edges = repr(sorted(build_tree(99999, 3).edges.items())).encode()
+    assert hashlib.sha256(edges).hexdigest() == \
+        "d924ee8d8ba0d6a89ffaaa2b67fedda86b11c99c7f8618de11d2d999e04e3575"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
