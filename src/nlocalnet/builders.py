@@ -2,24 +2,21 @@
 `nlocalnet generate` loads this module."""
 
 import json
-from collections import deque
 
 from .errors import InvalidParameterError
 from .topology import NetworkConfig, NodeId, check_source_count
 
 
 def build_chain(n: int) -> NetworkConfig:
-    """Chain layout (n, 2, 2): B1 - A1 - ... - A(n-1) - B2, one source per link."""
+    """Chain layout (n, 2, 2): B1 - A1 - ... - A(n-1) - B2, one source per link.
+
+    Source r joins the r-th and (r+1)-th node of that path.
+    """
     if n < 2:
         raise InvalidParameterError(f"chain needs at least 2 sources, got {n}")
     check_source_count(n)
-    edges: dict[int, tuple[NodeId, NodeId]] = {}
-    left = NodeId.extremal(1)
-    for r in range(1, n):
-        right = NodeId.intermediate(r)
-        edges[r] = (left, right)
-        left = right
-    edges[n] = (left, NodeId.extremal(2))
+    path = [NodeId.extremal(1), *map(NodeId.intermediate, range(1, n)), NodeId.extremal(2)]
+    edges = {r: (path[r - 1], path[r]) for r in range(1, n + 1)}
     return NetworkConfig(n=n, m=2, p=2, edges=edges)
 
 
@@ -32,12 +29,14 @@ def build_star(n: int) -> NetworkConfig:
 
 
 def build_tree(n: int, m: int) -> NetworkConfig:
-    """Layered tree layout (n, m, n - (n-m)/(m-1)), built leaves-first.
+    """Layered tree layout (n, m, p) with p = n - (n-m)/(m-1), built leaves-first.
 
-    Extremal leaves B1..Bp hold one end of sources 1..p.  Each intermediate
-    node consumes the m-1 oldest dangling source ends plus one fresh source
-    whose far end dangles for a later layer; the root consumes the last m.
-    For m = 2 this reproduces the chain shape, for m = n the star.
+    The l = (2n - p)/m intermediate nodes fill layer by layer: A1..A(l-1)
+    each hold m - 1 sources from below and one fresh source to a later
+    node, and the root Al holds the last m.  Source r's lower end is the
+    r-th of B1..Bp, A1..A(l-1), and its upper end is A(ceil(r/(m-1))),
+    capped at the root Al.  For m = 2 this reproduces the chain shape, for
+    m = n the star.
     """
     if m < 2:
         raise InvalidParameterError(f"tree needs m >= 2, got {m}")
@@ -49,21 +48,10 @@ def build_tree(n: int, m: int) -> NetworkConfig:
     check_source_count(n)
     p = n - (n - m) // (m - 1)
     l = (2 * n - p) // m
-    lower_end = {r: NodeId.extremal(r) for r in range(1, p + 1)}
-    dangling = deque(range(1, p + 1))
-    edges: dict[int, tuple[NodeId, NodeId]] = {}
-    for t in range(1, l):
-        node = NodeId.intermediate(t)
-        for _ in range(m - 1):
-            r = dangling.popleft()
-            edges[r] = (lower_end[r], node)
-        fresh = p + t
-        lower_end[fresh] = node
-        dangling.append(fresh)
-    root = NodeId.intermediate(l)
-    while dangling:
-        r = dangling.popleft()
-        edges[r] = (lower_end[r], root)
+    nodes = [*map(NodeId.extremal, range(1, p + 1)),
+             *map(NodeId.intermediate, range(1, l + 1))]
+    edges = {r: (nodes[r - 1], nodes[p + min((r - 1) // (m - 1), l - 1)])
+             for r in range(1, n + 1)}
     return NetworkConfig(n=n, m=m, p=p, edges=edges)
 
 

@@ -199,19 +199,16 @@ def _walk(config: NetworkConfig) -> list[str]:
             parent[i] = j
             merges += 1
 
-    seen_inter = sorted(nd.index for nd in position if nd.kind == INTERMEDIATE)
-    seen_extr = sorted(nd.index for nd in position if nd.kind == EXTREMAL)
-    if l is not None and (len(seen_inter) != max(l, 0)
-                          or seen_inter != list(range(1, l + 1))):
-        issues.append(
-            f"intermediate nodes must be exactly A1..A{decimal_text(l)}, found "
-            f"{[NodeId.intermediate(i).name for i in seen_inter]}")
-    if len(seen_extr) != max(p, 0) or seen_extr != list(range(1, p + 1)):
-        issues.append(
-            f"extremal nodes must be exactly B1..B{decimal_text(p)}, found "
-            f"{[NodeId.extremal(j).name for j in seen_extr]}")
+    nodes = sorted(position)
+    for kind, count in ((INTERMEDIATE, l), (EXTREMAL, p)):
+        seen = [node.index for node in nodes if node.kind == kind]
+        if count is not None and (len(seen) != max(count, 0)
+                                  or seen != list(range(1, count + 1))):
+            issues.append(
+                f"{kind} nodes must be exactly {NodeId(kind, 1).name}.."
+                f"{NodeId(kind, count).name}, found {[NodeId(kind, i).name for i in seen]}")
 
-    for node in sorted(position):
+    for node in nodes:
         index(node.index)  # once per node: a wrong type raises TypeError
         if node.kind not in (INTERMEDIATE, EXTREMAL):
             issues.append(f"node of kind {node.kind!r} and index {decimal_text(node.index)} "
