@@ -6,9 +6,11 @@ import os
 import subprocess
 import sys
 
+import networkx as nx
 import numpy as np
 
-from nlocalnet import build_chain, build_star, build_tree, extremal_nodes, intermediate_nodes
+from nlocalnet import (NetworkConfig, NodeId, build_chain, build_star, build_tree,
+                       extremal_nodes, intermediate_nodes)
 from oracles import LHVModel, SettingAssignment, attachments, lhv_evaluate_S
 
 # Valid (n, m) tree parameters with n <= 5.
@@ -39,6 +41,46 @@ def random_config(rng: np.random.Generator, max_n: int = 5):
         return build_star(int(rng.integers(2, max_n + 1)))
     n, m = TREE_CHOICES[int(rng.integers(0, len(TREE_CHOICES)))]
     return build_tree(n, m)
+
+
+def acyclic_shapes(max_l: int = 5, max_m: int = 5) -> list[NetworkConfig]:
+    """One layout of every shape with l <= max_l and 2 <= m <= max_m.
+
+    With m fixed, a layout is fixed up to isomorphism by the tree that its l
+    intermediate nodes form: a node of degree d in that tree gets m - d
+    extremal leaves, so n = l(m - 1) + 1 and p = l(m - 2) + 2.  l = 1 is the
+    star.  Sources between intermediate nodes come first, then the leaves.
+    """
+    shapes = []
+    for l in range(1, max_l + 1):
+        trees = list(nx.nonisomorphic_trees(l)) if l > 1 else [nx.empty_graph(1)]
+        for m in range(2, max_m + 1):
+            for tree in trees:
+                if max(degree for _, degree in tree.degree) > m:
+                    continue
+                node = {u: NodeId.intermediate(u + 1) for u in tree}
+                ends = [(node[u], node[v]) for u, v in sorted(tree.edges)]
+                leaves = [node[u] for u in sorted(tree) for _ in range(m - tree.degree(u))]
+                ends += [(NodeId.extremal(j), a) for j, a in enumerate(leaves, start=1)]
+                shapes.append(NetworkConfig(n=len(ends), m=m, p=len(leaves),
+                                            edges=dict(enumerate(ends, start=1))))
+    return shapes
+
+
+def relabelled(config: NetworkConfig, rng: np.random.Generator) -> NetworkConfig:
+    """The layout with its sources, intermediate nodes and extremal nodes each
+    renumbered at random, each source's ends in random order, and the edge
+    map in random key order."""
+    rename = {}
+    for make, count in ((NodeId.intermediate, config.l), (NodeId.extremal, config.p)):
+        rename.update({make(old): make(int(new))
+                       for old, new in enumerate(rng.permutation(count) + 1, start=1)})
+    numbers = rng.permutation(config.n) + 1
+    edges = {}
+    for r in rng.permutation(config.n) + 1:
+        ends = [rename[node] for node in config.edges[int(r)]]
+        edges[int(numbers[r - 1])] = tuple(ends[::-1] if rng.integers(0, 2) else ends)
+    return config._replace(edges=edges)
 
 
 def random_instance(rng: np.random.Generator, max_n: int = 5):

@@ -17,7 +17,10 @@ the correlator.  The global qubit convention is fixed by the layout: source
 r owns qubits 2(r-1) and 2(r-1)+1, assigned to its first and second edge
 endpoint.  signed_y_average and evaluate_S_from_correlator enumerate the 2^p
 extremal inputs of any correlator, quantum or classical (lhv_distribution);
-the tests check inequality.evaluate_S against them.
+the tests check inequality.evaluate_S against them.  For layouts with too
+many extremal nodes to call a correlator 2^p times in a test,
+input_correlators gives the factorized correlator of every extremal input
+at once, as numpy arrays.
 
 The classical side holds the model type LHVModel, on any alphabet, with
 its JSON rendering model_to_jsonable and the one-symbol vertex_model that
@@ -482,3 +485,36 @@ def evaluate_S_from_correlator(correlator: Correlator,
     i0 = signed_y_average(correlator, config, 0, (0,) * config.l)
     i1 = signed_y_average(correlator, config, 1, (1,) * config.l)
     return EvaluationResult.from_ingredients(config.p, (i0, 0), (i1, 0))
+
+
+def input_correlators(config: NetworkConfig, thetas: Sequence[float],
+                      alphas: Sequence[float], x_bit: int) -> np.ndarray:
+    """correlator_factorized of each of the 2^p extremal inputs, with every
+    intermediate input x_bit, in the order signed_y_average visits them.
+
+    Entry i is the input whose bits y_1..y_p, B1 first, spell i in binary;
+    each entry multiplies the same per-source factors in the same order as
+    correlator_factorized, so the two agree bit for bit.
+    """
+    check_layout(config)
+    check_angles(config, thetas, alphas)
+    if config.p > ENUMERATION_MAX_EXTREMAL:
+        raise ResourceLimitError(
+            f"enumerating the 2^{config.p} extremal inputs exceeds the cap of "
+            f"2^{ENUMERATION_MAX_EXTREMAL}")
+    inputs = np.arange(2 ** config.p)
+    middle = PAULI_X if x_bit else PAULI_Z
+    values = np.ones(len(inputs))
+    for r in range(1, config.n + 1):
+        # each end's observable for y = 0 and y = 1, and its y for every input
+        ends = [((middle, middle), np.zeros(len(inputs), dtype=int))
+                if node.kind == INTERMEDIATE else
+                ((extremal_observable(alphas[node.index - 1], 0),
+                  extremal_observable(alphas[node.index - 1], 1)),
+                 (inputs >> (config.p - node.index)) & 1)
+                for node in config.edges[r]]
+        (first, y_first), (second, y_second) = ends
+        table = np.array([[pair_expectation(thetas[r - 1], a, b) for b in second]
+                          for a in first])
+        values *= table[y_first, y_second]
+    return values
