@@ -14,8 +14,9 @@ the work directory that the command created, changed or removed.
 The matrix covers every subcommand; every `generate` kind, to stdout and to
 --output; usage errors, --help and each COMMAND --help; every set-up and pass
 command of the benchmark's workloads at seeds 1 to 3, read from
-`perfbench/workloads.py`; and chain(100000) and star(100000) with their
-angle lists in @FILE arguments.
+`perfbench/workloads.py`; one invalid layout for each kind of issue line
+that `validate` prints from a file; chain(100000) and star(100000) with
+their angle lists in @FILE arguments; and tree(99999, 3).
 
 --allow ID names a command line whose difference is intended, and the script
 then goes on past it; an ID that shows no difference is an error, so the list
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -55,6 +57,28 @@ INPUTS = {
                        + "\n--alpha\n" + ",".join(["0.3"] * 100000) + "\n",
     "star100000.theta": "--theta\n" + ",".join(["0.2pi"] * 100000) + "\n",
 }
+# Layouts that `validate` rejects, each for one kind of issue line: n, m, p
+# and each source with its two ends.  A node of a kind other than A or B
+# cannot be written in a file, so that line has no layout here.
+BROKEN = {
+    "n below 2": (1, 2, 2, [(1, "B1", "B2")]),
+    "m below 2": (2, 1, 2, [(1, "B1", "A1"), (2, "A1", "B2")]),
+    "p below 2": (2, 2, 1, [(1, "B1", "A1"), (2, "A1", "B2")]),
+    "p above n": (2, 2, 10, [(1, "B1", "A1"), (2, "A1", "B2")]),
+    "not divisible": (3, 2, 3, [(1, "B1", "A1"), (2, "A1", "B2"), (3, "A1", "B3")]),
+    "source out of range": (2, 2, 2, [(1, "B1", "A1"), (7, "A1", "B2")]),
+    "both ends at one node": (3, 2, 2, [(1, "B1", "A1"), (2, "A1", "A1"), (3, "A2", "B2")]),
+    "intermediate range": (3, 2, 2, [(1, "B1", "A1"), (2, "A1", "A3"), (3, "A3", "B2")]),
+    "extremal range": (3, 2, 2, [(1, "B1", "A1"), (2, "A1", "A2"), (3, "A2", "B3")]),
+    "degree": (3, 2, 2, [(1, "B1", "A1"), (2, "A1", "B2"), (3, "B2", "A2")]),
+    "cycle": (2, 2, 2, [(1, "A1", "A2"), (2, "A2", "A1")]),
+    "disconnected": (4, 2, 4, [(1, "B1", "A1"), (2, "A1", "B2"), (3, "B3", "A2"),
+                               (4, "A2", "B4")]),
+}
+INPUTS.update({
+    f"{name.replace(' ', '-')}.json": json.dumps({"n": n, "m": m, "p": p, "edges": [
+        {"source": r, "ends": [u, v]} for r, u, v in edges]})
+    for name, (n, m, p, edges) in BROKEN.items()})
 # Per layout: generate's arguments, then the source and extremal angles.
 LAYOUTS = {
     "chain3": (["chain", "--n", "3"], "0.7853981633974483,0.6,0.3", "0.4,1.1"),
@@ -105,6 +129,10 @@ def matrix() -> list[tuple[str, list[str]]]:
         ("evaluate broken", ["evaluate", "--topology", "broken.json", "--theta", quarter,
                              "--alpha", "0.25pi,0.25pi"]),
         ("lhv broken --output", ["lhv", "--topology", "broken.json", "--output", "x.json"]),
+        *((f"validate {name}", ["validate", "--topology", f"{name.replace(' ', '-')}.json"])
+          for name in BROKEN),
+        ("evaluate extremal range", ["evaluate", "--topology", "extremal-range.json",
+                                     "--theta", quarter, "--alpha", "0.25pi,0.25pi"]),
         ("validate not-json", ["validate", "--topology", "not-json.json"]),
         ("validate missing", ["validate", "--topology", "missing.json"]),
         ("evaluate wrong count", ["evaluate", *chain3, "--theta", quarter,
@@ -158,6 +186,11 @@ def matrix() -> list[tuple[str, list[str]]]:
             (f"lhv {kind}100000 --output", ["lhv", *topo, "--output",
                                             f"{kind}100000.model.json"]),
         ]
+    cases += [
+        ("generate tree99999", ["generate", "tree", "--n", "99999", "--m", "3",
+                                "--output", "tree99999.json"]),
+        ("validate tree99999", ["validate", "--topology", "tree99999.json"]),
+    ]
     cases.append(("maximize star100000", ["maximize", "--topology", "star100000.json",
                                           "@star100000.theta"]))
     return cases
