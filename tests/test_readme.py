@@ -7,6 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
+from nlocalnet import build_tree
 from nlocalnet.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -43,3 +44,13 @@ def test_cli_block_runs_and_evaluate_prints_what_its_comment_says(
                          if line.startswith("nlocalnet evaluate ")) + 1]
     assert '"S": 1.414...' in comment and '"violated": true' in comment
     assert str(report["S"]).startswith("1.414") and report["violated"] is True
+
+
+def test_tree_numbering_example_matches_the_built_tree():
+    text = README.read_text(encoding="utf-8")
+    paragraph = re.search(r"`generate tree --n N --m M` numbers(.*?)\n\n", text, re.S).group(1)
+    examples = re.findall(r"source\s+(\d+)\s+joins\s+(\w+)\s+to\s+(\w+)", paragraph)
+    assert len(examples) == 3
+    edges = build_tree(15, 3).edges
+    for r, first, second in examples:
+        assert [node.name for node in edges[int(r)]] == [first, second]
