@@ -445,6 +445,24 @@ def test_validate_describes_integers_too_long_to_print():
             "count is not an integer") in validate(NetworkConfig(n=3, m=2, p=p, edges=edges))
 
 
+@pytest.mark.parametrize("config, issues", [
+    (NetworkConfig(n=2, m=2, p=6, edges={1: (NodeId.extremal(1), NodeId.extremal(2)),
+                                         2: (NodeId.extremal(3), NodeId.extremal(4))}),
+     ["extremal node count p=6 exceeds source count n=2",
+      "extremal nodes must be exactly B1..B6, found ['B1', 'B2', 'B3', 'B4']",
+      "the network is disconnected (2 components)"]),
+    (NetworkConfig(n=2, m=2, p=-1, edges={1: (NodeId.intermediate(1), NodeId.intermediate(2)),
+                                          2: (NodeId.intermediate(2), NodeId.intermediate(1))}),
+     ["extremal node count p must be at least 2, got -1",
+      "2n - p = 5 is not divisible by m = 2; the intermediate node count is not an integer",
+      "the node/source incidence graph contains a cycle"]),
+], ids=["l-1", "p-1"])
+def test_a_negative_count_with_no_node_of_its_kind_is_no_range_issue(config, issues):
+    # l = -1 with no A node, and p = -1 with no B node: A1..A-1 and B1..B-1
+    # are empty ranges, and no node of the kind was found.
+    assert validate(config) == issues
+
+
 @pytest.mark.parametrize("config", [
     build_chain(2)._replace(m=2.5),
     NetworkConfig(n=2, m=2, p=2, edges={
