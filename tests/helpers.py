@@ -43,6 +43,19 @@ def random_config(rng: np.random.Generator, max_n: int = 5):
     return build_tree(n, m)
 
 
+def incidence_graph(config) -> nx.MultiGraph:
+    """Nodes and sources as vertices, each labelled with its kind, and each
+    source joined to its two ends; a MultiGraph keeps both edges of a source
+    whose ends are one node."""
+    graph = nx.MultiGraph()
+    for r, ends in config.edges.items():
+        graph.add_node(("S", r), kind="source")
+        for node in ends:
+            graph.add_node(node.name, kind=node.kind)
+            graph.add_edge(("S", r), node.name)
+    return graph
+
+
 def acyclic_shapes(max_l: int = 5, max_m: int = 5) -> list[NetworkConfig]:
     """One layout of every shape with l <= max_l and 2 <= m <= max_m.
 

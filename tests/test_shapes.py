@@ -7,7 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from helpers import acyclic_shapes, relabelled
+from helpers import acyclic_shapes, incidence_graph, relabelled
 from nlocalnet import InvalidParameterError, NodeId, closed_form_S, evaluate_S, validate
 from nlocalnet.topology import EXTREMAL, INTERMEDIATE, check_layout
 from oracles import SettingAssignment, correlator_factorized, input_correlators
@@ -20,20 +20,10 @@ for _config in SHAPES:
     SHAPE_IDS.append(f"l{_config.l}-m{_config.m}-{len(_same) + 1}")
 
 
-def incidence_multigraph(config) -> nx.MultiGraph:
-    """Nodes and sources as vertices, each source joined to its two ends; a
-    MultiGraph keeps both edges of a source whose ends are one node."""
-    graph = nx.MultiGraph()
-    for r, ends in config.edges.items():
-        for node in ends:
-            graph.add_edge(("S", r), node.name)
-    return graph
-
-
 def issues_from_networkx(config) -> list[str]:
     """The issues validate should report on a layout with valid counts whose
     ends are all intermediate or extremal nodes, derived from networkx."""
-    graph = incidence_multigraph(config)
+    graph = incidence_graph(config)
     issues = []
     if set(config.edges) != set(range(1, config.n + 1)):
         issues.append("edge map must assign exactly the sources 1..n")
@@ -64,7 +54,7 @@ def test_the_shapes_are_every_tree_up_to_five_intermediate_nodes():
         assert config.n == config.l * (config.m - 1) + 1
         assert config.p == config.l * (config.m - 2) + 2
     # no two shapes with the same m are isomorphic
-    graphs = [(config.m, nx.Graph(incidence_multigraph(config))) for config in SHAPES]
+    graphs = [(config.m, nx.Graph(incidence_graph(config))) for config in SHAPES]
     for i, (m, graph) in enumerate(graphs):
         assert not any(m == other_m and nx.is_isomorphic(graph, other)
                        for other_m, other in graphs[:i])
@@ -76,7 +66,7 @@ def test_every_shape_is_a_valid_layout_with_the_closed_form_witness(index):
     config = relabelled(SHAPES[index], rng)
     assert validate(config) == []
     check_layout(config)
-    assert nx.is_tree(incidence_multigraph(config))
+    assert nx.is_tree(incidence_graph(config))
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=config.n).tolist()
     alphas = rng.uniform(0.0, 2.0 * np.pi, size=config.p).tolist()
     result = evaluate_S(config, thetas, alphas)

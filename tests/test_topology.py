@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlocalnet.topology
-from helpers import random_config, run_fresh
+from helpers import incidence_graph, random_config, run_fresh
 from nlocalnet import (InvalidParameterError, NetworkConfig, NodeId,
                        ResourceLimitError, build_chain, build_star, build_tree,
                        extremal_nodes, intermediate_nodes, parse_config,
@@ -17,17 +17,6 @@ from nlocalnet import (InvalidParameterError, NetworkConfig, NodeId,
 from nlocalnet.cli import main
 from nlocalnet.topology import EXTREMAL, INTERMEDIATE, MAX_SOURCES, check_layout
 from oracles import attachments, evaluate_S_from_correlator
-
-
-def incidence_graph(config):
-    graph = nx.Graph()
-    for r, (u, v) in config.edges.items():
-        graph.add_node(("S", r), kind="source")
-        for node in (u, v):
-            graph.add_node(node.name, kind=node.kind)
-        graph.add_edge(("S", r), u.name)
-        graph.add_edge(("S", r), v.name)
-    return graph
 
 
 def test_chain_two_matches_documented_edges():
@@ -93,8 +82,8 @@ def test_tree_rejects_bad_divisibility():
 
 def test_built_layouts_match_their_pinned_sha256():
     # The numbering and endpoint order that build_tree and build_chain
-    # write.  A layout with every source's ends swapped is still valid, so
-    # only these digests see such a change.
+    # write, for every (n, m) up to 60 and for tree(99999, 3).  A layout
+    # with every source's ends swapped is still valid.
     digest = hashlib.sha256()
     for n in range(2, 61):
         for m in range(2, n + 1):
@@ -157,14 +146,11 @@ NODES = st.builds(NodeId, st.sampled_from([INTERMEDIATE, EXTREMAL]), st.integers
 @settings(max_examples=300)
 def test_tree_verdict_agrees_with_networkx(ends):
     # Few node names, so self-loops, parallel sources and several
-    # components all occur.  A MultiGraph keeps both edges of a source
-    # whose ends are one node; a Graph would merge them.
+    # components all occur.
     edges = dict(enumerate(ends, start=1))
-    graph = nx.MultiGraph()
-    for r, (u, v) in edges.items():
-        graph.add_edge(("S", r), u.name)
-        graph.add_edge(("S", r), v.name)
-    issues = validate(NetworkConfig(n=len(edges), m=2, p=2, edges=edges))
+    config = NetworkConfig(n=len(edges), m=2, p=2, edges=edges)
+    graph = incidence_graph(config)
+    issues = validate(config)
     has_cycle = "the node/source incidence graph contains a cycle" in issues
     assert has_cycle == (not nx.is_forest(graph))
     components = nx.number_connected_components(graph)

@@ -2,7 +2,7 @@
 changes to one module and list the changes that no test notices.
 
     python tools/mutate.py src/nlocalnet/builders.py src/nlocalnet/topology.py \
-        [--root DIR] [--timeout S] [--jobs N] [--output FILE]
+        [--root DIR] > survivors.json
 
 Each mutant changes one place of one module file, found with the standard
 library's `ast`:
@@ -15,21 +15,22 @@ library's `ast`:
 
 The edit is made in the source text at the node's position, so the rest of
 the file keeps its bytes.  A mutant that does not compile is counted as
-invalid and not run.  For each mutant the whole tree under --root (default:
-this checkout) is copied to a temporary directory, the module file is
-replaced there, and pytest runs with the copy's `src/` on PYTHONPATH, in the
-copy, stopping at the first failure.  It runs only the test files under
+invalid and not run.  A module is named by its path, absolute or relative
+to --root (default: this checkout), and must be a file under src/nlocalnet/
+of that tree.  For each mutant the whole tree is copied to a temporary
+directory, the module file is replaced there, and pytest runs with the
+copy's `src/` on PYTHONPATH, in the copy, stopping at the first failure;
+the tree itself is never written.  It runs only the test files under
 `tests/` that import the module, directly, through a name imported from the
 package, or through another imported module of the package or of `tests/`.
 A test file that runs the package in a child process is selected by what it
-imports, like any other.
+imports, like any other.  Mutants run as many at once as there are CPUs.
 
 A mutant is killed when pytest fails, survives when it passes, and times out
-when it runs longer than --timeout seconds (default: three times the
-unmutated run, plus 30 s).  The unmutated run must pass first.  A summary
-goes to stderr; the survivors, with the counts, go as JSON to --output
-(default: stdout).  This is slow, about the test run once per mutant, so it
-is not part of the tier-1 tests.
+when it runs longer than three times the unmutated run, plus 30 s.  The
+unmutated run must pass first.  A summary goes to stderr; the survivors,
+with the counts, go as JSON to stdout.  This is slow, about the test run
+once per mutant, so it is not part of the tier-1 tests.
 """
 
 from __future__ import annotations
@@ -190,7 +191,8 @@ def run_tests(tree: Path, tests: list[Path], timeout: float) -> str:
 
 
 def run_mutant(root: Path, relative: Path, source: bytes, tests: list[Path],
-               timeout: float) -> str:
+               timeout: float | None) -> str:
+    """Run the tests in a copy of root whose file at relative has source."""
     with tempfile.TemporaryDirectory(prefix="nlocalnet-mutant-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(root, tree, ignore=IGNORED)
@@ -201,22 +203,19 @@ def run_mutant(root: Path, relative: Path, source: bytes, tests: list[Path],
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", type=Path,
-                        help=f"module files under src/{PACKAGE}/, relative to --root")
+                        help=f"module files under src/{PACKAGE}/ (relative to --root "
+                             "or absolute)")
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="the tree to copy and test (default: this checkout)")
-    parser.add_argument("--timeout", type=float, help="seconds per mutant")
-    parser.add_argument("--jobs", type=int, default=1, help="mutants run at once")
-    parser.add_argument("--output", type=Path, help="the JSON file (default: stdout)")
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    if args.jobs < 1 or args.jobs > (os.cpu_count() or 1):
-        parser.error(f"--jobs must be between 1 and the CPU count, {os.cpu_count()}")
     started = time.perf_counter()
     report = {"root": str(root), "modules": [], "survivors": []}
-    for relative in args.modules:
-        path = root / relative
+    for name in args.modules:
+        path = (root / name).resolve()
         if path.parent != root / "src" / PACKAGE or path.suffix != ".py" or not path.is_file():
-            parser.error(f"{relative} is not a module file under src/{PACKAGE}/")
+            parser.error(f"{name} is not a module file under {root / 'src' / PACKAGE}/")
+        relative = path.relative_to(root)
         module = f"{PACKAGE}.{path.stem}"
         tests = selected_tests(root, module)
         source = path.read_bytes()
@@ -224,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
         if run_mutant(root, relative, source, tests, None) != "survived":
             print(f"error: the tests fail on the unmutated {relative}", file=sys.stderr)
             return 1
-        timeout = args.timeout or 3 * (time.perf_counter() - clock) + 30
+        timeout = 3 * (time.perf_counter() - clock) + 30
         candidates, invalid = [], 0
         for mutant in mutants(source):
             mutated = mutant.apply(source)
@@ -236,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
             candidates.append((mutant, mutated))
         print(f"{relative}: {len(candidates)} mutants ({invalid} invalid), "
               f"{len(tests)} test files, {timeout:.0f} s timeout", file=sys.stderr)
-        with ThreadPoolExecutor(args.jobs) as pool:
+        with ThreadPoolExecutor(os.cpu_count()) as pool:
             outcomes = list(pool.map(
                 lambda item: run_mutant(root, relative, item[1], tests, timeout), candidates))
         counts = {outcome: outcomes.count(outcome) for outcome in ("killed", "survived",
@@ -255,11 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{relative}: {counts['killed']} killed, {counts['survived']} survived, "
               f"{counts['timeout']} timed out", file=sys.stderr)
     report["seconds"] = round(time.perf_counter() - started, 1)
-    text = json.dumps(report, indent=2) + "\n"
-    if args.output:
-        args.output.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     return 0
 
 
