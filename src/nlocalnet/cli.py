@@ -9,7 +9,10 @@ are radians, or multiples of pi with a "pi" suffix ("0.25pi").  Reports are
 single-line JSON on stdout; sweeps are CSV.  generate and sweep write
 --output, or else stdout, through _write once every check has passed; lhv
 writes its model to --output; files are read through _read_text, capped at
-MAX_FILE_BYTES.
+MAX_FILE_BYTES.  run() is the process entry of `python -m nlocalnet`, of
+this module run as a script and of the installed `nlocalnet` command: it
+returns main()'s exit code and freezes the garbage collector before the
+interpreter exits; main(argv) called in process leaves the collector alone.
 
 Options are parsed in one pass by _options, with the grammar of
 getopt.gnu_getopt, from one table, _COMMANDS, which also prints the help.
@@ -19,6 +22,7 @@ compiles only the modules it runs.
 """
 
 import errno
+import gc
 import io
 import json
 import math
@@ -388,5 +392,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_RESOURCE
 
 
+def run() -> int:
+    """The process entry: main() on sys.argv, then gc.freeze(), so that the
+    collections which end the interpreter skip every object the process
+    holds (about 7 ms of a 68 ms evaluate on a 2-CPU VM).  Streams are still
+    flushed and atexit handlers still run; every file main opens is closed
+    before it returns.  Ending through os._exit instead would skip both, and
+    cut off a profiler that reports after SystemExit."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())
