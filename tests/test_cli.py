@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import nlocalnet.topology
 from helpers import run_fresh
 from nlocalnet import build_chain, closed_form_S, parse_config, serialize_config
 from nlocalnet.cli import main, parse_angle, parse_angle_list
+from nlocalnet.inequality import MAX_SWEEP_ROWS
 from nlocalnet.lhv import lhv_best_S
 from oracles import model_to_jsonable, vertex_model
 
@@ -916,13 +918,76 @@ def test_import_pulls_in_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("module", ["nlocalnet", "nlocalnet.cli"])
-def test_each_entry_module_runs_the_cli(module):
+def test_each_entry_module_runs_the_cli(module, tmp_path, capsys):
+    """Help, a usage error and a resource cap: the same exit code, stdout and
+    stderr from `python -m MODULE` as from main in process."""
     src = Path(nlocalnet.cli.__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-m", module, "--help"],
-                          env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.startswith("usage: nlocalnet COMMAND [options]\n")
+    topo = tmp_path / "chain3.json"
+    topo.write_text(serialize_config(build_chain(3)))
+    grid = ",".join(map(str, range(101)))
+    assert 101 ** 3 > MAX_SWEEP_ROWS
+    cases = [(["--help"], 0, "usage: nlocalnet COMMAND [options]\n"),
+             (["evaluate", "--bogus"], 2, "error: option --bogus not recognized\n"),
+             (["sweep", "--topology", str(topo), "--grid", grid], 4, "resource limit: ")]
+    for argv, code, start in cases:
+        done = subprocess.run([sys.executable, "-m", module, *argv],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert main(argv) == code
+        in_process = capsys.readouterr()
+        assert (done.returncode, done.stdout, done.stderr) == (
+            code, in_process.out, in_process.err)
+        if code == 0:
+            assert done.stdout.startswith(start) and done.stderr == ""
+        else:
+            assert done.stdout == "" and done.stderr.startswith(start)
+            assert len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("module", ["nlocalnet", "nlocalnet.cli"])
+def test_the_process_entry_freezes_the_collector_once_main_returns(module, tmp_path):
+    """`python -m MODULE` ends through cli.run, which freezes the collector,
+    so the collections at interpreter exit skip what the process loaded."""
+    topo = tmp_path / "chain3.json"
+    topo.write_text(serialize_config(build_chain(3)))
+    code = """if True:
+        import contextlib, gc, io, runpy, sys
+        sys.argv = ["nlocalnet", "validate", "--topology", sys.argv[1]]
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                runpy.run_module(MODULE, run_name="__main__")
+        except SystemExit as exc:
+            print(repr(exc.code), gc.get_freeze_count() > 0, repr(out.getvalue()))
+    """.replace("MODULE", repr(module))
+    done = run_fresh(code, str(topo))
+    assert (done.stdout, done.stderr) == ("0 True 'ok\\n'\n", "")
+
+
+def test_main_in_process_leaves_the_collector_alone(tmp_path):
+    topo = tmp_path / "chain3.json"
+    topo.write_text(serialize_config(build_chain(3)))
+    code = """if True:
+        import contextlib, gc, io, sys
+        from nlocalnet.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["validate", "--topology", sys.argv[1]])
+        print(code, gc.get_freeze_count())
+    """
+    done = run_fresh(code, str(topo))
+    assert (done.stdout, done.stderr) == ("0 0\n", "")
+
+
+def test_the_console_script_is_the_process_entry():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: read the one table by hand
+        table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+        scripts = dict(re.findall(r'^(\S+) = "([^"]*)"$', table.group(1), re.M))
+    else:
+        scripts = tomllib.loads(text)["project"]["scripts"]
+    assert scripts == {"nlocalnet": "nlocalnet.cli:run"}
 
 
 def test_files_are_read_under_a_64_mib_address_space(tmp_path):
