@@ -188,7 +188,7 @@ def _walk(config: NetworkConfig) -> list[str]:
             raise TypeError(f"source {decimal_text(r)} must map to two NodeId ends")
         i, j = position.setdefault(u, len(position)), position.setdefault(v, len(position))
         if i == j:
-            issues.append(f"source {r} has both particles at node {u.name}")
+            issues.append(f"source {decimal_text(r)} has both particles at node {u.name}")
         degrees[i] += 1
         degrees[j] += 1
         while parent[i] != i:

@@ -431,6 +431,22 @@ def test_validate_describes_integers_too_long_to_print():
             "count is not an integer") in validate(NetworkConfig(n=3, m=2, p=p, edges=edges))
 
 
+def test_a_source_number_too_long_to_print_is_named_by_its_bit_length():
+    # str() of the source number raised a bare ValueError from inside validate
+    a1, b1 = NodeId.intermediate(1), NodeId.extremal(1)
+    config = NetworkConfig(n=2, m=2, p=2, edges={10 ** 5000: (a1, a1), 1: (b1, a1)})
+    assert validate(config) == [
+        "edge map must assign exactly the sources 1..n",
+        "source <16610-bit integer> has both particles at node A1",
+        "extremal nodes must be exactly B1..B2, found ['B1']",
+        "node A1 touches 3 sources, expected 2",
+        "the node/source incidence graph contains a cycle",
+    ]
+    with pytest.raises(InvalidParameterError,
+                       match="; source <16610-bit integer> has both particles at node A1;"):
+        check_layout(config)
+
+
 @pytest.mark.parametrize("config, issues", [
     (NetworkConfig(n=2, m=2, p=6, edges={1: (NodeId.extremal(1), NodeId.extremal(2)),
                                          2: (NodeId.extremal(3), NodeId.extremal(4))}),
