@@ -3,14 +3,21 @@ the paper's (n, m, p) configuration covers centerless and asymmetric
 networks, not only the chain, star and layered tree that the builders make.
 """
 
+import itertools
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
 
 from helpers import acyclic_shapes, incidence_graph, relabelled
-from nlocalnet import InvalidParameterError, NodeId, closed_form_S, evaluate_S, validate
+from nlocalnet import (InvalidParameterError, NodeId, closed_form_S, closed_form_smax,
+                       evaluate_S, lhv_best_S, sweep, validate)
+from nlocalnet.inequality import violates
 from nlocalnet.topology import EXTREMAL, INTERMEDIATE, check_layout
-from oracles import SettingAssignment, correlator_factorized, input_correlators
+from oracles import (STATEVECTOR_MAX_SOURCES, SettingAssignment, correlator_factorized,
+                     correlator_statevector, input_correlators, lhv_evaluate_S,
+                     vertex_model)
 
 SHAPES = acyclic_shapes()
 SHAPE_IDS = []
@@ -49,6 +56,8 @@ def issues_from_networkx(config) -> list[str]:
 def test_the_shapes_are_every_tree_up_to_five_intermediate_nodes():
     assert len(SHAPES) == 28
     assert sum(config.n <= 8 for config in SHAPES) == 11
+    assert STATEVECTOR_MAX_SOURCES == 6
+    assert sum(config.n <= 6 for config in SHAPES) == 9
     assert max(config.p for config in SHAPES) == 17
     for config in SHAPES:
         assert config.n == config.l * (config.m - 1) + 1
@@ -82,6 +91,53 @@ def test_every_shape_is_a_valid_layout_with_the_closed_form_witness(index):
             y_bits = [int(i) >> (config.p - j) & 1 for j in range(1, config.p + 1)]
             assignment = SettingAssignment.from_bits(config, [x_bit] * config.l, y_bits)
             assert values[i] == correlator_factorized(config, thetas, alphas, assignment)
+
+
+# A shape's sweep has at most this many rows: a grid of k points has k^n.
+SWEEP_ROWS = 1024
+
+
+@pytest.mark.parametrize("index", range(len(SHAPES)), ids=SHAPE_IDS)
+def test_every_shape_sweeps_to_the_closed_form_row_by_row(index):
+    rng = np.random.default_rng([index, 1])
+    config = relabelled(SHAPES[index], rng)
+    points = max(k for k in range(1, SWEEP_ROWS + 1) if k ** config.n <= SWEEP_ROWS)
+    grid = rng.uniform(-math.pi, math.pi, size=points).tolist()
+    if points > 1:
+        grid[0] = 0.0  # so that some rows do not violate the bound
+    rows = list(sweep(config, grid))
+    combos = list(itertools.product(grid, repeat=config.n))
+    assert len(rows) == len(combos)
+    for row, combo in zip(rows, combos):
+        smax, alpha_star = closed_form_smax(combo, config.p)
+        # repr tells -0.0 from 0.0, so the row matches bit for bit
+        assert repr(row) == repr((combo, alpha_star, smax, violates(smax)))
+
+
+@pytest.mark.parametrize("index", range(len(SHAPES)), ids=SHAPE_IDS)
+def test_every_shape_has_the_classical_bound_that_the_vertex_model_reaches(index):
+    config = relabelled(SHAPES[index], np.random.default_rng([index, 2]))
+    assert lhv_best_S(config) == 1.0
+    reached = lhv_evaluate_S(config, vertex_model(config))
+    assert (reached.i0, reached.i1) == (1.0, 0.0)
+
+
+SMALL = [index for index, config in enumerate(SHAPES)
+         if config.n <= STATEVECTOR_MAX_SOURCES]
+
+
+@pytest.mark.parametrize("index", SMALL, ids=[SHAPE_IDS[index] for index in SMALL])
+def test_every_small_shape_has_the_statevector_correlators(index):
+    rng = np.random.default_rng([index, 3])
+    config = relabelled(SHAPES[index], rng)
+    for _ in range(4):
+        thetas = rng.uniform(0.0, 2.0 * np.pi, size=config.n).tolist()
+        alphas = rng.uniform(0.0, 2.0 * np.pi, size=config.p).tolist()
+        assignment = SettingAssignment.from_bits(
+            config, rng.integers(0, 2, size=config.l).tolist(),
+            rng.integers(0, 2, size=config.p).tolist())
+        assert abs(correlator_statevector(config, thetas, alphas, assignment)
+                   - correlator_factorized(config, thetas, alphas, assignment)) <= 1e-12
 
 
 def damaged(config, damage: str, rng: np.random.Generator):
