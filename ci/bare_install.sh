@@ -9,13 +9,17 @@
 # Checks: every subcommand runs; the option parser takes "--", and
 # generate prints the bytes that it writes to --output; a --p of 4300 nines,
 # whose 2n - p has one digit more than str() converts, exits 2 with one line
-# on stderr and nothing on stdout; validate and a maximize that takes its
-# arguments from an @FILE run under ulimit -v 65536, a 64 MiB address space
-# (a read sized by the 64 MiB file cap once failed there on any file); no
-# subcommand imports __future__, getopt, gettext or pathlib (a plain
-# interpreter imports none of them at start-up), and lhv does not import
-# nlocalnet.inequality.  Imports are listed by PYTHONPROFILEIMPORTTIME, the
-# environment form of python -X importtime.
+# on stderr and nothing on stdout; a sweep of chain3.json over a grid of 101
+# points, 101^3 rows and so above MAX_SWEEP_ROWS, exits 4 with one
+# "resource limit:" line on stderr and nothing on stdout (the installed
+# script passes the code of its entry, nlocalnet.cli:run, to sys.exit);
+# validate and a maximize that takes its arguments from an @FILE run under
+# ulimit -v 65536, a 64 MiB address space (a read sized by the 64 MiB file
+# cap once failed there on any file); no subcommand imports __future__,
+# getopt, gettext or pathlib (a plain interpreter imports none of them at
+# start-up), and lhv does not import nlocalnet.inequality.  Imports are
+# listed by PYTHONPROFILEIMPORTTIME, the environment form of python -X
+# importtime.
 #
 # Checks that Tier-1 tests make, and so are not repeated here:
 # - sweep and generate print the bytes they write to --output:
@@ -58,6 +62,14 @@ status=0
   --edges '[]' > huge.stdout 2> huge.stderr || status=$?
 if [ "$status" -ne 2 ] || [ "$(wc -l < huge.stderr)" -ne 1 ] || [ -s huge.stdout ]; then
   echo "generate custom with a 4300-digit --p must exit 2 with one stderr line"; exit 1
+fi
+
+status=0
+"${nlocalnet[@]}" sweep --topology chain3.json --grid "$(seq -s, 0 100)" \
+  > cap.stdout 2> cap.stderr || status=$?
+if [ "$status" -ne 4 ] || [ "$(wc -l < cap.stderr)" -ne 1 ] || [ -s cap.stdout ] \
+    || ! grep -q '^resource limit: ' cap.stderr; then
+  echo "a sweep of 101^3 rows must exit 4 with one resource limit: line on stderr"; exit 1
 fi
 
 for args in "generate chain --n 3" "validate --topology chain3.json" \
