@@ -952,15 +952,16 @@ def test_the_process_entry_freezes_the_collector_once_main_returns(module, tmp_p
     topo.write_text(serialize_config(build_chain(3)))
     code = """if True:
         import contextlib, gc, io, runpy, sys
-        sys.argv = ["nlocalnet", "validate", "--topology", sys.argv[1]]
+        module, topo = sys.argv[1:]
+        sys.argv = ["nlocalnet", "validate", "--topology", topo]
         out = io.StringIO()
         try:
             with contextlib.redirect_stdout(out):
-                runpy.run_module(MODULE, run_name="__main__")
+                runpy.run_module(module, run_name="__main__")
         except SystemExit as exc:
             print(repr(exc.code), gc.get_freeze_count() > 0, repr(out.getvalue()))
-    """.replace("MODULE", repr(module))
-    done = run_fresh(code, str(topo))
+    """
+    done = run_fresh(code, module, str(topo))
     assert (done.stdout, done.stderr) == ("0 True 'ok\\n'\n", "")
 
 
